@@ -12,6 +12,7 @@ from .core import (
     InvariantViolation,
     MetricDescriptor,
     MetricKind,
+    all_pair_distances,
     counted_distance,
     counted_distances_to,
     diameter_is_exact,
@@ -19,6 +20,7 @@ from .core import (
     distance,
     distances_to,
     load_dataset,
+    pair_distances,
 )
 from .generate import Family, GeneratorSpec, generate
 from .diststats import (

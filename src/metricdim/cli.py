@@ -93,8 +93,7 @@ def _render(command: str, config: list[tuple[str, object]], columns: list[str], 
     return "\n".join(lines) + "\n"
 
 
-def _normalized(ds: Dataset) -> Dataset:
-    bound = diameter_upper_bound(ds)
+def _normalized(ds: Dataset, bound: float) -> Dataset:
     if bound == 0.0:
         return ds
     return ds.rescaled(ds.metric.scale * bound)
@@ -113,7 +112,7 @@ def run_fig_a(d_list, n=100, seeds=(DEFAULT_SEED,), self_test=False) -> str:
     for seed in seeds:
         for d in d_list:
             ds = generate(GeneratorSpec(Family.UNIFORM_CUBE, d, n, rng.derive_seed(seed, d)))
-            sample = pairwise_distances(_normalized(ds), ALL_PAIRS)
+            sample = pairwise_distances(_normalized(ds, diameter_upper_bound(ds)), ALL_PAIRS)
             box = boxplot_summary(sample)
             if self_test:
                 _check_boxplot(box, sample.values)
@@ -261,8 +260,7 @@ def run_estimate(path, metric: MetricDescriptor, seed=DEFAULT_SEED, k=32, grid_s
         bound = diameter_upper_bound(ds)
         rows.append(["diameter_bound", bound])
         rows.append(["diameter_method", "exact-scan" if diameter_is_exact(ds.n) else "triangle-bound"])
-        mode = default_mode(ds.n, seed=rng.derive_seed(seed, 10))
-        sample = pairwise_distances(ds, mode)
+        sample = pairwise_distances(ds, default_mode(ds.n, seed=rng.derive_seed(seed, 10)))
         summary = moments(sample)
         rows.append(["characteristic_size", summary.mean])
         rows.append(["dim_cnbym", cnbym_dimension(summary)])
@@ -272,12 +270,12 @@ def run_estimate(path, metric: MetricDescriptor, seed=DEFAULT_SEED, k=32, grid_s
         else:
             query_idx = rng.distinct_indices(rng.derive_seed(seed, 11), NN_QUERY_CAP, ds.n)
         queries = Dataset(ds.points[query_idx], ds.metric)
-        nn = nn_statistics(ds, queries, leave_one_out=True, mode=mode)
+        nn = nn_statistics(ds, queries, leave_one_out=True, sample=sample)
         rows.append(["nn_queries", queries.n])
         rows.append(["mean_eps_nn", nn.mean_eps_nn])
         rows.append(["nn_ratio", nn.ratio])
 
-        normalized = _normalized(ds)
+        normalized = _normalized(ds, bound)
         witness_count = min(k, ds.n)
         curve = empirical_concentration(normalized, witness_count, grid_size, seed=rng.derive_seed(seed, 12))
         if self_test and (np.diff(curve.alpha) > 1e-12).any():

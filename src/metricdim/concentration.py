@@ -32,7 +32,7 @@ from .core import (
     Dataset,
     InvalidInputError,
     diameter_upper_bound,
-    distances_to,
+    pair_distances,
 )
 
 DEFAULT_GRID_SIZE = 201
@@ -115,7 +115,7 @@ def witness_curve(ds: Dataset, family: WitnessFamily, grid_size: int, provenance
     grid = np.linspace(0.0, 1.0, grid_size)
     alpha = np.zeros(grid_size)
     for anchor in family.anchors:
-        f = distances_to(ds.metric, ds.points[anchor], ds.points)
+        f = pair_distances(ds.metric, ds.points[anchor], ds.points)
         median = float(np.quantile(f, 0.5))
         deviations = np.sort(np.abs(f - median))
         exceed = ds.n - np.searchsorted(deviations, grid, side="right")

@@ -1,10 +1,17 @@
-"""Points, metrics, datasets, and an evaluation-counting distance oracle.
+"""Points, metrics, datasets, the distance kernel and an evaluation-counting oracle.
 
 A dataset is a homogeneous point matrix plus a metric descriptor. Real
 vectors are float64 rows; bit vectors are uint8 rows of 0/1 and are the
 only representation the normalized Hamming metric accepts. Every search
 structure in this package measures its cost in metric evaluations, so the
 counting oracle is threaded through all query paths.
+
+Only this module knows how each metric is computed: ``pair_distances`` is
+the one unvalidated kernel, and ``all_pair_distances`` beside it adds the
+Gram-identity enumeration. Rows are validated when a ``Dataset`` is built
+(``load_dataset`` builds one); each public entry point that takes an
+outside point validates it once, at entry (``Dataset.check_query``);
+internal loops over dataset rows call the kernel directly.
 
 Precision: distances are computed in double precision; the Euclidean
 metric is the square root of the sum of squared differences, so
@@ -87,10 +94,12 @@ class MetricDescriptor:
         return replace(self, scale=scale)
 
 
-def _check_point(metric: MetricDescriptor, x) -> np.ndarray:
+def _check_point(metric: MetricDescriptor, x, dim: int | None = None) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1 or arr.shape[0] < 1:
         raise InvalidInputError(f"a point must be a 1-d sequence of length >= 1, got shape {arr.shape}")
+    if dim is not None and arr.shape[0] != dim:
+        raise InvalidInputError(f"point length mismatch: {arr.shape[0]} vs {dim}")
     if metric.kind.uses_bits:
         if arr.dtype.kind == "f":
             raise InvalidInputError("normalized Hamming metric requires a bit vector, got real coordinates")
@@ -106,44 +115,60 @@ def _check_point(metric: MetricDescriptor, x) -> np.ndarray:
     return arr
 
 
-def _check_pair(metric, x, y):
-    a, b = _check_point(metric, x), _check_point(metric, y)
-    if a.shape != b.shape:
-        raise InvalidInputError(f"point length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return a, b
+def pair_distances(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between matching rows of ``a`` and ``b`` (raw value / scale).
+
+    Rows broadcast, so one point against a matrix gives its distance to
+    every row. Nothing is validated: callers pass checked points.
+    """
+    kind = metric.kind
+    if kind is MetricKind.EUCLIDEAN:
+        diff = a - b
+        raw = np.sqrt(np.einsum("...i,...i->...", diff, diff))
+    elif kind is MetricKind.MANHATTAN:
+        raw = np.abs(a - b).sum(axis=-1)
+    elif kind is MetricKind.CHEBYSHEV:
+        raw = np.abs(a - b).max(axis=-1)
+    else:
+        raw = (a != b).sum(axis=-1) / a.shape[-1]
+    return raw / metric.scale
+
+
+def all_pair_distances(metric: MetricDescriptor, points: np.ndarray) -> np.ndarray:
+    """Distances of every unordered pair (i, j > i) of rows, in that order.
+
+    Euclidean and Hamming use one Gram matrix product, |x - y|^2 =
+    |x|^2 + |y|^2 - 2 x.y; the other metrics scan rows through the kernel.
+    """
+    n = points.shape[0]
+    if metric.kind in (MetricKind.MANHATTAN, MetricKind.CHEBYSHEV):
+        return np.concatenate([pair_distances(metric, points[i], points[i + 1 :]) for i in range(n)])
+    iu, ju = np.triu_indices(n, k=1)
+    if metric.kind is MetricKind.EUCLIDEAN:
+        sq = np.einsum("ij,ij->i", points, points)
+        gram = points @ points.T
+        d2 = sq[iu] + sq[ju] - 2.0 * gram[iu, ju]
+        np.maximum(d2, 0.0, out=d2)
+        return np.sqrt(d2) / metric.scale
+    # Bits: |x XOR y| = |x| + |y| - 2 x.y, exact in float32 for d < 2**24.
+    bits = points.astype(np.float32)
+    ones = bits.sum(axis=1)
+    gram = bits @ bits.T
+    diff = ones[iu] + ones[ju] - 2.0 * gram[iu, ju]
+    return diff.astype(np.float64) / points.shape[1] / metric.scale
 
 
 def distance(metric: MetricDescriptor, x, y) -> float:
     """Distance between two points under ``metric`` (raw value / scale)."""
-    a, b = _check_pair(metric, x, y)
-    kind = metric.kind
-    if kind is MetricKind.EUCLIDEAN:
-        raw = math.sqrt(float(((a - b) ** 2).sum()))
-    elif kind is MetricKind.MANHATTAN:
-        raw = float(np.abs(a - b).sum())
-    elif kind is MetricKind.CHEBYSHEV:
-        raw = float(np.abs(a - b).max())
-    else:
-        raw = float((a != b).sum()) / a.shape[0]
-    return raw / metric.scale
+    a = _check_point(metric, x)
+    return float(pair_distances(metric, a, _check_point(metric, y, a.shape[0])))
 
 
 def distances_to(metric: MetricDescriptor, x, points: np.ndarray) -> np.ndarray:
     """Distances from one point to every row of a point matrix."""
-    a = _check_point(metric, x)
-    if points.ndim != 2 or points.shape[1] != a.shape[0]:
+    if points.ndim != 2:
         raise InvalidInputError("point matrix incompatible with the query point")
-    kind = metric.kind
-    if kind is MetricKind.EUCLIDEAN:
-        diff = points - a
-        raw = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    elif kind is MetricKind.MANHATTAN:
-        raw = np.abs(points - a).sum(axis=1)
-    elif kind is MetricKind.CHEBYSHEV:
-        raw = np.abs(points - a).max(axis=1)
-    else:
-        raw = (points != a).sum(axis=1) / a.shape[0]
-    return raw / metric.scale
+    return pair_distances(metric, _check_point(metric, x, points.shape[1]), points)
 
 
 @dataclass(frozen=True)
@@ -183,6 +208,10 @@ class Dataset:
 
     def point(self, i: int) -> np.ndarray:
         return self.points[i]
+
+    def check_query(self, q) -> np.ndarray:
+        """``q`` validated against this dataset's metric and dimension."""
+        return _check_point(self.metric, q, self.dim)
 
     def rescaled(self, scale: float) -> "Dataset":
         return Dataset(self.points, self.metric.rescaled(scale), self.seed)
@@ -246,10 +275,10 @@ def diameter_upper_bound(ds: Dataset) -> float:
     if ds.n <= EXACT_DIAMETER_LIMIT:
         best = 0.0
         for i in range(ds.n - 1):
-            row = distances_to(ds.metric, ds.points[i], ds.points[i + 1 :])
+            row = pair_distances(ds.metric, ds.points[i], ds.points[i + 1 :])
             best = max(best, float(row.max()))
         return best
-    radial = distances_to(ds.metric, ds.points[0], ds.points)
+    radial = pair_distances(ds.metric, ds.points[0], ds.points)
     return min(2.0 * float(radial.max()), _metric_cap(ds.metric))
 
 

@@ -26,9 +26,8 @@ from .core import (
     CountingOracle,
     Dataset,
     InvalidInputError,
-    MetricKind,
-    counted_distances_to,
-    distances_to,
+    all_pair_distances,
+    pair_distances,
 )
 
 PAIR_BUDGET = 5_000_000
@@ -79,45 +78,12 @@ class DistanceSample:
         object.__setattr__(self, "values", values)
 
 
-def _all_pairs_gram(ds: Dataset) -> np.ndarray:
-    pts = ds.points
-    iu, ju = np.triu_indices(ds.n, k=1)
-    if ds.metric.kind is MetricKind.EUCLIDEAN:
-        sq = np.einsum("ij,ij->i", pts, pts)
-        gram = pts @ pts.T
-        d2 = sq[iu] + sq[ju] - 2.0 * gram[iu, ju]
-        np.maximum(d2, 0.0, out=d2)
-        return np.sqrt(d2) / ds.metric.scale
-    # Bits: |x XOR y| = |x| + |y| - 2 x.y, exact in float32 for d < 2**24.
-    bits = pts.astype(np.float32)
-    ones = bits.sum(axis=1)
-    gram = bits @ bits.T
-    diff = ones[iu] + ones[ju] - 2.0 * gram[iu, ju]
-    return diff.astype(np.float64) / ds.dim / ds.metric.scale
-
-
-def _all_pairs_rows(ds: Dataset) -> np.ndarray:
-    chunks = [distances_to(ds.metric, ds.points[i], ds.points[i + 1 :]) for i in range(ds.n - 1)]
-    return np.concatenate(chunks)
-
-
 def _row_pair_distances(ds: Dataset, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
     out = np.empty(len(ii))
-    kind = ds.metric.kind
     for start in range(0, len(ii), _SAMPLE_CHUNK):
         sl = slice(start, start + _SAMPLE_CHUNK)
-        a = ds.points[ii[sl]]
-        b = ds.points[jj[sl]]
-        if kind is MetricKind.EUCLIDEAN:
-            diff = a - b
-            out[sl] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        elif kind is MetricKind.MANHATTAN:
-            out[sl] = np.abs(a - b).sum(axis=1)
-        elif kind is MetricKind.CHEBYSHEV:
-            out[sl] = np.abs(a - b).max(axis=1)
-        else:
-            out[sl] = (a != b).sum(axis=1) / ds.dim
-    return out / ds.metric.scale
+        out[sl] = pair_distances(ds.metric, ds.points[ii[sl]], ds.points[jj[sl]])
+    return out
 
 
 def pairwise_distances(ds: Dataset, mode: PairMode | None = None) -> DistanceSample:
@@ -127,11 +93,7 @@ def pairwise_distances(ds: Dataset, mode: PairMode | None = None) -> DistanceSam
     if mode is None:
         mode = default_mode(ds.n, seed=ds.seed if ds.seed is not None else 0)
     if isinstance(mode, AllPairs):
-        if ds.metric.kind in (MetricKind.EUCLIDEAN, MetricKind.HAMMING):
-            values = _all_pairs_gram(ds)
-        else:
-            values = _all_pairs_rows(ds)
-        return DistanceSample(values, mode, ds.n)
+        return DistanceSample(all_pair_distances(ds.metric, ds.points), mode, ds.n)
     # Uniform over ordered pairs i != j, then unordered; with replacement.
     ii = rng.integers(mode.seed, mode.m, ds.n, stream=0)
     jj = rng.integers(mode.seed, mode.m, ds.n - 1, stream=1)
@@ -229,28 +191,36 @@ def nn_statistics(
     queries: Dataset,
     oracle: CountingOracle | None = None,
     leave_one_out: bool = False,
-    mode: PairMode | None = None,
+    sample: DistanceSample | None = None,
 ) -> NNStats:
     """Mean nearest-neighbor distance of the queries against the dataset,
     the dataset's mean pairwise distance (characteristic size), and their
     ratio.
 
-    With ``leave_one_out`` a query's coordinate-identical data points are
-    excluded from its own NN search.
+    ``sample`` is a pair sample of ``ds`` the caller already holds; without
+    one, the default-mode sample is drawn here. With ``leave_one_out`` a
+    query's coordinate-identical data points are excluded from its own NN
+    search.
     """
     if ds.n < 1 or queries.n < 1:
         raise InvalidInputError("nn statistics need nonempty data and queries")
-    if queries.dim != ds.dim:
-        raise InvalidInputError("query dimension does not match the dataset")
+    if queries.dim != ds.dim or queries.metric.kind is not ds.metric.kind:
+        raise InvalidInputError("queries do not match the dataset's dimension and metric")
+    if sample is not None and sample.n != ds.n:
+        raise InvalidInputError("the pair sample was not drawn from this dataset")
     nn_sum = 0.0
     for q in queries.points:
-        dv = counted_distances_to(oracle, q, ds.points) if oracle else distances_to(ds.metric, q, ds.points)
+        dv = pair_distances(ds.metric, q, ds.points)
+        if oracle is not None:
+            oracle.add(ds.n)
         if leave_one_out:
             dv = dv[~(ds.points == q).all(axis=1)]
             if dv.size == 0:
                 raise InvalidInputError("leave-one-out excluded every data point for a query")
         nn_sum += float(dv.min())
     mean_eps_nn = nn_sum / queries.n
-    characteristic = float(pairwise_distances(ds, mode).values.mean()) if ds.n >= 2 else 0.0
+    characteristic = 0.0
+    if ds.n >= 2:
+        characteristic = float((sample if sample is not None else pairwise_distances(ds)).values.mean())
     ratio = DEGENERATE if characteristic == 0.0 else mean_eps_nn / characteristic
     return NNStats(mean_eps_nn, characteristic, ratio)

@@ -22,8 +22,8 @@ from .core import (
     Dataset,
     InvalidInputError,
     diameter_upper_bound,
-    distances_to,
     first_occurrence_indices,
+    pair_distances,
 )
 
 # Probed radii run log-uniformly from this fraction of the diameter bound
@@ -74,7 +74,7 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
     while uncovered.any():
         local = int(np.flatnonzero(uncovered)[0])
         centers.append(int(subset[local]))
-        within = distances_to(ds.metric, pts[local], pts[uncovered]) <= radius
+        within = pair_distances(ds.metric, pts[local], pts[uncovered]) <= radius
         idx = np.flatnonzero(uncovered)
         uncovered[idx[within]] = False
     return CoverResult(np.asarray(centers, dtype=np.int64), radius, int(subset.size))
@@ -103,7 +103,7 @@ def probe_rows(ds: Dataset, probes: int, seed: int = 0) -> list[ProbeRecord]:
 
     records = []
     for center, radius in zip(centers.tolist(), radii.tolist()):
-        ball = np.flatnonzero(distances_to(distinct.metric, distinct.points[center], distinct.points) <= radius)
+        ball = np.flatnonzero(pair_distances(distinct.metric, distinct.points[center], distinct.points) <= radius)
         cover = greedy_cover(distinct, ball, radius / 2.0)
         records.append(ProbeRecord(int(keep[center]), float(radius), len(cover.centers)))
     return records

@@ -27,11 +27,9 @@ from .core import (
     Dataset,
     InvalidInputError,
     InvariantViolation,
-    counted_distance,
-    counted_distances_to,
     diameter_upper_bound,
-    distances_to,
     first_occurrence_indices,
+    pair_distances,
 )
 from .pivot import QueryStats
 
@@ -70,7 +68,7 @@ def _greedy_net(ds: Dataset, radius: float) -> np.ndarray:
     for j in range(ds.n):
         if min_dist[j] > radius:
             nodes.append(j)
-            np.minimum(min_dist, distances_to(ds.metric, ds.points[j], ds.points), out=min_dist)
+            np.minimum(min_dist, pair_distances(ds.metric, ds.points[j], ds.points), out=min_dist)
     return np.asarray(nodes, dtype=np.int64)
 
 
@@ -78,7 +76,7 @@ def _attach_parents(ds: Dataset, child_nodes: np.ndarray, parent_nodes: np.ndarr
     parent_pts = ds.points[parent_nodes]
     parents = np.empty(child_nodes.size, dtype=np.int64)
     for pos, node in enumerate(child_nodes.tolist()):
-        within = distances_to(ds.metric, ds.points[node], parent_pts) <= radius
+        within = pair_distances(ds.metric, ds.points[node], parent_pts) <= radius
         parents[pos] = int(np.flatnonzero(within)[0])
     return parents
 
@@ -119,7 +117,7 @@ def build_net_tree(ds: Dataset) -> tuple[NetTree, TreeStats]:
     bottom = levels[-1]
     assignment = np.full(ds.n, -1, dtype=np.int64)
     for pos, node in enumerate(bottom.nodes.tolist()):
-        dv = distances_to(ds.metric, ds.points[node], ds.points)
+        dv = pair_distances(ds.metric, ds.points[node], ds.points)
         take = (dv <= bottom.radius) & (assignment == -1)
         assignment[take] = pos
     members = [np.flatnonzero(assignment == pos) for pos in range(bottom.nodes.size)]
@@ -145,13 +143,10 @@ def net_range_query(
     """All points strictly within eps of q, via net descent; exact."""
     if not eps > 0:
         raise InvalidInputError("range query needs eps > 0")
-    if oracle is None:
-        oracle = CountingOracle(ds.metric)
-    computations = 0
-
+    q = ds.check_query(q)
     root = tree.levels[0]
-    root_dist = counted_distance(oracle, q, ds.points[int(root.nodes[0])])
-    computations += 1
+    root_dist = pair_distances(ds.metric, q, ds.points[root.nodes[0]])
+    computations = 1
     live = np.array([0], dtype=np.int64) if root_dist <= eps + 2.0 * root.radius else np.array([], dtype=np.int64)
 
     for i, level_children in enumerate(tree.children):
@@ -159,19 +154,16 @@ def net_range_query(
             break
         child_positions = np.concatenate([level_children[p] for p in live.tolist()])
         level = tree.levels[i + 1]
-        node_points = ds.points[level.nodes[child_positions]]
-        dv = counted_distances_to(oracle, q, node_points)
-        computations += node_points.shape[0]
+        dv = pair_distances(ds.metric, q, ds.points[level.nodes[child_positions]])
+        computations += dv.size
         live = child_positions[dv <= eps + 2.0 * level.radius]
 
-    if live.size:
-        candidates = np.concatenate([tree.members[p] for p in live.tolist()])
-        verified = counted_distances_to(oracle, q, ds.points[candidates])
-        computations += candidates.size
-        result = set(candidates[verified < eps].tolist())
-    else:
-        candidates = np.array([], dtype=np.int64)
-        result = set()
+    candidates = np.concatenate([tree.members[p] for p in live.tolist()]) if live.size else np.array([], dtype=np.int64)
+    verified = pair_distances(ds.metric, q, ds.points[candidates])
+    computations += verified.size
+    result = set(candidates[verified < eps].tolist())
+    if oracle is not None:
+        oracle.add(computations)
 
     stats = QueryStats(
         distance_computations=computations,
@@ -190,9 +182,9 @@ def verify_net_invariants(tree: NetTree, ds: Dataset) -> None:
         node_pts = ds.points[level.nodes]
         covered = np.zeros(ds.n, dtype=bool)
         for pos, node in enumerate(level.nodes.tolist()):
-            dv = distances_to(ds.metric, ds.points[node], ds.points)
+            dv = pair_distances(ds.metric, ds.points[node], ds.points)
             covered |= dv <= level.radius
-            to_others = distances_to(ds.metric, ds.points[node], node_pts)
+            to_others = pair_distances(ds.metric, ds.points[node], node_pts)
             to_others[pos] = np.inf
             if level.nodes.size > 1 and float(to_others.min()) < level.radius:
                 raise InvariantViolation(f"net nodes closer than the level radius {level.radius}")
@@ -202,8 +194,7 @@ def verify_net_invariants(tree: NetTree, ds: Dataset) -> None:
         level, above = tree.levels[i], tree.levels[i - 1]
         for pos, node in enumerate(level.nodes.tolist()):
             parent_node = int(above.nodes[int(level.parents[pos])])
-            d = distances_to(ds.metric, ds.points[node], ds.points[parent_node][None, :])
-            if float(d[0]) > above.radius:
+            if pair_distances(ds.metric, ds.points[node], ds.points[parent_node]) > above.radius:
                 raise InvariantViolation("parent link longer than the level radius")
     assigned = np.concatenate(tree.members) if tree.members else np.array([], dtype=np.int64)
     if np.sort(assigned).size != ds.n or (np.sort(assigned) != np.arange(ds.n)).any():

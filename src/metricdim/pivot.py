@@ -27,9 +27,9 @@ from .core import (
     CountingOracle,
     Dataset,
     InvalidInputError,
-    counted_distance,
     counted_distances_to,
     distances_to,
+    pair_distances,
 )
 from .generate import Family, GeneratorSpec, generate
 
@@ -82,8 +82,8 @@ def _select_farthest_first(ds: Dataset, k: int, seed: int, oracle: CountingOracl
 
 def _distances_from(ds: Dataset, index: int, oracle: CountingOracle | None) -> np.ndarray:
     if oracle is not None:
-        return counted_distances_to(oracle, ds.points[index], ds.points)
-    return distances_to(ds.metric, ds.points[index], ds.points)
+        oracle.add(ds.n)
+    return pair_distances(ds.metric, ds.points[index], ds.points)
 
 
 def build_pivot_index(ds: Dataset, k: int, policy: PivotPolicy, oracle: CountingOracle | None = None) -> PivotIndex:
@@ -116,18 +116,17 @@ def range_query(
     """All points strictly within eps of q, with pruning statistics."""
     if not eps > 0:
         raise InvalidInputError("range query needs eps > 0")
-    if oracle is None:
-        oracle = CountingOracle(ds.metric)
-    q_to_pivot = np.array([counted_distance(oracle, q, ds.points[p]) for p in index.pivots.tolist()])
+    q = ds.check_query(q)
+    q_to_pivot = pair_distances(ds.metric, q, ds.points[index.pivots])
     survives = (np.abs(index.table - q_to_pivot) <= eps + PRUNE_WIDENING).all(axis=1)
     candidates = np.flatnonzero(survives)
-    if candidates.size:
-        verified = counted_distances_to(oracle, q, ds.points[candidates])
-        result = set(candidates[verified < eps].tolist())
-    else:
-        result = set()
+    verified = pair_distances(ds.metric, q, ds.points[candidates])
+    result = set(candidates[verified < eps].tolist())
+    computations = q_to_pivot.size + verified.size
+    if oracle is not None:
+        oracle.add(computations)
     stats = QueryStats(
-        distance_computations=index.k + int(candidates.size),
+        distance_computations=computations,
         candidates_after_pruning=int(candidates.size),
         discarded_fraction=(ds.n - int(candidates.size)) / ds.n,
         result_size=len(result),

@@ -20,6 +20,8 @@ from metricdim.core import (
     format_points,
     load_dataset,
 )
+from metricdim.nettree import build_net_tree, net_range_query
+from metricdim.pivot import RandomPivots, build_pivot_index, calibrate_eps, range_query, sequential_scan
 
 EUCLID = MetricDescriptor(MetricKind.EUCLIDEAN)
 MANHATTAN = MetricDescriptor(MetricKind.MANHATTAN)
@@ -27,6 +29,7 @@ CHEBYSHEV = MetricDescriptor(MetricKind.CHEBYSHEV)
 HAMMING = MetricDescriptor(MetricKind.HAMMING)
 
 REAL_METRICS = [EUCLID, MANHATTAN, CHEBYSHEV]
+ALL_METRICS = REAL_METRICS + [HAMMING]
 
 # Coordinates are 0 or at least 1e-30 in magnitude: differences of such
 # values never underflow when squared, which keeps "zero iff equal" exact
@@ -126,6 +129,23 @@ class TestBatchDistances:
         pts = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [1, 1, 1, 1]], dtype=np.uint8)
         q = np.array([0, 0, 0, 0], dtype=np.uint8)
         np.testing.assert_array_equal(distances_to(HAMMING, q, pts), [0.0, 0.5, 1.0])
+
+
+@st.composite
+def query_and_rows(draw, metric):
+    """A query point and 1-8 rows of one random length, valid for ``metric``."""
+    elements, dtype = (st.integers(0, 1), np.uint8) if metric.kind.uses_bits else (coords, np.float64)
+    dim = draw(st.integers(1, 40))
+    row = st.lists(elements, min_size=dim, max_size=dim)
+    return np.array(draw(row), dtype=dtype), np.array(draw(st.lists(row, min_size=1, max_size=8)), dtype=dtype)
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.kind.value)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_batch_equals_scalar_exactly(metric, data):
+    q, pts = data.draw(query_and_rows(metric))
+    assert distances_to(metric, q, pts).tolist() == [distance(metric, q, p) for p in pts]
 
 
 class TestCountingOracle:
@@ -259,6 +279,39 @@ class TestDatasetIO:
         ds = Dataset(np.array([[1.0]]), EUCLID)
         with pytest.raises(ValueError):
             ds.points[0, 0] = 2.0
+
+
+# Every public entry point that takes an outside point validates it once,
+# at entry; the kernel behind it validates nothing.
+QUERY_ENTRY_POINTS = {
+    "distance": lambda ds, q: distance(ds.metric, q, ds.points[0]),
+    "distances_to": lambda ds, q: distances_to(ds.metric, q, ds.points),
+    "counted_distance": lambda ds, q: counted_distance(CountingOracle(ds.metric), q, ds.points[0]),
+    "counted_distances_to": lambda ds, q: counted_distances_to(CountingOracle(ds.metric), q, ds.points),
+    "range_query": lambda ds, q: range_query(build_pivot_index(ds, 2, RandomPivots(seed=1)), ds, q, 0.5),
+    "sequential_scan": lambda ds, q: sequential_scan(ds, q, 0.5),
+    "net_range_query": lambda ds, q: net_range_query(build_net_tree(ds)[0], ds, q, 0.5),
+    "calibrate_eps": lambda ds, q: calibrate_eps(ds, q, 1),
+}
+
+BAD_POINTS = {
+    "nan-coordinate": (EUCLID, [0.5, float("nan"), 0.5, 0.5]),
+    "wrong-length": (EUCLID, [0.5, 0.5, 0.5]),
+    "real-vector-under-hamming": (HAMMING, [0.0, 1.0, 0.5, 1.0]),
+    "bit-value-2": (HAMMING, [0, 1, 2, 1]),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_POINTS)
+@pytest.mark.parametrize("entry", QUERY_ENTRY_POINTS)
+def test_entry_points_reject_invalid_outside_points(entry, bad):
+    metric, q = BAD_POINTS[bad]
+    if metric.kind.uses_bits:
+        ds = Dataset(np.array([[0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1]], dtype=np.uint8), metric)
+    else:
+        ds = Dataset(np.array([[0.0, 0.5, 1.0, 0.0], [1.0, 1.0, 0.0, 0.5], [0.5, 0.0, 0.5, 1.0]]), metric)
+    with pytest.raises(InvalidInputError):
+        QUERY_ENTRY_POINTS[entry](ds, q)
 
 
 def test_metric_scale_must_be_positive():

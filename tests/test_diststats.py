@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metricdim.core import DEGENERATE, Dataset, InvalidInputError, MetricDescriptor, MetricKind
+from metricdim.core import DEGENERATE, Dataset, InvalidInputError, MetricDescriptor, MetricKind, distance
 from metricdim.diststats import (
     ALL_PAIRS,
     MomentSummary,
@@ -82,6 +82,42 @@ class TestPairwise:
 
         brute = [distance(ds.metric, pts[i], pts[j]) for i in range(30) for j in range(i + 1, 30)]
         np.testing.assert_array_equal(values, brute)
+
+
+ALL_METRICS = [MetricDescriptor(kind) for kind in MetricKind]
+
+
+@st.composite
+def unit_scale_dataset(draw, metric):
+    """2-12 rows of one random length with coordinates in [0, 1] (bits for Hamming)."""
+    elements, dtype = (st.integers(0, 1), np.uint8) if metric.kind.uses_bits else (st.floats(0.0, 1.0), np.float64)
+    dim = draw(st.integers(1, 16))
+    rows = draw(st.lists(st.lists(elements, min_size=dim, max_size=dim), min_size=2, max_size=12))
+    return Dataset(np.array(rows, dtype=dtype), metric)
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.kind.value)
+@given(data=st.data(), m=st.integers(1, 50), seed=st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_pairwise_matches_distance_on_the_same_pairs(metric, data, m, seed):
+    ds = data.draw(unit_scale_dataset(metric))
+    # SampledPairs draws ordered pairs i != j from these two counter streams.
+    ii = rng.integers(seed, m, ds.n, stream=0)
+    jj = rng.integers(seed, m, ds.n - 1, stream=1)
+    jj = jj + (jj >= ii)
+    sampled = pairwise_distances(ds, SampledPairs(m, seed)).values
+    assert sampled.tolist() == [distance(metric, ds.points[i], ds.points[j]) for i, j in zip(ii, jj)]
+
+    iu, ju = np.triu_indices(ds.n, k=1)
+    exact = np.array([distance(metric, ds.points[i], ds.points[j]) for i, j in zip(iu, ju)])
+    enumerated = pairwise_distances(ds, ALL_PAIRS).values
+    if metric.kind is MetricKind.EUCLIDEAN:
+        # The Gram identity cancels |x|^2 + |y|^2 against 2 x.y, so the
+        # rounding error is absolute in the squared distance: compare squares
+        # at 1e-9 of the unit data scale.
+        np.testing.assert_allclose(enumerated**2, exact**2, rtol=0, atol=1e-9)
+    else:
+        np.testing.assert_array_equal(enumerated, exact)
 
 
 class TestBoxplot:

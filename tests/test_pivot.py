@@ -216,6 +216,19 @@ def test_concurrent_queries_share_one_oracle_exactly():
     assert shared.count == sum(per_query)
 
 
+def test_pivot_and_net_queries_raise_a_shared_oracle_by_their_count():
+    from metricdim.nettree import build_net_tree, net_range_query
+
+    ds = generate(GeneratorSpec(Family.UNIFORM_CUBE, 3, 300, seed=4))
+    q = np.array([0.4, 0.5, 0.6])
+    shared = CountingOracle(ds.metric)
+    shared.add(1000)
+    _, stats = range_query(build_pivot_index(ds, 8, RandomPivots(seed=1)), ds, q, 0.3, shared)
+    assert shared.count == 1000 + stats.distance_computations
+    _, net_stats = net_range_query(build_net_tree(ds)[0], ds, q, 0.3, shared)
+    assert shared.count == 1000 + stats.distance_computations + net_stats.distance_computations
+
+
 def test_sweep_smoke():
     rows = degradation_sweep(
         [(Family.UNIFORM_CUBE, 2), (Family.HAMMING_UNIFORM, 64)],
