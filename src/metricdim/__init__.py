@@ -21,6 +21,7 @@ from .core import (
     distances_to,
     load_dataset,
     pair_distances,
+    within_radius,
 )
 from .generate import Family, GeneratorSpec, generate
 from .diststats import (

@@ -261,19 +261,29 @@ def run_estimate(path, metric: MetricDescriptor, seed=DEFAULT_SEED, k=32, grid_s
         rows.append(["diameter_bound", bound])
         rows.append(["diameter_method", "exact-scan" if diameter_is_exact(ds.n) else "triangle-bound"])
         sample = pairwise_distances(ds, default_mode(ds.n, seed=rng.derive_seed(seed, 10)))
-        summary = moments(sample)
-        rows.append(["characteristic_size", summary.mean])
-        rows.append(["dim_cnbym", cnbym_dimension(summary)])
+        if sample.values.size >= 2:
+            summary = moments(sample)
+            rows.append(["characteristic_size", summary.mean])
+            rows.append(["dim_cnbym", cnbym_dimension(summary)])
+        else:
+            rows.append(["characteristic_size", float(sample.values[0])])
+            rows.append(["dim_cnbym", DEGENERATE])
+            rows.append(["note", "two-point dataset; one pair distance has no variance"])
 
         if ds.n <= NN_QUERY_CAP:
             query_idx = np.arange(ds.n)
         else:
             query_idx = rng.distinct_indices(rng.derive_seed(seed, 11), NN_QUERY_CAP, ds.n)
         queries = Dataset(ds.points[query_idx], ds.metric)
-        nn = nn_statistics(ds, queries, leave_one_out=True, sample=sample)
         rows.append(["nn_queries", queries.n])
-        rows.append(["mean_eps_nn", nn.mean_eps_nn])
-        rows.append(["nn_ratio", nn.ratio])
+        if (ds.points == ds.points[0]).all():
+            rows.append(["mean_eps_nn", DEGENERATE])
+            rows.append(["nn_ratio", DEGENERATE])
+            rows.append(["note", "all points identical; leave-one-out leaves no nearest neighbor"])
+        else:
+            nn = nn_statistics(ds, queries, leave_one_out=True, sample=sample)
+            rows.append(["mean_eps_nn", nn.mean_eps_nn])
+            rows.append(["nn_ratio", nn.ratio])
 
         normalized = _normalized(ds, bound)
         witness_count = min(k, ds.n)

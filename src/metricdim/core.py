@@ -7,8 +7,12 @@ structure in this package measures its cost in metric evaluations, so the
 counting oracle is threaded through all query paths.
 
 Only this module knows how each metric is computed: ``pair_distances`` is
-the one unvalidated kernel, and ``all_pair_distances`` beside it adds the
-Gram-identity enumeration. Rows are validated when a ``Dataset`` is built
+the one unvalidated kernel, ``all_pair_distances`` beside it adds the
+Gram-identity enumeration, and ``within_radius`` is the ball-membership
+predicate ``pair_distances(...) <= radius`` for every pair of two row
+blocks, equal to the kernel's answer element by element (a Gram screen
+decides the pairs its rounding bound can, the kernel the rest). Rows are
+validated when a ``Dataset`` is built
 (``load_dataset`` builds one); each public entry point that takes an
 outside point validates it once, at entry (``Dataset.check_query``);
 internal loops over dataset rows call the kernel directly.
@@ -150,12 +154,107 @@ def all_pair_distances(metric: MetricDescriptor, points: np.ndarray) -> np.ndarr
         d2 = sq[iu] + sq[ju] - 2.0 * gram[iu, ju]
         np.maximum(d2, 0.0, out=d2)
         return np.sqrt(d2) / metric.scale
-    # Bits: |x XOR y| = |x| + |y| - 2 x.y, exact in float32 for d < 2**24.
-    bits = points.astype(np.float32)
-    ones = bits.sum(axis=1)
-    gram = bits @ bits.T
-    diff = ones[iu] + ones[ju] - 2.0 * gram[iu, ju]
+    diff = _bit_difference_counts(points, points, np.matmul)[iu, ju]
     return diff.astype(np.float64) / points.shape[1] / metric.scale
+
+
+# OpenBLAS runs a matrix product of at most 2**18 multiply-adds on the
+# calling thread and wakes its worker threads for a larger one. For products
+# issued one after another with other work between them, that wake-up cost
+# about 15 ms a call on a 2-CPU machine, 200x the 0.07 ms product itself.
+_GRAM_CHUNK = 2**18
+
+
+def _chunked_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` in column chunks of at most ``_GRAM_CHUNK`` multiply-adds."""
+    out = np.empty((x.shape[0], y.shape[1]), dtype=np.result_type(x, y))
+    step = max(1, _GRAM_CHUNK // (x.shape[0] * x.shape[1]))
+    for j in range(0, y.shape[1], step):
+        np.matmul(x, y[:, j : j + step], out=out[:, j : j + step])
+    return out
+
+
+def _bit_difference_counts(a: np.ndarray, b: np.ndarray, matmul) -> np.ndarray:
+    """Differing bits of every row pair: |x XOR y| = |x| + |y| - 2 x.y.
+
+    Every partial sum is an integer below 2**24, so the float32 result is
+    exact for d < 2**24 whatever order ``matmul`` sums the products in.
+    """
+    fa = a.astype(np.float32)
+    fb = b.astype(np.float32)
+    counts = matmul(fa, fb.T)
+    counts *= -2.0
+    counts += fa.sum(axis=1)[:, None]
+    counts += fb.sum(axis=1)[None, :]
+    return counts
+
+
+# The Euclidean screen decides a pair only while the radius, the raw radius
+# (radius * scale) and the reach R lie in this range: no square overflows,
+# and underflowed products stay far below the band.
+_SCREEN_RANGE = (2.0**-256, 2.0**256)
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def within_radius(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
+    """The boolean matrix ``pair_distances(metric, a[:, None], b[None]) <= radius``.
+
+    The result equals that expression element by element, at a fraction of
+    its cost. Hamming counts differing bits with the exact Gram identity;
+    Manhattan and Chebyshev run one kernel row per row of ``a``. ``a`` and
+    ``b`` are non-empty row blocks.
+
+    Euclidean screens with a Gram product on coordinates centred on
+    ``a[0]``: g = |a'|^2 + |b'|^2 - 2 a'.b' against t^2, t = radius * scale.
+    With u = 2**-53 and the reach R = max |a'| + max |b'| (no distance
+    exceeds it), the squared-distance error of the centring is at most
+    3 u R^2, of the Gram product and its three additions
+    gamma_d R^2 + 3 u (R^2 + t^2), of t^2 3 u t^2, and of the kernel (its
+    differences, squares and sum, the square root and the division by
+    scale) gamma_{d+6} max(R^2, t^2). They sum to at most
+    (2 d + 12) u (R^2 + t^2) to first order, and the band keeps more than
+    twice that: a pair with |g - t^2| <= 4 (d + 8) u (R^2 + t^2) is decided
+    by ``pair_distances`` itself, and every other pair lies on the same side
+    of the radius for both. Inside ``_SCREEN_RANGE`` every screen value is
+    finite; outside it (an infinite radius, coordinates near overflow, all
+    points equal) every pair goes to the kernel.
+    """
+    kind = metric.kind
+    if kind is MetricKind.HAMMING:
+        counts = _bit_difference_counts(a, b, _chunked_matmul)
+        return counts.astype(np.float64) / a.shape[1] / metric.scale <= radius
+    if kind is MetricKind.EUCLIDEAN:
+        return _euclidean_within(metric, a, b, radius)
+    return _kernel_within(metric, a, b, radius)
+
+
+def _kernel_within(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
+    out = np.empty((a.shape[0], b.shape[0]), dtype=bool)
+    for i, row in enumerate(a):
+        out[i] = pair_distances(metric, row, b) <= radius
+    return out
+
+
+def _euclidean_within(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
+    t = float(radius) * metric.scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        ac = a - a[0]
+        bc = b - a[0]
+        na = np.einsum("ij,ij->i", ac, ac)
+        nb = np.einsum("ij,ij->i", bc, bc)
+        reach = math.sqrt(na.max()) + math.sqrt(nb.max())
+    lo, hi = _SCREEN_RANGE
+    if not all(lo <= x <= hi for x in (radius, t, reach)):
+        return _kernel_within(metric, a, b, radius)
+    gap = _chunked_matmul(-2.0 * ac, bc.T)
+    gap += na[:, None]
+    gap += (nb - t * t)[None, :]
+    band = 4.0 * (a.shape[1] + 8) * _UNIT_ROUNDOFF * (reach * reach + t * t)
+    inside = gap <= 0.0
+    ii, jj = np.nonzero(np.abs(gap) <= band)
+    if ii.size:
+        inside[ii, jj] = pair_distances(metric, a[ii], b[jj]) <= radius
+    return inside
 
 
 def distance(metric: MetricDescriptor, x, y) -> float:

@@ -8,6 +8,13 @@ documented: greedy covering can exceed the optimal cover count (by a
 bounded factor), and finitely many probes only sample the sup over
 scales. Radius halving is used rather than diameter halving; the two
 definitions differ by at most a constant factor in rho.
+
+Covers are built in blocks: the lowest-index uncovered points are screened
+against every uncovered point with one ``core.within_radius`` call, the
+greedy order inside the block is settled from that matrix, and the covered
+points leave a compacted index array. The centers are those of the
+one-center-at-a-time loop, because ``within_radius`` answers exactly as
+the distance kernel does.
 """
 
 from __future__ import annotations
@@ -24,12 +31,17 @@ from .core import (
     diameter_upper_bound,
     first_occurrence_indices,
     pair_distances,
+    within_radius,
 )
 
 # Probed radii run log-uniformly from this fraction of the diameter bound
 # up to the full bound; the first probe is pinned at the full bound so the
 # whole-set scale is always examined.
 MIN_RADIUS_FRACTION = 0.01
+
+# A cover block screens at most this many (candidate, uncovered point)
+# pairs, which bounds the memory its temporaries take.
+_BLOCK_ENTRIES = 65_536
 
 
 @dataclass(frozen=True)
@@ -62,21 +74,46 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
 
     Repeatedly picks the lowest-index uncovered point as a new center and
     marks everything within the radius as covered. Deterministic.
+    ``subset`` holds integer point indices in [0, n); duplicates count once.
+
+    The work runs in blocks. The first b uncovered points (ascending) are
+    candidates, and one ``within_radius`` matrix holds their ball
+    membership against all uncovered points. Candidate 0 is a center; the
+    next center is the first candidate no center so far covers, and so on,
+    one step per center. That is the loop's order exactly: the candidates
+    are consecutive among the uncovered points, distances are symmetric,
+    and ``within_radius`` equals the kernel's ``<=`` pair by pair. Every
+    candidate ends the block covered. b is twice the centers the previous
+    block found, at most ``_BLOCK_ENTRIES`` matrix entries.
     """
-    subset = np.sort(np.asarray(subset, dtype=np.int64))
-    if subset.size == 0:
+    idx = np.asarray(subset)
+    if idx.ndim != 1:
+        raise InvalidInputError(f"subset must be a 1-d index sequence, got shape {idx.shape}")
+    if idx.size == 0:
         raise InvalidInputError("cannot cover an empty subset")
+    if idx.dtype.kind not in "iu":
+        raise InvalidInputError(f"subset indices must be integers, got dtype {idx.dtype}")
+    if idx.min() < 0 or idx.max() >= ds.n:
+        raise InvalidInputError(f"subset indices must lie in [0, {ds.n})")
     if not radius > 0:
         raise InvalidInputError("cover radius must be positive")
+    subset = np.unique(idx).astype(np.int64)
     pts = ds.points[subset]
-    uncovered = np.ones(subset.size, dtype=bool)
+    uncovered = np.arange(subset.size)
     centers = []
-    while uncovered.any():
-        local = int(np.flatnonzero(uncovered)[0])
-        centers.append(int(subset[local]))
-        within = pair_distances(ds.metric, pts[local], pts[uncovered]) <= radius
-        idx = np.flatnonzero(uncovered)
-        uncovered[idx[within]] = False
+    size = 1
+    while uncovered.size:
+        size = min(size, uncovered.size, max(1, _BLOCK_ENTRIES // uncovered.size))
+        within = within_radius(ds.metric, pts[uncovered[:size]], pts[uncovered], radius)
+        picked = [0]
+        covered = within[0].copy()
+        while not covered[:size].all():
+            k = int(np.argmin(covered[:size]))
+            picked.append(k)
+            covered |= within[k]
+        centers.extend(subset[uncovered[picked]].tolist())
+        uncovered = uncovered[~covered]
+        size = 2 * len(picked)
     return CoverResult(np.asarray(centers, dtype=np.int64), radius, int(subset.size))
 
 

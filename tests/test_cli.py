@@ -176,6 +176,35 @@ class TestEstimate:
         assert float(stats["rho_hat"]) == 0.0
         assert "characteristic_size" not in stats  # pairwise stats undefined at n=1
 
+    def test_two_point_dataset_reports(self, tmp_path, capsys):
+        data = tmp_path / "two.txt"
+        data.write_text("0.5 1.0\n2.0 -1.0\n")
+        code, out, _ = run_cli(["estimate", "--in", str(data), "--metric", "euclidean", "--probes", "3"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        stats = {r["statistic"]: r["value"] for r in rows}
+        assert float(stats["characteristic_size"]) == 2.5
+        assert stats["dim_cnbym"] == "degenerate"  # one pair distance has no variance
+        assert float(stats["mean_eps_nn"]) == 2.5 and float(stats["nn_ratio"]) == 1.0
+        assert [r["value"] for r in rows if r["statistic"] == "note"] == [
+            "two-point dataset; one pair distance has no variance"
+        ]
+
+    def test_all_identical_dataset_reports(self, tmp_path, capsys):
+        data = tmp_path / "same.txt"
+        data.write_text("1 2 3\n" * 4)
+        code, out, _ = run_cli(["estimate", "--in", str(data), "--metric", "euclidean", "--probes", "3"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        stats = {r["statistic"]: r["value"] for r in rows}
+        assert float(stats["characteristic_size"]) == 0.0
+        for name in ("dim_cnbym", "mean_eps_nn", "nn_ratio", "dim_alpha"):
+            assert stats[name] == "degenerate"
+        assert float(stats["rho_hat"]) == 0.0
+        assert [r["value"] for r in rows if r["statistic"] == "note"] == [
+            "all points identical; leave-one-out leaves no nearest neighbor"
+        ]
+
 
 class TestGenerateCommand:
     def test_round_trips_through_estimate(self, tmp_path, capsys):

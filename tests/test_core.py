@@ -19,6 +19,8 @@ from metricdim.core import (
     distances_to,
     format_points,
     load_dataset,
+    pair_distances,
+    within_radius,
 )
 from metricdim.nettree import build_net_tree, net_range_query
 from metricdim.pivot import RandomPivots, build_pivot_index, calibrate_eps, range_query, sequential_scan
@@ -146,6 +148,62 @@ def query_and_rows(draw, metric):
 def test_batch_equals_scalar_exactly(metric, data):
     q, pts = data.draw(query_and_rows(metric))
     assert distances_to(metric, q, pts).tolist() == [distance(metric, q, p) for p in pts]
+
+
+# Row layouts for the ball predicate: "offset" needs the centring, "huge"
+# overflows squares (every pair goes to the kernel), "tiny" lies below the
+# screen's range, "grid" puts distances exactly on radii like sqrt(2), and
+# "pool" repeats rows.
+REAL_LAYOUTS = {
+    "random": lambda g, shape: g.standard_normal(shape) * 10.0 ** g.integers(-3, 4),
+    "offset": lambda g, shape: 1e8 + g.random(shape),
+    "huge": lambda g, shape: g.standard_normal(shape) * 1e300,
+    "tiny": lambda g, shape: g.standard_normal(shape) * 1e-200,
+    "grid": lambda g, shape: g.integers(0, 3, shape).astype(np.float64),
+    "pool": lambda g, shape: g.standard_normal((3, shape[1]))[g.integers(0, 3, shape[0])],
+}
+
+
+@st.composite
+def radius_blocks(draw, metric):
+    """Two row blocks and a radius on, next to, or far from one of their distances."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 20))
+    rows = draw(st.integers(1, 6)) + draw(st.integers(1, 40))
+    if metric.kind.uses_bits:
+        pool = g.integers(0, 2, (draw(st.sampled_from([3, rows])), dim)).astype(np.uint8)
+        pts = pool[g.integers(0, pool.shape[0], rows)]
+    else:
+        pts = REAL_LAYOUTS[draw(st.sampled_from(sorted(REAL_LAYOUTS)))](g, (rows, dim))
+    split = draw(st.integers(1, rows - 1))
+    a, b = pts[:split], pts[split:]
+    values = pair_distances(metric, a[:, None], b[None]).ravel()
+    on = float(values[draw(st.integers(0, values.size - 1))])
+    near = st.sampled_from([on, np.nextafter(on, 0.0), np.nextafter(on, np.inf)])
+    fixed = st.sampled_from([1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0, math.inf])
+    return a, b, float(draw(st.one_of(near, near, fixed)))
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+@pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_within_radius_equals_the_kernel_comparison(kind, scale, data):
+    metric = MetricDescriptor(kind, scale)
+    a, b, radius = data.draw(radius_blocks(metric))
+    expected = pair_distances(metric, a[:, None], b[None]) <= radius
+    np.testing.assert_array_equal(within_radius(metric, a, b, radius), expected)
+
+
+def test_within_radius_decides_exact_ties_on_a_grid():
+    # Distances sqrt(k) on the integer grid land exactly on these radii.
+    grid = np.array(np.meshgrid(*[np.arange(3.0)] * 3)).reshape(3, -1).T
+    for radius in (1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0):
+        for shift in (0.0, 1e8):
+            pts = grid + shift
+            expected = pair_distances(EUCLID, pts[:, None], pts[None]) <= radius
+            np.testing.assert_array_equal(within_radius(EUCLID, pts, pts, radius), expected)
+            assert (pair_distances(EUCLID, pts[:, None], pts[None]) == radius).any()
 
 
 class TestCountingOracle:

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metricdim.core import Dataset, InvalidInputError, MetricDescriptor, MetricKind, distance
+from metricdim import doubling
+from metricdim.core import Dataset, InvalidInputError, MetricDescriptor, MetricKind, distance, pair_distances
 from metricdim.diststats import dataset_cnbym
-from metricdim.doubling import doubling_estimate, greedy_cover, probe_rows
+from metricdim.doubling import CoverResult, doubling_estimate, greedy_cover, probe_rows
 from metricdim.generate import Family, GeneratorSpec, generate
 from metricdim import rng
 
@@ -32,6 +33,87 @@ def optimal_interval_cover(xs, r):
         count += 1
         i = next((j for j in range(i, len(xs)) if xs[j] > center + r), len(xs))
     return count
+
+
+def reference_cover(ds, subset, radius):
+    """The one-center-at-a-time greedy loop that the block cover must match."""
+    subset = np.unique(np.asarray(subset, dtype=np.int64))
+    pts = ds.points[subset]
+    uncovered = np.ones(subset.size, dtype=bool)
+    centers = []
+    while uncovered.any():
+        local = int(np.flatnonzero(uncovered)[0])
+        centers.append(int(subset[local]))
+        within = pair_distances(ds.metric, pts[local], pts[uncovered]) <= radius
+        idx = np.flatnonzero(uncovered)
+        uncovered[idx[within]] = False
+    return CoverResult(np.asarray(centers, dtype=np.int64), radius, int(subset.size))
+
+
+def assert_same_cover(got, want):
+    assert got.centers.tolist() == want.centers.tolist()
+    assert (got.radius, got.covered_count) == (want.radius, want.covered_count)
+
+
+# Point layouts for the exactness tests: "offset" and "scaled" move the
+# data away from the unit box, "pool" repeats rows many times, and "grid"
+# puts distances exactly on the radii 1, sqrt(2), sqrt(3) and 2.
+COVER_LAYOUTS = {
+    "random": lambda g, shape: g.random(shape),
+    "offset": lambda g, shape: 1e8 + g.random(shape),
+    "scaled": lambda g, shape: 1e-3 * g.standard_normal(shape),
+    "pool": lambda g, shape: g.random((max(2, shape[0] // 8), shape[1]))[g.integers(0, max(2, shape[0] // 8), shape[0])],
+    "grid": lambda g, shape: g.integers(0, 3, shape).astype(np.float64),
+}
+GRID_RADII = (1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0)
+
+
+@st.composite
+def cover_inputs(draw, kind):
+    """A dataset, an unsorted subset with repeats, and a cover radius that is
+    often exactly one of the data's distances."""
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, dim = draw(st.integers(1, 150)), draw(st.integers(1, 6))
+    if kind is MetricKind.HAMMING:
+        dim *= 4
+        pool = g.integers(0, 2, (draw(st.sampled_from([4, n])), dim))
+        points = pool[g.integers(0, pool.shape[0], n)].astype(np.uint8)
+    else:
+        layout = draw(st.sampled_from(sorted(COVER_LAYOUTS)))
+        points = COVER_LAYOUTS[layout](g, (n, dim))
+    ds = Dataset(points, MetricDescriptor(kind))
+    subset = g.integers(0, n, draw(st.integers(1, 2 * n)))
+    row = pair_distances(ds.metric, ds.points[subset[0]], ds.points[subset])
+    options = [float(v) for v in np.unique(row) if v > 0] + list(GRID_RADII) + [math.inf]
+    return ds, subset, draw(st.sampled_from(options))
+
+
+@pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_block_cover_picks_the_reference_centers(kind, data):
+    ds, subset, radius = data.draw(cover_inputs(kind))
+    assert_same_cover(greedy_cover(ds, subset, radius), reference_cover(ds, subset, radius))
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_cover_larger_than_one_block(family):
+    # 1500 points allow at most 43 candidates per block; the small radius
+    # needs hundreds of centers, so the cover runs through many blocks.
+    ds = generate(GeneratorSpec(family, 3 if family is not Family.HAMMING_UNIFORM else 24, 1500, seed=31))
+    radius = {Family.UNIFORM_CUBE: 0.08, Family.GAUSSIAN: 0.3, Family.HAMMING_UNIFORM: 0.25}[family]
+    subset = np.arange(ds.n)
+    got = greedy_cover(ds, subset, radius)
+    assert len(got.centers) > 200
+    assert_same_cover(got, reference_cover(ds, subset, radius))
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_probe_rows_equal_the_reference_cover_records(family, monkeypatch):
+    ds = generate(GeneratorSpec(family, 8 if family is not Family.HAMMING_UNIFORM else 64, 600, seed=12))
+    got = probe_rows(ds, probes=24, seed=5)
+    monkeypatch.setattr(doubling, "greedy_cover", reference_cover)
+    assert got == probe_rows(ds, probes=24, seed=5)
 
 
 class TestGreedyCover:
@@ -60,6 +142,22 @@ class TestGreedyCover:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(InvalidInputError):
             greedy_cover(line_dataset([0.0]), [0], 0.0)
+
+    @pytest.mark.parametrize("subset", [[-1, 0], [0.7, 1.2], [7], [0, 3], [True, False], [[0, 1]]])
+    def test_invalid_indices_rejected(self, subset):
+        with pytest.raises(InvalidInputError):
+            greedy_cover(line_dataset([0.0, 1.0, 2.0]), subset, 0.5)
+
+    def test_duplicate_indices_count_once(self):
+        cover = greedy_cover(line_dataset([0.0, 1.0, 2.0]), [1, 1, 0], 0.5)
+        assert cover.centers.tolist() == [0, 1]
+        assert cover.covered_count == 2
+
+    def test_infinite_radius_takes_one_center(self):
+        ds = generate(GeneratorSpec(Family.GAUSSIAN, 4, 300, seed=2))
+        cover = greedy_cover(ds, np.arange(300)[::-1], math.inf)
+        assert cover.centers.tolist() == [0]
+        assert cover.covered_count == 300
 
     @given(
         xs=st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=40),
