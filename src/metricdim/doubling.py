@@ -46,9 +46,13 @@ _BLOCK_ENTRIES = 65_536
 
 @dataclass(frozen=True)
 class CoverResult:
+    """``owners`` has one entry per distinct subset index, ascending: the
+    position in ``centers`` of the first center that covers that point."""
+
     centers: np.ndarray
     radius: float
     covered_count: int
+    owners: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,7 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
     Repeatedly picks the lowest-index uncovered point as a new center and
     marks everything within the radius as covered. Deterministic.
     ``subset`` holds integer point indices in [0, n); duplicates count once.
+    Centers ascend, so a point's owner is its lowest-index center in reach.
 
     The work runs in blocks. The first b uncovered points (ascending) are
     candidates, and one ``within_radius`` matrix holds their ball
@@ -83,7 +88,8 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
     one step per center. That is the loop's order exactly: the candidates
     are consecutive among the uncovered points, distances are symmetric,
     and ``within_radius`` equals the kernel's ``<=`` pair by pair. Every
-    candidate ends the block covered. b is twice the centers the previous
+    candidate ends the block covered; a point the block covers is owned by
+    the first picked row that holds it. b is twice the centers the previous
     block found, at most ``_BLOCK_ENTRIES`` matrix entries.
     """
     idx = np.asarray(subset)
@@ -100,6 +106,7 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
     subset = np.unique(idx).astype(np.int64)
     pts = ds.points[subset]
     uncovered = np.arange(subset.size)
+    owners = np.empty(subset.size, dtype=np.int64)
     centers = []
     size = 1
     while uncovered.size:
@@ -111,10 +118,11 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
             k = int(np.argmin(covered[:size]))
             picked.append(k)
             covered |= within[k]
+        owners[uncovered[covered]] = len(centers) + np.argmax(within[picked][:, covered], axis=0)
         centers.extend(subset[uncovered[picked]].tolist())
         uncovered = uncovered[~covered]
         size = 2 * len(picked)
-    return CoverResult(np.asarray(centers, dtype=np.int64), radius, int(subset.size))
+    return CoverResult(np.asarray(centers, dtype=np.int64), radius, int(subset.size), owners)
 
 
 def probe_rows(ds: Dataset, probes: int, seed: int = 0) -> list[ProbeRecord]:

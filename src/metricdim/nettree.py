@@ -3,10 +3,13 @@
 Level i holds a net at radius r_i: nodes pairwise more than r_i apart,
 every point within r_i of some node. Radii halve from the diameter bound
 down to the scale where every distinct point is its own node (or a floor
-of 2^-40 times the top radius for pathologically close points). Each node
-links to the lowest-index node one level up within that level's radius.
-Nets are grown greedily in ascending point index, so the whole structure
-is a pure function of the dataset.
+of 2^-40 times the top radius for pathologically close points). Each level
+below the root is a ``doubling.greedy_cover`` of all points, grown in
+ascending point index, so the structure is a pure function of the dataset.
+The cover's owners (each point's lowest-index node in reach) give every
+node its parent one level up and every bottom node its members. The root
+is point 0: the top radius (the exact diameter, 2 * max d(p0, .), or the
+Hamming cap 1 / scale) is at least max d(p0, .), also when it is 0.
 
 With degree bounded by the doubling character of the data, the descent
 visits few nodes per level: a range query keeps the nodes v at level i
@@ -31,6 +34,7 @@ from .core import (
     first_occurrence_indices,
     pair_distances,
 )
+from .doubling import greedy_cover
 from .pivot import QueryStats
 
 RADIUS_FLOOR_FACTOR = 2.0**-40
@@ -61,30 +65,10 @@ class TreeStats:
     node_count: int
 
 
-def _greedy_net(ds: Dataset, radius: float) -> np.ndarray:
-    """Maximal subset with pairwise distance > radius, ascending index."""
-    min_dist = np.full(ds.n, np.inf)
-    nodes = []
-    for j in range(ds.n):
-        if min_dist[j] > radius:
-            nodes.append(j)
-            np.minimum(min_dist, pair_distances(ds.metric, ds.points[j], ds.points), out=min_dist)
-    return np.asarray(nodes, dtype=np.int64)
-
-
-def _attach_parents(ds: Dataset, child_nodes: np.ndarray, parent_nodes: np.ndarray, radius: float) -> np.ndarray:
-    parent_pts = ds.points[parent_nodes]
-    parents = np.empty(child_nodes.size, dtype=np.int64)
-    for pos, node in enumerate(child_nodes.tolist()):
-        within = pair_distances(ds.metric, ds.points[node], parent_pts) <= radius
-        parents[pos] = int(np.flatnonzero(within)[0])
-    return parents
-
-
-def _group_children(parents: np.ndarray, parent_count: int) -> list[np.ndarray]:
-    order = np.argsort(parents, kind="stable")
-    counts = np.bincount(parents, minlength=parent_count)
-    return np.split(order, np.cumsum(counts)[:-1])
+def _group(labels: np.ndarray, count: int) -> list[np.ndarray]:
+    """Entry k lists, ascending, the positions whose label is k."""
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
 def _top_radius(ds: Dataset) -> float:
@@ -100,27 +84,20 @@ def build_net_tree(ds: Dataset) -> tuple[NetTree, TreeStats]:
     """Construct the full level hierarchy for ``ds``."""
     n_distinct = first_occurrence_indices(ds.points).size
     top_radius = _top_radius(ds)
-    floor = top_radius * RADIUS_FLOOR_FACTOR
+    # At least the smallest positive double, so a halved radius stays > 0.
+    floor = max(top_radius * RADIUS_FLOOR_FACTOR, 5e-324)
 
-    levels = [NetLevel(top_radius, _greedy_net(ds, top_radius), np.array([-1], dtype=np.int64))]
+    levels = [NetLevel(top_radius, np.array([0], dtype=np.int64), np.array([-1], dtype=np.int64))]
+    owners = np.zeros(ds.n, dtype=np.int64)
     radius = top_radius
     while levels[-1].nodes.size < n_distinct and radius > floor:
         radius /= 2.0
-        nodes = _greedy_net(ds, radius)
-        parents = _attach_parents(ds, nodes, levels[-1].nodes, levels[-1].radius)
-        levels.append(NetLevel(radius, nodes, parents))
+        cover = greedy_cover(ds, np.arange(ds.n), radius)
+        levels.append(NetLevel(radius, cover.centers, owners[cover.centers]))
+        owners = cover.owners
 
-    children = [
-        _group_children(levels[i + 1].parents, levels[i].nodes.size) for i in range(len(levels) - 1)
-    ]
-
-    bottom = levels[-1]
-    assignment = np.full(ds.n, -1, dtype=np.int64)
-    for pos, node in enumerate(bottom.nodes.tolist()):
-        dv = pair_distances(ds.metric, ds.points[node], ds.points)
-        take = (dv <= bottom.radius) & (assignment == -1)
-        assignment[take] = pos
-    members = [np.flatnonzero(assignment == pos) for pos in range(bottom.nodes.size)]
+    children = [_group(levels[i + 1].parents, levels[i].nodes.size) for i in range(len(levels) - 1)]
+    members = _group(owners, levels[-1].nodes.size)
 
     max_degree = 1
     for level_children in children:
@@ -175,7 +152,8 @@ def net_range_query(
 
 
 def verify_net_invariants(tree: NetTree, ds: Dataset) -> None:
-    """Brute-force covering/separation checks; raises InvariantViolation."""
+    """Brute-force checks of the nets, parent links, children and bottom
+    members that exact queries rest on; raises InvariantViolation."""
     if tree.levels[0].nodes.size != 1:
         raise InvariantViolation("net tree must have a single root")
     for level in tree.levels:
@@ -186,8 +164,8 @@ def verify_net_invariants(tree: NetTree, ds: Dataset) -> None:
             covered |= dv <= level.radius
             to_others = pair_distances(ds.metric, ds.points[node], node_pts)
             to_others[pos] = np.inf
-            if level.nodes.size > 1 and float(to_others.min()) < level.radius:
-                raise InvariantViolation(f"net nodes closer than the level radius {level.radius}")
+            if level.nodes.size > 1 and float(to_others.min()) <= level.radius:
+                raise InvariantViolation(f"net nodes not more than the level radius {level.radius} apart")
         if not covered.all():
             raise InvariantViolation(f"uncovered points at level radius {level.radius}")
     for i in range(1, len(tree.levels)):
@@ -196,6 +174,18 @@ def verify_net_invariants(tree: NetTree, ds: Dataset) -> None:
             parent_node = int(above.nodes[int(level.parents[pos])])
             if pair_distances(ds.metric, ds.points[node], ds.points[parent_node]) > above.radius:
                 raise InvariantViolation("parent link longer than the level radius")
+    if len(tree.children) != len(tree.levels) - 1:
+        raise InvariantViolation("need one children list per level below the root")
+    for i, level_children in enumerate(tree.children):
+        want = [np.flatnonzero(tree.levels[i + 1].parents == p).tolist() for p in range(tree.levels[i].nodes.size)]
+        if [sorted(c.tolist()) for c in level_children] != want:
+            raise InvariantViolation(f"children of level {i} do not group the parents of level {i + 1}")
     assigned = np.concatenate(tree.members) if tree.members else np.array([], dtype=np.int64)
     if np.sort(assigned).size != ds.n or (np.sort(assigned) != np.arange(ds.n)).any():
         raise InvariantViolation("bottom-level members do not partition the dataset")
+    bottom = tree.levels[-1]
+    if len(tree.members) != bottom.nodes.size or any(
+        (pair_distances(ds.metric, ds.points[node], ds.points[group]) > bottom.radius).any()
+        for node, group in zip(bottom.nodes.tolist(), tree.members)
+    ):
+        raise InvariantViolation(f"bottom members not within the bottom radius {bottom.radius} of their node")

@@ -36,22 +36,26 @@ def optimal_interval_cover(xs, r):
 
 
 def reference_cover(ds, subset, radius):
-    """The one-center-at-a-time greedy loop that the block cover must match."""
+    """The one-center-at-a-time greedy loop that the block cover must match.
+    Each point's owner is the position of the center that first covers it."""
     subset = np.unique(np.asarray(subset, dtype=np.int64))
     pts = ds.points[subset]
     uncovered = np.ones(subset.size, dtype=bool)
+    owners = np.full(subset.size, -1, dtype=np.int64)
     centers = []
     while uncovered.any():
         local = int(np.flatnonzero(uncovered)[0])
-        centers.append(int(subset[local]))
         within = pair_distances(ds.metric, pts[local], pts[uncovered]) <= radius
         idx = np.flatnonzero(uncovered)
+        owners[idx[within]] = len(centers)
+        centers.append(int(subset[local]))
         uncovered[idx[within]] = False
-    return CoverResult(np.asarray(centers, dtype=np.int64), radius, int(subset.size))
+    return CoverResult(np.asarray(centers, dtype=np.int64), radius, int(subset.size), owners)
 
 
 def assert_same_cover(got, want):
     assert got.centers.tolist() == want.centers.tolist()
+    assert got.owners.tolist() == want.owners.tolist()
     assert (got.radius, got.covered_count) == (want.radius, want.covered_count)
 
 
@@ -152,6 +156,13 @@ class TestGreedyCover:
         cover = greedy_cover(line_dataset([0.0, 1.0, 2.0]), [1, 1, 0], 0.5)
         assert cover.centers.tolist() == [0, 1]
         assert cover.covered_count == 2
+        assert cover.owners.tolist() == [0, 1]
+
+    def test_owner_is_the_first_center_in_reach(self):
+        # point 1 is nearer to center 2 but was covered first by center 0
+        cover = greedy_cover(line_dataset([0.0, 1.0, 1.5]), [0, 1, 2], 1.0)
+        assert cover.centers.tolist() == [0, 2]
+        assert cover.owners.tolist() == [0, 0, 1]
 
     def test_infinite_radius_takes_one_center(self):
         ds = generate(GeneratorSpec(Family.GAUSSIAN, 4, 300, seed=2))

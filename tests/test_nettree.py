@@ -7,12 +7,23 @@ from metricdim.core import (
     CountingOracle,
     Dataset,
     InvalidInputError,
+    InvariantViolation,
     MetricDescriptor,
     MetricKind,
     diameter_upper_bound,
+    first_occurrence_indices,
+    pair_distances,
 )
 from metricdim.generate import Family, GeneratorSpec, generate
-from metricdim.nettree import build_net_tree, net_range_query, verify_net_invariants
+from metricdim.nettree import (
+    RADIUS_FLOOR_FACTOR,
+    NetLevel,
+    NetTree,
+    TreeStats,
+    build_net_tree,
+    net_range_query,
+    verify_net_invariants,
+)
 from metricdim.pivot import calibrate_eps, sequential_scan
 from metricdim import rng
 
@@ -21,6 +32,99 @@ EUCLID = MetricDescriptor(MetricKind.EUCLIDEAN)
 
 def line_dataset(xs, seed=None):
     return Dataset(np.asarray(xs, dtype=np.float64)[:, None], EUCLID, seed=seed)
+
+
+def reference_net_tree(ds):
+    """The per-level loops the cover-based build must match: an independent
+    greedy net per level, a scan per node for its parent, and a scan per
+    bottom node for its members."""
+
+    def greedy_net(radius):
+        min_dist = np.full(ds.n, np.inf)
+        nodes = []
+        for j in range(ds.n):
+            if min_dist[j] > radius:
+                nodes.append(j)
+                np.minimum(min_dist, pair_distances(ds.metric, ds.points[j], ds.points), out=min_dist)
+        return np.asarray(nodes, dtype=np.int64)
+
+    def attach_parents(child_nodes, parent_nodes, radius):
+        parents = np.empty(child_nodes.size, dtype=np.int64)
+        for pos, node in enumerate(child_nodes.tolist()):
+            within = pair_distances(ds.metric, ds.points[node], ds.points[parent_nodes]) <= radius
+            parents[pos] = int(np.flatnonzero(within)[0])
+        return parents
+
+    n_distinct = first_occurrence_indices(ds.points).size
+    if ds.metric.kind.uses_bits:
+        top_radius = 1.0 / ds.metric.scale
+    else:
+        top_radius = diameter_upper_bound(ds) if ds.n >= 2 else 0.0
+    floor = top_radius * RADIUS_FLOOR_FACTOR
+    levels = [NetLevel(top_radius, greedy_net(top_radius), np.array([-1], dtype=np.int64))]
+    radius = top_radius
+    while levels[-1].nodes.size < n_distinct and radius > floor:
+        radius /= 2.0
+        nodes = greedy_net(radius)
+        levels.append(NetLevel(radius, nodes, attach_parents(nodes, levels[-1].nodes, levels[-1].radius)))
+    children = [
+        [np.flatnonzero(levels[i + 1].parents == p) for p in range(levels[i].nodes.size)] for i in range(len(levels) - 1)
+    ]
+    bottom = levels[-1]
+    assignment = np.full(ds.n, -1, dtype=np.int64)
+    for pos, node in enumerate(bottom.nodes.tolist()):
+        take = (pair_distances(ds.metric, ds.points[node], ds.points) <= bottom.radius) & (assignment == -1)
+        assignment[take] = pos
+    members = [np.flatnonzero(assignment == pos) for pos in range(bottom.nodes.size)]
+    max_degree = max([1] + [len(c) for level_children in children for c in level_children])
+    stats = TreeStats(max_degree, len(levels) - 1, int(sum(level.nodes.size for level in levels)))
+    return NetTree(levels, children, members), stats
+
+
+# Point layouts for the reference comparison. "grid" puts pair distances
+# exactly on the halved radii (integer coordinates; bit vectors have a
+# power-of-two length), "pool" repeats rows, "equal" repeats one row.
+TREE_LAYOUTS = {
+    "random": lambda g, n, dim: g.random((n, dim)),
+    "offset": lambda g, n, dim: 1e8 + g.random((n, dim)),
+    "pool": lambda g, n, dim: g.random((max(2, n // 6), dim))[g.integers(0, max(2, n // 6), n)],
+    "grid": lambda g, n, dim: g.integers(0, 3, (n, dim)).astype(np.float64),
+    "single": lambda g, n, dim: g.random((1, dim)),
+    "equal": lambda g, n, dim: np.repeat(g.random((1, dim)), n, axis=0),
+}
+
+
+@st.composite
+def tree_datasets(draw, kind):
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, dim = draw(st.integers(1, 80)), draw(st.integers(1, 5))
+    layout = draw(st.sampled_from(sorted(TREE_LAYOUTS)))
+    if kind is MetricKind.HAMMING:
+        if layout == "offset":
+            layout = "random"
+        points = TREE_LAYOUTS[layout](g, n, 2 ** draw(st.integers(2, 5))) < 0.5
+        return Dataset(points.astype(np.uint8), MetricDescriptor(kind))
+    return Dataset(TREE_LAYOUTS[layout](g, n, dim), MetricDescriptor(kind))
+
+
+@pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_build_matches_the_reference_loops(kind, data):
+    ds = data.draw(tree_datasets(kind))
+    tree, stats = build_net_tree(ds)
+    want_tree, want_stats = reference_net_tree(ds)
+    assert stats == want_stats
+    assert len(tree.levels) == len(want_tree.levels)
+    for got, want in zip(tree.levels, want_tree.levels):
+        assert got.radius == want.radius
+        assert got.nodes.tolist() == want.nodes.tolist()
+        assert got.parents.tolist() == want.parents.tolist()
+    assert [[c.tolist() for c in level] for level in tree.children] == [
+        [c.tolist() for c in level] for level in want_tree.children
+    ]
+    assert [m.tolist() for m in tree.members] == [m.tolist() for m in want_tree.members]
+    verify_net_invariants(tree, ds)
 
 
 class TestBuild:
@@ -138,3 +242,45 @@ class TestQuery:
         tree, _ = build_net_tree(ds)
         result, _ = net_range_query(tree, ds, np.array([q]), eps)
         assert result == sequential_scan(ds, np.array([q]), eps)
+
+
+def hand_tree(levels, children, members):
+    """A NetTree from plain lists: levels are (radius, nodes, parents)."""
+    return NetTree(
+        [NetLevel(r, np.asarray(nodes, dtype=np.int64), np.asarray(parents, dtype=np.int64)) for r, nodes, parents in levels],
+        [[np.asarray(c, dtype=np.int64) for c in level] for level in children],
+        [np.asarray(m, dtype=np.int64) for m in members],
+    )
+
+
+class TestVerify:
+    def test_rejects_nodes_exactly_the_radius_apart(self):
+        # a net needs nodes more than r apart; these two are exactly r = 1 apart
+        tree = hand_tree([(2.0, [0], [-1]), (1.0, [0, 1], [0, 0])], [[[0, 1]]], [[0], [1]])
+        with pytest.raises(InvariantViolation, match="apart"):
+            verify_net_invariants(tree, line_dataset([0.0, 1.0]))
+
+    def test_rejects_a_member_outside_the_bottom_radius(self):
+        # point 1 (at 0.5) is answered for by the node at 5.0, 4.5 away
+        tree = hand_tree([(5.0, [0], [-1]), (1.0, [0, 2], [0, 0])], [[[0, 1]]], [[0], [1, 2]])
+        with pytest.raises(InvariantViolation, match="bottom members"):
+            verify_net_invariants(tree, line_dataset([0.0, 0.5, 5.0]))
+
+    def test_rejects_children_that_do_not_group_the_parents(self):
+        # both level-1 nodes name the root as parent, but it lists only one
+        tree = hand_tree([(1.0, [0], [-1]), (0.5, [0, 1], [0, 0])], [[[0]]], [[0], [1]])
+        with pytest.raises(InvariantViolation, match="do not group the parents"):
+            verify_net_invariants(tree, line_dataset([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("kind", [MetricKind.MANHATTAN, MetricKind.CHEBYSHEV], ids=lambda k: k.value)
+def test_subnormal_distances_build_and_query_exactly(kind):
+    # The top radius is 2 * 5e-324 and halves to the smallest positive
+    # double; halving once more would give a radius of 0, which no cover takes.
+    ds = Dataset(np.array([[0.0], [5e-324], [1e-323]]), MetricDescriptor(kind))
+    tree, _ = build_net_tree(ds)
+    verify_net_invariants(tree, ds)
+    assert min(level.radius for level in tree.levels) > 0
+    for q in ds.points:
+        result, _ = net_range_query(tree, ds, q, 1e-323)
+        assert result == sequential_scan(ds, q, 1e-323)
