@@ -7,9 +7,12 @@ of 2^-40 times the top radius for pathologically close points). Each level
 below the root is a ``doubling.greedy_cover`` of all points, grown in
 ascending point index, so the structure is a pure function of the dataset.
 The cover's owners (each point's lowest-index node in reach) give every
-node its parent one level up and every bottom node its members. The root
-is point 0: the top radius (the exact diameter, 2 * max d(p0, .), or the
-Hamming cap 1 / scale) is at least max d(p0, .), also when it is 0.
+node its parent one level up, and the bottom cover's owners give every
+point the bottom node that answers for it. The tree stores only these
+labels: a node's children are the nodes of the level below whose parent it
+is, and a bottom node's members are the points it owns. The root is point
+0: the top radius (the exact diameter, 2 * max d(p0, .), or the Hamming
+cap 1 / scale) is at least max d(p0, .), also when it is 0.
 
 With degree bounded by the doubling character of the data, the descent
 visits few nodes per level: a range query keeps the nodes v at level i
@@ -28,14 +31,13 @@ import numpy as np
 from .core import (
     CountingOracle,
     Dataset,
-    InvalidInputError,
     InvariantViolation,
     diameter_upper_bound,
     first_occurrence_indices,
     pair_distances,
 )
 from .doubling import greedy_cover
-from .pivot import QueryStats
+from .pivot import QueryStats, _check_eps, _verified_result
 
 RADIUS_FLOOR_FACTOR = 2.0**-40
 
@@ -50,8 +52,7 @@ class NetLevel:
 @dataclass(frozen=True)
 class NetTree:
     levels: list[NetLevel]
-    children: list[list[np.ndarray]]  # children[i][p]: level-(i+1) node positions under node p of level i
-    members: list[np.ndarray]  # per bottom-level node: the point indices it answers for
+    owners: np.ndarray  # per point: the position of its bottom-level node, the one that answers for it
 
     @property
     def depth(self) -> int:
@@ -63,12 +64,6 @@ class TreeStats:
     max_degree: int
     depth: int
     node_count: int
-
-
-def _group(labels: np.ndarray, count: int) -> list[np.ndarray]:
-    """Entry k lists, ascending, the positions whose label is k."""
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
 def _top_radius(ds: Dataset) -> float:
@@ -96,18 +91,12 @@ def build_net_tree(ds: Dataset) -> tuple[NetTree, TreeStats]:
         levels.append(NetLevel(radius, cover.centers, owners[cover.centers]))
         owners = cover.owners
 
-    children = [_group(levels[i + 1].parents, levels[i].nodes.size) for i in range(len(levels) - 1)]
-    members = _group(owners, levels[-1].nodes.size)
-
-    max_degree = 1
-    for level_children in children:
-        max_degree = max(max_degree, max(len(c) for c in level_children))
     stats = TreeStats(
-        max_degree=max_degree,
+        max_degree=max([1] + [int(np.bincount(level.parents).max()) for level in levels[1:]]),
         depth=len(levels) - 1,
         node_count=int(sum(level.nodes.size for level in levels)),
     )
-    return NetTree(levels, children, members), stats
+    return NetTree(levels, owners), stats
 
 
 def net_range_query(
@@ -117,45 +106,31 @@ def net_range_query(
     eps: float,
     oracle: CountingOracle | None = None,
 ) -> tuple[set[int], QueryStats]:
-    """All points strictly within eps of q, via net descent; exact."""
-    if not eps > 0:
-        raise InvalidInputError("range query needs eps > 0")
+    """All points strictly within eps of q, via net descent; exact.
+
+    ``live`` marks the kept nodes of the current level; the next level
+    visits the nodes whose parent is live, and the candidates are the points
+    whose bottom node is live.
+    """
+    _check_eps(eps)
     q = ds.check_query(q)
     root = tree.levels[0]
-    root_dist = pair_distances(ds.metric, q, ds.points[root.nodes[0]])
+    live = np.array([pair_distances(ds.metric, q, ds.points[root.nodes[0]]) <= eps + 2.0 * root.radius])
     computations = 1
-    live = np.array([0], dtype=np.int64) if root_dist <= eps + 2.0 * root.radius else np.array([], dtype=np.int64)
-
-    for i, level_children in enumerate(tree.children):
-        if live.size == 0:
-            break
-        child_positions = np.concatenate([level_children[p] for p in live.tolist()])
-        level = tree.levels[i + 1]
-        dv = pair_distances(ds.metric, q, ds.points[level.nodes[child_positions]])
+    for level in tree.levels[1:]:
+        visit = np.flatnonzero(live[level.parents])
+        dv = pair_distances(ds.metric, q, ds.points[level.nodes[visit]])
         computations += dv.size
-        live = child_positions[dv <= eps + 2.0 * level.radius]
-
-    candidates = np.concatenate([tree.members[p] for p in live.tolist()]) if live.size else np.array([], dtype=np.int64)
-    verified = pair_distances(ds.metric, q, ds.points[candidates])
-    computations += verified.size
-    result = set(candidates[verified < eps].tolist())
-    if oracle is not None:
-        oracle.add(computations)
-
-    stats = QueryStats(
-        distance_computations=computations,
-        candidates_after_pruning=int(candidates.size),
-        discarded_fraction=(ds.n - int(candidates.size)) / ds.n,
-        result_size=len(result),
-    )
-    return result, stats
+        live = np.zeros(level.nodes.size, dtype=bool)
+        live[visit] = dv <= eps + 2.0 * level.radius
+    return _verified_result(ds, q, eps, np.flatnonzero(live[tree.owners]), computations, oracle)
 
 
 def verify_net_invariants(tree: NetTree, ds: Dataset) -> None:
-    """Brute-force checks of the nets, parent links, children and bottom
-    members that exact queries rest on; raises InvariantViolation."""
-    if tree.levels[0].nodes.size != 1:
-        raise InvariantViolation("net tree must have a single root")
+    """Brute-force checks of the nets, parent links and owners that exact
+    queries rest on; raises InvariantViolation."""
+    if tree.levels[0].nodes.size != 1 or tree.levels[0].parents.tolist() != [-1]:
+        raise InvariantViolation("net tree must have a single root, with parent -1")
     for level in tree.levels:
         node_pts = ds.points[level.nodes]
         covered = np.zeros(ds.n, dtype=bool)
@@ -170,22 +145,13 @@ def verify_net_invariants(tree: NetTree, ds: Dataset) -> None:
             raise InvariantViolation(f"uncovered points at level radius {level.radius}")
     for i in range(1, len(tree.levels)):
         level, above = tree.levels[i], tree.levels[i - 1]
-        for pos, node in enumerate(level.nodes.tolist()):
-            parent_node = int(above.nodes[int(level.parents[pos])])
-            if pair_distances(ds.metric, ds.points[node], ds.points[parent_node]) > above.radius:
-                raise InvariantViolation("parent link longer than the level radius")
-    if len(tree.children) != len(tree.levels) - 1:
-        raise InvariantViolation("need one children list per level below the root")
-    for i, level_children in enumerate(tree.children):
-        want = [np.flatnonzero(tree.levels[i + 1].parents == p).tolist() for p in range(tree.levels[i].nodes.size)]
-        if [sorted(c.tolist()) for c in level_children] != want:
-            raise InvariantViolation(f"children of level {i} do not group the parents of level {i + 1}")
-    assigned = np.concatenate(tree.members) if tree.members else np.array([], dtype=np.int64)
-    if np.sort(assigned).size != ds.n or (np.sort(assigned) != np.arange(ds.n)).any():
-        raise InvariantViolation("bottom-level members do not partition the dataset")
-    bottom = tree.levels[-1]
-    if len(tree.members) != bottom.nodes.size or any(
-        (pair_distances(ds.metric, ds.points[node], ds.points[group]) > bottom.radius).any()
-        for node, group in zip(bottom.nodes.tolist(), tree.members)
-    ):
+        parents = level.parents
+        if parents.shape != level.nodes.shape or (parents < 0).any() or (parents >= above.nodes.size).any():
+            raise InvariantViolation(f"parents of level {i} are not positions in level {i - 1}")
+        if (pair_distances(ds.metric, ds.points[level.nodes], ds.points[above.nodes[parents]]) > above.radius).any():
+            raise InvariantViolation("parent link longer than the level radius")
+    bottom, owners = tree.levels[-1], tree.owners
+    if owners.shape != (ds.n,) or (owners < 0).any() or (owners >= bottom.nodes.size).any():
+        raise InvariantViolation("owners are not one bottom-level position per point")
+    if (pair_distances(ds.metric, ds.points, ds.points[bottom.nodes[owners]]) > bottom.radius).any():
         raise InvariantViolation(f"bottom members not within the bottom radius {bottom.radius} of their node")

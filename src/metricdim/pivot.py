@@ -106,23 +106,24 @@ def build_pivot_index(ds: Dataset, k: int, policy: PivotPolicy, oracle: Counting
     return PivotIndex(pivots, table, policy)
 
 
-def range_query(
-    index: PivotIndex,
-    ds: Dataset,
-    q,
-    eps: float,
-    oracle: CountingOracle | None = None,
-) -> tuple[set[int], QueryStats]:
-    """All points strictly within eps of q, with pruning statistics."""
+def _check_eps(eps: float) -> None:
     if not eps > 0:
         raise InvalidInputError("range query needs eps > 0")
-    q = ds.check_query(q)
-    q_to_pivot = pair_distances(ds.metric, q, ds.points[index.pivots])
-    survives = (np.abs(index.table - q_to_pivot) <= eps + PRUNE_WIDENING).all(axis=1)
-    candidates = np.flatnonzero(survives)
+
+
+def _verified_result(
+    ds: Dataset,
+    q: np.ndarray,
+    eps: float,
+    candidates: np.ndarray,
+    pruning_computations: int,
+    oracle: CountingOracle | None,
+) -> tuple[set[int], QueryStats]:
+    """The tail of an indexed range query: verify the candidates with one
+    kernel call and charge the oracle once, for pruning and verification."""
     verified = pair_distances(ds.metric, q, ds.points[candidates])
     result = set(candidates[verified < eps].tolist())
-    computations = q_to_pivot.size + verified.size
+    computations = pruning_computations + verified.size
     if oracle is not None:
         oracle.add(computations)
     stats = QueryStats(
@@ -134,10 +135,24 @@ def range_query(
     return result, stats
 
 
+def range_query(
+    index: PivotIndex,
+    ds: Dataset,
+    q,
+    eps: float,
+    oracle: CountingOracle | None = None,
+) -> tuple[set[int], QueryStats]:
+    """All points strictly within eps of q, with pruning statistics."""
+    _check_eps(eps)
+    q = ds.check_query(q)
+    q_to_pivot = pair_distances(ds.metric, q, ds.points[index.pivots])
+    survives = (np.abs(index.table - q_to_pivot) <= eps + PRUNE_WIDENING).all(axis=1)
+    return _verified_result(ds, q, eps, np.flatnonzero(survives), q_to_pivot.size, oracle)
+
+
 def sequential_scan(ds: Dataset, q, eps: float, oracle: CountingOracle | None = None) -> set[int]:
     """The baseline: evaluate the true distance to every point."""
-    if not eps > 0:
-        raise InvalidInputError("range query needs eps > 0")
+    _check_eps(eps)
     if oracle is None:
         oracle = CountingOracle(ds.metric)
     dv = counted_distances_to(oracle, q, ds.points)

@@ -24,7 +24,7 @@ from metricdim.nettree import (
     net_range_query,
     verify_net_invariants,
 )
-from metricdim.pivot import calibrate_eps, sequential_scan
+from metricdim.pivot import QueryStats, calibrate_eps, sequential_scan
 from metricdim import rng
 
 EUCLID = MetricDescriptor(MetricKind.EUCLIDEAN)
@@ -37,7 +37,7 @@ def line_dataset(xs, seed=None):
 def reference_net_tree(ds):
     """The per-level loops the cover-based build must match: an independent
     greedy net per level, a scan per node for its parent, and a scan per
-    bottom node for its members."""
+    bottom node for the points it owns."""
 
     def greedy_net(radius):
         min_dist = np.full(ds.n, np.inf)
@@ -75,10 +75,32 @@ def reference_net_tree(ds):
     for pos, node in enumerate(bottom.nodes.tolist()):
         take = (pair_distances(ds.metric, ds.points[node], ds.points) <= bottom.radius) & (assignment == -1)
         assignment[take] = pos
-    members = [np.flatnonzero(assignment == pos) for pos in range(bottom.nodes.size)]
     max_degree = max([1] + [len(c) for level_children in children for c in level_children])
     stats = TreeStats(max_degree, len(levels) - 1, int(sum(level.nodes.size for level in levels)))
-    return NetTree(levels, children, members), stats
+    return NetTree(levels, assignment), stats
+
+
+def grouped_range_query(tree, ds, q, eps):
+    """The descent ``net_range_query`` must match in results and counts: per
+    node child lists and member lists, joined one live node at a time."""
+    children = [[np.flatnonzero(below.parents == p) for p in range(above.nodes.size)] for above, below in zip(tree.levels, tree.levels[1:])]
+    members = [np.flatnonzero(tree.owners == p) for p in range(tree.levels[-1].nodes.size)]
+    root = tree.levels[0]
+    root_dist = pair_distances(ds.metric, q, ds.points[root.nodes[0]])
+    computations = 1
+    live = np.array([0], dtype=np.int64) if root_dist <= eps + 2.0 * root.radius else np.array([], dtype=np.int64)
+    for level_children, level in zip(children, tree.levels[1:]):
+        if live.size == 0:
+            break
+        child_positions = np.concatenate([level_children[p] for p in live.tolist()])
+        dv = pair_distances(ds.metric, q, ds.points[level.nodes[child_positions]])
+        computations += dv.size
+        live = child_positions[dv <= eps + 2.0 * level.radius]
+    candidates = np.concatenate([members[p] for p in live.tolist()]) if live.size else np.array([], dtype=np.int64)
+    verified = pair_distances(ds.metric, q, ds.points[candidates])
+    computations += verified.size
+    result = set(candidates[verified < eps].tolist())
+    return result, QueryStats(computations, int(candidates.size), (ds.n - int(candidates.size)) / ds.n, len(result))
 
 
 # Point layouts for the reference comparison. "grid" puts pair distances
@@ -120,11 +142,32 @@ def test_build_matches_the_reference_loops(kind, data):
         assert got.radius == want.radius
         assert got.nodes.tolist() == want.nodes.tolist()
         assert got.parents.tolist() == want.parents.tolist()
-    assert [[c.tolist() for c in level] for level in tree.children] == [
-        [c.tolist() for c in level] for level in want_tree.children
-    ]
-    assert [m.tolist() for m in tree.members] == [m.tolist() for m in want_tree.members]
+    assert tree.owners.tolist() == want_tree.owners.tolist()
     verify_net_invariants(tree, ds)
+
+
+@pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_query_matches_the_grouped_descent(kind, data):
+    # eps is a distance from q to a data point, where a rounding slip in the
+    # pruning or the verification would change the result
+    ds = data.draw(tree_datasets(kind))
+    tree, _ = build_net_tree(ds)
+    i, j = data.draw(st.integers(0, ds.n - 1)), data.draw(st.integers(0, ds.n - 1))
+    q = ds.points[i]
+    if kind is not MetricKind.HAMMING and data.draw(st.booleans()):
+        q = 0.5 * (ds.points[i] + ds.points[j])
+    dv = pair_distances(ds.metric, q, ds.points)
+    positive = np.unique(dv[dv > 0])
+    eps = float(data.draw(st.sampled_from(positive.tolist()))) if positive.size else 1.0
+    oracle = CountingOracle(ds.metric)
+    result, stats = net_range_query(tree, ds, q, eps, oracle)
+    want_result, want_stats = grouped_range_query(tree, ds, q, eps)
+    assert result == want_result
+    assert stats == want_stats
+    assert oracle.count == stats.distance_computations
+    assert result == sequential_scan(ds, q, eps)
 
 
 class TestBuild:
@@ -133,7 +176,7 @@ class TestBuild:
         assert stats.node_count == 1
         assert stats.depth == 0
         assert stats.max_degree == 1
-        assert tree.members[0].tolist() == [0]
+        assert tree.owners.tolist() == [0]
 
     def test_two_points_separate_below_their_distance(self):
         tree, stats = build_net_tree(line_dataset([0.0, 1.0]))
@@ -145,8 +188,7 @@ class TestBuild:
         tree, stats = build_net_tree(line_dataset([0.5, 0.5, 0.5, 2.0]))
         bottom = tree.levels[-1]
         assert bottom.nodes.size == 2
-        members = {tuple(sorted(m.tolist())) for m in tree.members}
-        assert members == {(0, 1, 2), (3,)}
+        assert tree.owners.tolist() == [0, 0, 0, 1]
 
     def test_invariants_on_mixed_workloads(self):
         for family, d in [(Family.UNIFORM_CUBE, 2), (Family.HAMMING_UNIFORM, 16)]:
@@ -244,33 +286,59 @@ class TestQuery:
         assert result == sequential_scan(ds, np.array([q]), eps)
 
 
-def hand_tree(levels, children, members):
+def hand_tree(levels, owners):
     """A NetTree from plain lists: levels are (radius, nodes, parents)."""
     return NetTree(
         [NetLevel(r, np.asarray(nodes, dtype=np.int64), np.asarray(parents, dtype=np.int64)) for r, nodes, parents in levels],
-        [[np.asarray(c, dtype=np.int64) for c in level] for level in children],
-        [np.asarray(m, dtype=np.int64) for m in members],
+        np.asarray(owners, dtype=np.int64),
     )
 
 
 class TestVerify:
     def test_rejects_nodes_exactly_the_radius_apart(self):
         # a net needs nodes more than r apart; these two are exactly r = 1 apart
-        tree = hand_tree([(2.0, [0], [-1]), (1.0, [0, 1], [0, 0])], [[[0, 1]]], [[0], [1]])
+        tree = hand_tree([(2.0, [0], [-1]), (1.0, [0, 1], [0, 0])], [0, 1])
         with pytest.raises(InvariantViolation, match="apart"):
             verify_net_invariants(tree, line_dataset([0.0, 1.0]))
 
     def test_rejects_a_member_outside_the_bottom_radius(self):
         # point 1 (at 0.5) is answered for by the node at 5.0, 4.5 away
-        tree = hand_tree([(5.0, [0], [-1]), (1.0, [0, 2], [0, 0])], [[[0, 1]]], [[0], [1, 2]])
+        tree = hand_tree([(5.0, [0], [-1]), (1.0, [0, 2], [0, 0])], [0, 1, 1])
         with pytest.raises(InvariantViolation, match="bottom members"):
             verify_net_invariants(tree, line_dataset([0.0, 0.5, 5.0]))
 
-    def test_rejects_children_that_do_not_group_the_parents(self):
-        # both level-1 nodes name the root as parent, but it lists only one
-        tree = hand_tree([(1.0, [0], [-1]), (0.5, [0, 1], [0, 0])], [[[0]]], [[0], [1]])
-        with pytest.raises(InvariantViolation, match="do not group the parents"):
+    @pytest.mark.parametrize("root_parents", [[0], [-1, -1], []])
+    def test_rejects_a_root_without_parent_minus_one(self, root_parents):
+        tree = NetTree([NetLevel(2.0, np.array([0]), np.asarray(root_parents, dtype=np.int64))], np.array([0, 0]))
+        with pytest.raises(InvariantViolation, match="single root"):
             verify_net_invariants(tree, line_dataset([0.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "parents",
+        [[0, 0, -1], [0, 0, 2], [0, 0]],
+        ids=["minus-one-below-the-root", "past-the-end", "wrong-length"],
+    )
+    def test_rejects_parents_that_are_not_positions_above(self, parents):
+        # level 1 has two nodes: -1 would wrap onto the last one, 2 is past it
+        tree = hand_tree([(8.0, [0], [-1]), (2.0, [0, 1], [0, 0]), (0.25, [0, 1, 2], parents)], [0, 1, 2])
+        with pytest.raises(InvariantViolation, match="parents of level 2"):
+            verify_net_invariants(tree, line_dataset([0.0, 4.0, 4.5]))
+
+    def test_rejects_a_parent_link_longer_than_the_radius_above(self):
+        # the node at 4.5 names the level-1 node at 0.0 as its parent, 4.5 > 2 away
+        tree = hand_tree([(8.0, [0], [-1]), (2.0, [0, 1], [0, 0]), (0.25, [0, 1, 2], [0, 1, 0])], [0, 1, 2])
+        with pytest.raises(InvariantViolation, match="parent link longer"):
+            verify_net_invariants(tree, line_dataset([0.0, 4.0, 4.5]))
+
+    @pytest.mark.parametrize(
+        "owners",
+        [[0, 1], [0, 1, 1, 1], [0, 2, 1], [0, -1, 1]],
+        ids=["short", "long", "past-the-end", "negative"],
+    )
+    def test_rejects_owners_that_are_not_bottom_positions(self, owners):
+        tree = hand_tree([(8.0, [0], [-1]), (2.0, [0, 1], [0, 0])], owners)
+        with pytest.raises(InvariantViolation, match="owners"):
+            verify_net_invariants(tree, line_dataset([0.0, 4.0, 4.5]))
 
 
 @pytest.mark.parametrize("kind", [MetricKind.MANHATTAN, MetricKind.CHEBYSHEV], ids=lambda k: k.value)
