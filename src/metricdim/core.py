@@ -107,16 +107,21 @@ def _check_point(metric: MetricDescriptor, x, dim: int | None = None) -> np.ndar
     if metric.kind.uses_bits:
         if arr.dtype.kind == "f":
             raise InvalidInputError("normalized Hamming metric requires a bit vector, got real coordinates")
-        arr = arr.astype(np.uint8, casting="unsafe") if arr.dtype != np.uint8 else arr
-        if not np.isin(arr, (0, 1)).all():
-            raise InvalidInputError("bit vectors may only contain 0 and 1")
-        return arr
+        return _as_bits(arr, "bit vectors")
     if arr.dtype == np.uint8 or arr.dtype.kind == "b":
         raise InvalidInputError(f"{metric.kind.value} metric requires real coordinates, got a bit vector")
     arr = arr.astype(np.float64)
     if not np.isfinite(arr).all():
         raise InvalidInputError("coordinates must be finite (no NaN or infinity)")
     return arr
+
+
+def _as_bits(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` as uint8 0/1 values. The values are checked as given, before
+    the cast, which would wrap 256 to 0 and truncate 0.5 to 0."""
+    if not ((arr == 0) | (arr == 1)).all():
+        raise InvalidInputError(f"{what} may only contain 0 and 1")
+    return arr.astype(np.uint8, copy=False)
 
 
 def pair_distances(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -283,10 +288,7 @@ class Dataset:
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise InvalidInputError(f"dataset needs an (n, d) matrix with n, d >= 1, got shape {pts.shape}")
         if self.metric.kind.uses_bits:
-            if pts.dtype != np.uint8:
-                pts = pts.astype(np.uint8)
-            if not np.isin(pts, (0, 1)).all():
-                raise InvalidInputError("bit datasets may only contain 0 and 1")
+            pts = _as_bits(pts, "bit datasets")
         else:
             if pts.dtype == np.uint8 or pts.dtype.kind == "b":
                 raise InvalidInputError(f"{self.metric.kind.value} metric requires real coordinates")

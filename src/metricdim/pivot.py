@@ -8,11 +8,16 @@ verified with a true distance. The query is exact by construction; what
 degrades in high dimension is only the discarded fraction, which the
 degradation sweep measures at matched result sizes.
 
-All k pivots are applied to every candidate in one vectorized table sweep
-(an adaptive pivot order could skip pivot evaluations, but it cannot
-shrink the surviving candidate set, which is the quantity studied here).
-Pruning keeps candidates with slack PRUNE_WIDENING so floating-point
-rounding can only make pruning conservative, never incorrect.
+All k pivots are applied to every candidate in one vectorized table sweep.
+The table is stored column-major, so each pivot's distances are one
+contiguous column and the sweep runs down the columns. Candidates are not
+compacted to the survivors pivot by pivot, as LAESA (Micó, Oncina & Vidal
+1994) does: where pruning collapses (high dimension) no column shrinks the
+candidate set, so every gather would be overhead. An adaptive pivot order
+could skip pivot evaluations, but it cannot shrink the surviving candidate
+set, which is the quantity studied here. Pruning keeps candidates with
+slack PRUNE_WIDENING so floating-point rounding can only make pruning
+conservative, never incorrect.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ PivotPolicy = Union[RandomPivots, FarthestFirst]
 @dataclass(frozen=True)
 class PivotIndex:
     pivots: np.ndarray  # (k,) point indices
-    table: np.ndarray  # (n, k), table[i, j] = d(point i, pivot j)
+    table: np.ndarray  # (n, k), table[i, j] = d(point i, pivot j); column-major
     policy: PivotPolicy
 
     @property
@@ -87,7 +92,7 @@ def _distances_from(ds: Dataset, index: int, oracle: CountingOracle | None) -> n
 
 
 def build_pivot_index(ds: Dataset, k: int, policy: PivotPolicy, oracle: CountingOracle | None = None) -> PivotIndex:
-    """Materialize the n x k pivot distance table.
+    """Materialize the n x k pivot distance table, one contiguous column per pivot.
 
     RandomPivots draws k distinct seeded indices; FarthestFirst grows the
     pivot set by always adding the point farthest from it (lowest index on
@@ -100,7 +105,7 @@ def build_pivot_index(ds: Dataset, k: int, policy: PivotPolicy, oracle: Counting
         pivots = rng.distinct_indices(policy.seed, k, ds.n)
     else:
         pivots = _select_farthest_first(ds, k, policy.seed, oracle)
-    table = np.empty((ds.n, k))
+    table = np.empty((k, ds.n)).T
     for j, p in enumerate(pivots.tolist()):
         table[:, j] = _distances_from(ds, p, oracle)
     return PivotIndex(pivots, table, policy)

@@ -333,6 +333,21 @@ class TestDatasetIO:
         with pytest.raises(InvalidInputError):
             load_dataset(path, EUCLID)
 
+    def test_bit_values_that_wrap_rejected(self):
+        # a cast to uint8 first would make both rows [0, 1]
+        with pytest.raises(InvalidInputError):
+            Dataset(np.array([[256, 1], [0, 1]]), HAMMING)
+
+    def test_real_bit_values_that_truncate_rejected(self):
+        with pytest.raises(InvalidInputError):
+            Dataset(np.array([[0.5, 1.0], [1.0, 0.0]]), HAMMING)
+
+    @pytest.mark.parametrize("dtype", [np.float64, bool])
+    def test_real_and_bool_bits_accepted(self, dtype):
+        ds = Dataset(np.array([[0, 1], [1, 0]], dtype=dtype), HAMMING)
+        assert ds.points.dtype == np.uint8
+        assert ds.points.tolist() == [[0, 1], [1, 0]]
+
     def test_dataset_points_read_only(self):
         ds = Dataset(np.array([[1.0]]), EUCLID)
         with pytest.raises(ValueError):
@@ -357,6 +372,10 @@ BAD_POINTS = {
     "wrong-length": (EUCLID, [0.5, 0.5, 0.5]),
     "real-vector-under-hamming": (HAMMING, [0.0, 1.0, 0.5, 1.0]),
     "bit-value-2": (HAMMING, [0, 1, 2, 1]),
+    # a cast to uint8 before the check would read these as valid bits
+    "bit-value-256": (HAMMING, [256, 1, 0, 1]),
+    "bit-value-257": (HAMMING, [257, 0, 0, 1]),
+    "bit-value-minus-255": (HAMMING, [-255, 1, 0, 1]),
 }
 
 

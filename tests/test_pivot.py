@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metricdim.core import (
@@ -10,10 +10,13 @@ from metricdim.core import (
     MetricDescriptor,
     MetricKind,
     diameter_upper_bound,
+    pair_distances,
 )
 from metricdim.generate import Family, GeneratorSpec, generate
 from metricdim.pivot import (
+    PRUNE_WIDENING,
     FarthestFirst,
+    QueryStats,
     RandomPivots,
     build_pivot_index,
     calibrate_eps,
@@ -61,6 +64,17 @@ class TestBuild:
     def test_k_beyond_n_rejected(self):
         with pytest.raises(InvalidInputError):
             build_pivot_index(line_dataset([0.0, 1.0]), 3, RandomPivots(seed=0))
+
+    @pytest.mark.parametrize("policy", [RandomPivots(seed=3), FarthestFirst(seed=3)], ids=["random", "farthest"])
+    def test_table_columns_are_contiguous_pivot_distances(self, policy):
+        # the query's table sweep runs down these columns; its speed rests on this layout
+        ds = generate(GeneratorSpec(Family.UNIFORM_CUBE, 3, 50, seed=5))
+        index = build_pivot_index(ds, 6, policy)
+        assert index.table.shape == (50, 6)
+        for j, p in enumerate(index.pivots.tolist()):
+            column = index.table[:, j]
+            assert column.flags.c_contiguous
+            np.testing.assert_array_equal(column, pair_distances(ds.metric, ds.points[p], ds.points))
 
     def test_table_shape_and_values(self):
         ds = line_dataset([0.0, 1.0, 4.0])
@@ -156,6 +170,68 @@ class TestRangeQuery:
             return set(np.flatnonzero(mask).tolist())
 
         assert candidates(large) <= candidates(small)
+
+
+def whole_table_range_query(index, ds, q, eps):
+    """The pivot query written out with the (n, k) table mask: the reference
+    that any other form of the sweep must match exactly."""
+    q_to_pivot = pair_distances(ds.metric, q, ds.points[index.pivots])
+    survives = (np.abs(index.table - q_to_pivot) <= eps + PRUNE_WIDENING).all(axis=1)
+    candidates = np.flatnonzero(survives)
+    verified = pair_distances(ds.metric, q, ds.points[candidates])
+    result = set(candidates[verified < eps].tolist())
+    stats = QueryStats(
+        distance_computations=index.k + candidates.size,
+        candidates_after_pruning=candidates.size,
+        discarded_fraction=(ds.n - candidates.size) / ds.n,
+        result_size=len(result),
+    )
+    return result, stats
+
+
+@st.composite
+def pivot_queries(draw, kind):
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    if kind is MetricKind.HAMMING:
+        points = g.integers(0, 2, (n, draw(st.integers(1, 16)))).astype(np.uint8)
+    else:
+        # small integer grids tie many distances; at the 1e5 scale a distance
+        # absorbs PRUNE_WIDENING, so eps + PRUNE_WIDENING can equal a gap
+        scale = draw(st.sampled_from([0.1, 1.0, 1e5]))
+        points = g.integers(-3, 4, (n, draw(st.integers(1, 4)))) * scale
+    ds = Dataset(points, MetricDescriptor(kind))
+    k = draw(st.integers(1, n))
+    policy = draw(st.sampled_from([RandomPivots, FarthestFirst]))(draw(st.integers(0, 2**16)))
+    index = build_pivot_index(ds, k, policy)
+    source = draw(st.sampled_from(["pivot", "point", "fresh"]))
+    if source == "pivot":
+        q = ds.points[int(draw(st.sampled_from(index.pivots.tolist())))]
+    elif source == "point":
+        q = ds.points[draw(st.integers(0, n - 1))]
+    elif kind is MetricKind.HAMMING:
+        q = g.integers(0, 2, ds.dim).astype(np.uint8)
+    else:
+        q = g.integers(-3, 4, ds.dim) * scale + draw(st.sampled_from([0.0, 0.5 * scale]))
+    dv = pair_distances(ds.metric, q, ds.points)
+    positive = np.unique(dv[dv > 0])
+    assume(positive.size)
+    d = float(draw(st.sampled_from(positive.tolist())))
+    eps = draw(st.sampled_from([d, np.nextafter(d, 0.0), np.nextafter(d, np.inf), 2.0 * d]))
+    return ds, index, q, float(eps)
+
+
+@pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_range_query_matches_the_whole_table_mask(kind, data):
+    ds, index, q, eps = data.draw(pivot_queries(kind))
+    oracle = CountingOracle(ds.metric)
+    result, stats = range_query(index, ds, q, eps, oracle)
+    want_result, want_stats = whole_table_range_query(index, ds, q, eps)
+    assert result == want_result
+    assert stats == want_stats
+    assert oracle.count == stats.distance_computations
 
 
 class TestCalibration:
