@@ -10,7 +10,9 @@ Conventions fixed here (and echoed by the CLI): quartiles use linear
 interpolation of order statistics (quantile type 7), variance is the
 unbiased count-1 estimator, and full pair enumeration is capped at
 PAIR_BUDGET unordered pairs, beyond which pairs are sampled uniformly
-with replacement.
+with replacement. The sample is drawn, gathered and measured in chunks of
+a fixed byte budget (see ``pairwise_distances``); only its distance vector
+is held whole.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .core import (
 )
 
 PAIR_BUDGET = 5_000_000
-_SAMPLE_CHUNK = 250_000
+_CHUNK_BYTES = 2**21
 
 
 @dataclass(frozen=True)
@@ -78,27 +80,40 @@ class DistanceSample:
         object.__setattr__(self, "values", values)
 
 
-def _row_pair_distances(ds: Dataset, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    out = np.empty(len(ii))
-    for start in range(0, len(ii), _SAMPLE_CHUNK):
-        sl = slice(start, start + _SAMPLE_CHUNK)
-        out[sl] = pair_distances(ds.metric, ds.points[ii[sl]], ds.points[jj[sl]])
-    return out
-
-
 def pairwise_distances(ds: Dataset, mode: PairMode | None = None) -> DistanceSample:
-    """Distances of unordered point pairs, enumerated or sampled per ``mode``."""
+    """Distances of unordered point pairs, enumerated or sampled per ``mode``.
+
+    Sampled pairs are uniform over ordered pairs i != j, with replacement,
+    then read as unordered: pair k takes i from draw k of counter stream 0
+    and j from draw k of stream 1, shifted past i. The sample is built in
+    chunks of consecutive pair indices. Each chunk draws its own counters,
+    gathers its rows and writes its distances into the output, so neither
+    whole index array nor a gathered block of the whole sample is held.
+
+    A chunk is sized by the bytes of rows it gathers per side
+    (``_CHUNK_BYTES``), not by a pair count, because the cache sets the
+    best size: about 2 MB both for 16 float64 columns (16k pairs) and for
+    512 bits (4k pairs), so any one pair count is too large for one of them
+    or too small for the other. The values do not depend on the chunking:
+    every draw is a pure function of its index, and the kernel works row
+    by row.
+    """
     if ds.n < 2:
         raise InvalidInputError("pairwise distances need at least 2 points")
     if mode is None:
         mode = default_mode(ds.n, seed=ds.seed if ds.seed is not None else 0)
     if isinstance(mode, AllPairs):
         return DistanceSample(all_pair_distances(ds.metric, ds.points), mode, ds.n)
-    # Uniform over ordered pairs i != j, then unordered; with replacement.
-    ii = rng.integers(mode.seed, mode.m, ds.n, stream=0)
-    jj = rng.integers(mode.seed, mode.m, ds.n - 1, stream=1)
-    jj = jj + (jj >= ii)
-    return DistanceSample(_row_pair_distances(ds, ii, jj), mode, ds.n)
+    points = ds.points
+    per_chunk = max(1, _CHUNK_BYTES // (points.itemsize * ds.dim))
+    out = np.empty(mode.m)
+    for start in range(0, mode.m, per_chunk):
+        stop = min(start + per_chunk, mode.m)
+        ii = rng._draw_range(mode.seed, start, stop, ds.n, stream=0)
+        jj = rng._draw_range(mode.seed, start, stop, ds.n - 1, stream=1)
+        jj += jj >= ii
+        out[start:stop] = pair_distances(ds.metric, np.take(points, ii, axis=0), np.take(points, jj, axis=0))
+    return DistanceSample(out, mode, ds.n)
 
 
 @dataclass(frozen=True)

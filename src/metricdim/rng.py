@@ -61,8 +61,7 @@ def _raw(key: np.uint64, indices) -> np.ndarray:
 
 def uniform01(seed, n, stream=0) -> np.ndarray:
     """n uniforms in [0, 1) with 53-bit resolution."""
-    raw = _raw(stream_key(seed, stream), np.arange(n))
-    return (raw >> np.uint64(11)).astype(np.float64) * _U53
+    return _draw_range(seed, 0, n, None, stream)
 
 
 def integers(seed, n, bound, stream=0) -> np.ndarray:
@@ -71,9 +70,22 @@ def integers(seed, n, bound, stream=0) -> np.ndarray:
     Implemented as floor(u * bound) from a 53-bit uniform; the bias is
     below bound * 2**-53 per value, vanishing at any bound used here.
     """
-    if bound <= 0:
+    return _draw_range(seed, 0, n, bound, stream)
+
+
+def _draw_range(seed, start, stop, bound, stream) -> np.ndarray:
+    """Draws start..stop-1 of a stream: uniform01 draws when ``bound`` is
+    None, integers on [0, bound) otherwise.
+
+    Each draw is a pure function of its index, so this equals
+    ``uniform01(seed, stop, stream)[start:]`` (or the ``integers`` slice)
+    without drawing the prefix; chunked samplers call it directly.
+    """
+    if bound is not None and bound <= 0:
         raise ValueError("bound must be positive")
-    return np.minimum((uniform01(seed, n, stream) * bound).astype(np.int64), bound - 1)
+    raw = _raw(stream_key(seed, stream), np.arange(start, stop, dtype=np.uint64))
+    u = (raw >> np.uint64(11)).astype(np.float64) * _U53
+    return u if bound is None else np.minimum((u * bound).astype(np.int64), bound - 1)
 
 
 def distinct_indices(seed, k, n, stream=0) -> np.ndarray:

@@ -152,6 +152,22 @@ class TestEstimate:
         assert stats["diameter_method"] == "triangle-bound"
         assert float(stats["diameter_bound"]) >= math.sqrt(2) * 0.9
 
+    def test_sampled_pair_statistics_are_pinned(self, tmp_path, capsys):
+        # 3200 points is past the pair budget (3162), so the pair statistics
+        # come from a sample; these strings pin its draws and its order.
+        data = tmp_path / "g.txt"
+        generate = ["generate", "--family", "gaussian", "--d", "8", "--n", "3200", "--seed", "5"]
+        assert cli.main(generate + ["--out", str(data)]) == 0
+        capsys.readouterr()
+        code, out, _ = run_cli(["estimate", "--in", str(data), "--metric", "euclidean", "--probes", "2"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        stats = {r["statistic"]: r["value"] for r in rows}
+        assert stats["characteristic_size"] == "3.889879016478002"
+        assert stats["dim_cnbym"] == "7.893601633174461"
+        assert stats["mean_eps_nn"] == "1.2068901301984096"
+        assert stats["nn_ratio"] == "0.3102641817614059"
+
     def test_empty_file_fails_with_exit_one(self, tmp_path, capsys):
         data = tmp_path / "empty.txt"
         data.write_text("")

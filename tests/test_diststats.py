@@ -3,7 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metricdim.core import DEGENERATE, Dataset, InvalidInputError, MetricDescriptor, MetricKind, distance
+from metricdim import diststats
+from metricdim.core import (
+    DEGENERATE,
+    Dataset,
+    InvalidInputError,
+    MetricDescriptor,
+    MetricKind,
+    distance,
+    pair_distances,
+)
 from metricdim.diststats import (
     ALL_PAIRS,
     MomentSummary,
@@ -118,6 +127,22 @@ def test_pairwise_matches_distance_on_the_same_pairs(metric, data, m, seed):
         np.testing.assert_allclose(enumerated**2, exact**2, rtol=0, atol=1e-9)
     else:
         np.testing.assert_array_equal(enumerated, exact)
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.kind.value)
+def test_sample_is_independent_of_the_chunking(metric, monkeypatch):
+    dim, n, m, seed = 6, 40, 1003, 11
+    pts = rng.matrix_bits(3, n, dim) if metric.kind.uses_bits else rng.matrix_normals(3, n, dim)
+    ds = Dataset(pts, metric)
+    per_chunk = 7
+    # Seven pairs per chunk: 143 whole chunks and a ragged tail of two.
+    monkeypatch.setattr(diststats, "_CHUNK_BYTES", per_chunk * ds.points.itemsize * dim)
+    chunked = pairwise_distances(ds, SampledPairs(m, seed)).values
+    ii = rng.integers(seed, m, n, stream=0)
+    jj = rng.integers(seed, m, n - 1, stream=1)
+    jj = jj + (jj >= ii)
+    whole = pair_distances(metric, ds.points[ii], ds.points[jj])
+    assert chunked.tobytes() == whole.tobytes()
 
 
 class TestBoxplot:

@@ -114,6 +114,17 @@ class TestRngPlumbing:
         vals = rng.integers(9, 10_000, 7)
         assert vals.min() >= 0 and vals.max() < 7
 
+    @pytest.mark.parametrize("stream", [0, 1])
+    @pytest.mark.parametrize("start, stop", [(0, 37), (211, 500), (300, 300), (463, 1000)])
+    def test_range_draw_is_a_slice_of_the_whole_draw(self, start, stop, stream):
+        # Chunked samplers draw [start, stop) on its own; it must be the
+        # same values as that slice of one draw of the whole stream.
+        n = 1000
+        assert np.array_equal(rng._draw_range(7, start, stop, None, stream), rng.uniform01(7, n, stream)[start:stop])
+        got = rng._draw_range(7, start, stop, 613, stream)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, rng.integers(7, n, 613, stream)[start:stop])
+
     def test_derive_seed_differs_by_tag(self):
         assert rng.derive_seed(1, 2) != rng.derive_seed(1, 3)
         assert rng.derive_seed(1, 2, 3) != rng.derive_seed(1, 3, 2)
