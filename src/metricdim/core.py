@@ -17,6 +17,10 @@ validated when a ``Dataset`` is built
 outside point validates it once, at entry (``Dataset.check_query``);
 internal loops over dataset rows call the kernel directly.
 
+The diameter bound is one quantity per dataset: it is scanned once, at
+scale 1, cached on the ``Dataset`` and shared with every rescaled copy,
+which gives the same bits as a fresh scan at the new scale.
+
 Precision: distances are computed in double precision; the Euclidean
 metric is the square root of the sum of squared differences, so
 coordinate differences below sqrt of the smallest normal double
@@ -26,9 +30,10 @@ range the metric axioms hold exactly.
 
 from __future__ import annotations
 
+import copy
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -277,25 +282,33 @@ def distances_to(metric: MetricDescriptor, x, points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A point matrix, its metric, and the seed that produced it (if any)."""
+    """A point matrix, its metric, and the seed that produced it (if any).
+
+    The points are a private read-only copy of the caller's array. The
+    diameter bound is scanned once, on first use, and cached; rescaled
+    copies share it (see ``diameter_upper_bound``).
+    """
 
     points: np.ndarray
     metric: MetricDescriptor
     seed: int | None = None
+    # The raw (scale 1) diameter bound, under "raw" once scanned. Rescaled
+    # copies hold this same dict, so one scan serves every scale.
+    _bound: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise InvalidInputError(f"dataset needs an (n, d) matrix with n, d >= 1, got shape {pts.shape}")
-        if self.metric.kind.uses_bits:
+        bits = self.metric.kind.uses_bits
+        if bits:
             pts = _as_bits(pts, "bit datasets")
-        else:
-            if pts.dtype == np.uint8 or pts.dtype.kind == "b":
-                raise InvalidInputError(f"{self.metric.kind.value} metric requires real coordinates")
-            pts = pts.astype(np.float64)
-            if not np.isfinite(pts).all():
-                raise InvalidInputError("coordinates must be finite (no NaN or infinity)")
-        pts = np.ascontiguousarray(pts)
+        elif pts.dtype == np.uint8 or pts.dtype.kind == "b":
+            raise InvalidInputError(f"{self.metric.kind.value} metric requires real coordinates")
+        # A copy, so the caller's array stays writeable and cannot stale the cached bound.
+        pts = np.array(pts, dtype=np.uint8 if bits else np.float64, order="C")
+        if not bits and not np.isfinite(pts).all():
+            raise InvalidInputError("coordinates must be finite (no NaN or infinity)")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -315,7 +328,11 @@ class Dataset:
         return _check_point(self.metric, q, self.dim)
 
     def rescaled(self, scale: float) -> "Dataset":
-        return Dataset(self.points, self.metric.rescaled(scale), self.seed)
+        """This dataset under the metric divided by ``scale``. The copy shares
+        the checked point matrix and the cached diameter bound."""
+        out = copy.copy(self)
+        object.__setattr__(out, "metric", self.metric.rescaled(scale))
+        return out
 
 
 class CountingOracle:
@@ -355,11 +372,19 @@ def counted_distances_to(oracle: CountingOracle, x, points: np.ndarray) -> np.nd
     return values
 
 
-def _metric_cap(metric: MetricDescriptor) -> float:
-    # The normalized Hamming metric never exceeds 1 regardless of the data.
-    if metric.kind.uses_bits:
-        return 1.0 / metric.scale
-    return math.inf
+def _raw_diameter(points: np.ndarray, kind: MetricKind) -> float:
+    """The diameter bound of ``points`` at scale 1: the exact maximum up to
+    EXACT_DIAMETER_LIMIT rows, else 2 max_i d(points[0], points[i]), capped
+    at 1 for the normalized Hamming metric, which never exceeds it."""
+    metric = MetricDescriptor(kind)
+    n = points.shape[0]
+    if n <= EXACT_DIAMETER_LIMIT:
+        best = 0.0
+        for i in range(n - 1):
+            best = max(best, float(pair_distances(metric, points[i], points[i + 1 :]).max()))
+        return best
+    bound = 2.0 * float(pair_distances(metric, points[0], points).max())
+    return min(bound, 1.0) if kind.uses_bits else bound
 
 
 def diameter_upper_bound(ds: Dataset) -> float:
@@ -367,20 +392,21 @@ def diameter_upper_bound(ds: Dataset) -> float:
 
     Up to EXACT_DIAMETER_LIMIT points the full pairwise scan is performed
     and the true maximum returned. Above that, the triangle-inequality
-    bound 2 * max_i d(points[0], points[i]) is used, capped by any metric-
-    level bound (normalized Hamming distances never exceed 1 / scale).
-    Use ``diameter_is_exact`` to report which branch applied.
+    bound 2 * max_i d(points[0], points[i]) is used, capped by the
+    normalized Hamming metric's own bound 1 / scale. Use
+    ``diameter_is_exact`` to report which branch applied.
+
+    The scan runs once per dataset, at scale 1, and is shared with its
+    rescaled copies; this divides it by the scale. Division by a positive
+    scale is monotone under correct rounding and doubling is exact, so the
+    result equals a fresh scan at that scale bit for bit (outside the
+    overflow and subnormal ranges).
     """
     if ds.n < 2:
         raise InvalidInputError("diameter bound needs at least 2 points")
-    if ds.n <= EXACT_DIAMETER_LIMIT:
-        best = 0.0
-        for i in range(ds.n - 1):
-            row = pair_distances(ds.metric, ds.points[i], ds.points[i + 1 :])
-            best = max(best, float(row.max()))
-        return best
-    radial = pair_distances(ds.metric, ds.points[0], ds.points)
-    return min(2.0 * float(radial.max()), _metric_cap(ds.metric))
+    if "raw" not in ds._bound:
+        ds._bound["raw"] = _raw_diameter(ds.points, ds.metric.kind)
+    return ds._bound["raw"] / ds.metric.scale
 
 
 def diameter_is_exact(n: int) -> bool:

@@ -131,7 +131,9 @@ def probe_rows(ds: Dataset, probes: int, seed: int = 0) -> list[ProbeRecord]:
     Duplicate points are collapsed before probing: they are covered for
     free by their first occurrence, so they cannot change any cover count,
     and collapsing makes the records invariant under duplication. Centers
-    are reported as original point indices.
+    are reported as original point indices. Radii scale with the diameter
+    bound of ``ds`` itself, the one its other estimators read: the first
+    probe's radius is ``diameter_upper_bound(ds)``.
     """
     if probes < 1:
         raise InvalidInputError("need at least one probe")
@@ -140,7 +142,7 @@ def probe_rows(ds: Dataset, probes: int, seed: int = 0) -> list[ProbeRecord]:
     if distinct.n == 1:
         return [ProbeRecord(int(keep[0]), 0.0, 1) for _ in range(probes)]
 
-    bound = diameter_upper_bound(distinct)
+    bound = diameter_upper_bound(ds)
     centers = rng.integers(seed, probes, distinct.n, stream=0)
     log_span = math.log(MIN_RADIUS_FRACTION)
     radii = bound * np.exp(log_span * (1.0 - rng.uniform01(seed, probes, stream=1)))

@@ -69,7 +69,8 @@ class TreeStats:
 def _top_radius(ds: Dataset) -> float:
     # Bit metrics have an intrinsic diameter bound (1 / scale); anchoring
     # the halving ladder there keeps the level scales independent of the
-    # sample. Real metrics anchor at the sample's diameter bound.
+    # sample. Real metrics anchor at the sample's diameter bound, the one
+    # cached on the dataset, so a tree built after the probes scans nothing.
     if ds.metric.kind.uses_bits:
         return 1.0 / ds.metric.scale
     return diameter_upper_bound(ds) if ds.n >= 2 else 0.0

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from metricdim import cli
-from metricdim.core import InvariantViolation
+from metricdim import cli, core, rng
+from metricdim.core import EXACT_DIAMETER_LIMIT, InvariantViolation, MetricDescriptor, MetricKind, load_dataset
+from metricdim.doubling import probe_rows
 
 
 def run_cli(args, capsys):
@@ -168,6 +169,24 @@ class TestEstimate:
         assert stats["mean_eps_nn"] == "1.2068901301984096"
         assert stats["nn_ratio"] == "0.3102641817614059"
 
+    def test_duplicate_rows_probe_the_printed_bound(self, tmp_path, capsys):
+        # More rows than EXACT_DIAMETER_LIMIT but fewer distinct ones: the
+        # probes read the file's triangle bound, not an exact scan of the
+        # distinct rows.
+        pts = np.random.default_rng(4).standard_normal((2000, 8))
+        pts = np.vstack([pts, pts[:100]])
+        assert pts.shape[0] > EXACT_DIAMETER_LIMIT >= np.unique(pts, axis=0).shape[0]
+        data = tmp_path / "dup.txt"
+        data.write_text("".join(" ".join(repr(float(v)) for v in row) + "\n" for row in pts))
+        code, out, _ = run_cli(["estimate", "--in", str(data), "--metric", "euclidean", "--probes", "2"], capsys)
+        assert code == 0
+        _, rows = parse_csv(out)
+        stats = {r["statistic"]: r["value"] for r in rows}
+        assert stats["diameter_method"] == "triangle-bound"
+        ds = load_dataset(data, MetricDescriptor(MetricKind.EUCLIDEAN))
+        first = probe_rows(ds, 2, seed=rng.derive_seed(cli.DEFAULT_SEED, 13))[0]
+        assert first.radius == float(stats["diameter_bound"])
+
     def test_empty_file_fails_with_exit_one(self, tmp_path, capsys):
         data = tmp_path / "empty.txt"
         data.write_text("")
@@ -220,6 +239,41 @@ class TestEstimate:
         assert [r["value"] for r in rows if r["statistic"] == "note"] == [
             "all points identical; leave-one-out leaves no nearest neighbor"
         ]
+
+
+class TestDiameterScans:
+    """Every command scans each dataset's diameter bound once."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        sizes = []
+        scan = core._raw_diameter
+
+        def counted(points, kind):
+            sizes.append(points.shape[0])
+            return scan(points, kind)
+
+        monkeypatch.setattr(core, "_raw_diameter", counted)
+        return sizes
+
+    @pytest.mark.parametrize("n", [300, EXACT_DIAMETER_LIMIT + 52], ids=["exact", "triangle"])
+    def test_estimate(self, n, scans, tmp_path, capsys):
+        data = tmp_path / "g.txt"
+        assert cli.main(["generate", "--family", "gaussian", "--d", "3", "--n", str(n), "--out", str(data)]) == 0
+        args = ["estimate", "--in", str(data), "--metric", "euclidean", "--probes", "2", "--k", "4", "--grid", "11"]
+        assert run_cli(args, capsys)[0] == 0
+        assert scans == [n]
+
+    def test_nettree_stats(self, scans, capsys):
+        # Real workloads scan in the probes and reuse the bound as the tree's
+        # top radius; the Hamming tree starts from the metric's own bound.
+        args = ["nettree-stats", "--n", "300", "--queries", "3", "--probes", "4"]
+        assert run_cli(args, capsys)[0] == 0
+        assert scans == [300, 300, 300]
+
+    def test_fig_a(self, scans, capsys):
+        assert run_cli(["fig-a", "--d", "2,20,200", "--n", "40"], capsys)[0] == 0
+        assert scans == [40, 40, 40]
 
 
 class TestGenerateCommand:

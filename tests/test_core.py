@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metricdim import core
 from metricdim.core import (
     CountingOracle,
     Dataset,
@@ -294,6 +295,47 @@ class TestDiameterBound:
         assert diameter_upper_bound(ds) <= 1.0
 
 
+def scanned_bound(points, metric):
+    """The diameter bound scanned at the metric's own scale, row by row."""
+    n = points.shape[0]
+    if n <= core.EXACT_DIAMETER_LIMIT:
+        return max(float(pair_distances(metric, points[i], points[i + 1 :]).max()) for i in range(n - 1))
+    bound = 2.0 * float(pair_distances(metric, points[0], points).max())
+    return min(bound, 1.0 / metric.scale) if metric.kind.uses_bits else bound
+
+
+@pytest.mark.parametrize("limit", [core.EXACT_DIAMETER_LIMIT, 5], ids=["exact", "triangle"])
+@pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_rescaled_bound_equals_a_fresh_scan(kind, limit, data):
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (data.draw(st.integers(2, 40)), data.draw(st.integers(1, 12)))
+    if kind.uses_bits:
+        pts = g.integers(0, 2, shape).astype(np.uint8)
+    else:
+        # "huge" would overflow the Euclidean squares.
+        pts = REAL_LAYOUTS[data.draw(st.sampled_from(sorted(set(REAL_LAYOUTS) - {"huge"})))](g, shape)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "EXACT_DIAMETER_LIMIT", limit)
+        ds = Dataset(pts, MetricDescriptor(kind))
+        normalizing = diameter_upper_bound(ds) or 1.0
+        scale = data.draw(
+            st.one_of(
+                st.just(1.0),
+                st.just(normalizing),
+                st.integers(-20, 20).map(lambda e: 2.0**e),
+                st.floats(1e-3, 1e3),
+            )
+        )
+        rescaled = ds.rescaled(scale)
+        fresh = Dataset(pts, MetricDescriptor(kind, scale))
+        expected = scanned_bound(fresh.points, fresh.metric)
+        assert rescaled.points is ds.points
+        assert diameter_upper_bound(rescaled) == expected
+        assert diameter_upper_bound(fresh) == expected
+
+
 class TestDatasetIO:
     def test_real_round_trip(self, tmp_path):
         ds = Dataset(np.array([[0.25, -1.5], [3.0, 4.0]]), EUCLID, seed=9)
@@ -347,6 +389,16 @@ class TestDatasetIO:
         ds = Dataset(np.array([[0, 1], [1, 0]], dtype=dtype), HAMMING)
         assert ds.points.dtype == np.uint8
         assert ds.points.tolist() == [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize(
+        "metric, rows", [(HAMMING, np.array([[0, 1], [1, 0]], dtype=np.uint8)), (EUCLID, np.eye(2))], ids=["bits", "reals"]
+    )
+    def test_dataset_copies_the_callers_array(self, metric, rows):
+        before = rows.tolist()
+        ds = Dataset(rows, metric)
+        assert rows.flags.writeable
+        rows[0, 0] = 1 - rows[0, 0]
+        assert ds.points.tolist() == before
 
     def test_dataset_points_read_only(self):
         ds = Dataset(np.array([[1.0]]), EUCLID)
