@@ -6,16 +6,22 @@ only representation the normalized Hamming metric accepts. Every search
 structure in this package measures its cost in metric evaluations, so the
 counting oracle is threaded through all query paths.
 
-Only this module knows how each metric is computed: ``pair_distances`` is
-the one unvalidated kernel, ``all_pair_distances`` beside it adds the
-Gram-identity enumeration, and ``within_radius`` is the ball-membership
-predicate ``pair_distances(...) <= radius`` for every pair of two row
-blocks, equal to the kernel's answer element by element (a Gram screen
-decides the pairs its rounding bound can, the kernel the rest). Rows are
-validated when a ``Dataset`` is built
-(``load_dataset`` builds one); each public entry point that takes an
-outside point validates it once, at entry (``Dataset.check_query``);
-internal loops over dataset rows call the kernel directly.
+Only this module knows how each metric is computed. ``_kernel`` is the one
+unvalidated distance kernel. It reads rows in the kernel's form: the
+float64 points for real metrics, and for Hamming the 0/1 rows packed into
+uint64 words, whose differing bits one popcount counts. Hamming rows are
+0/1 at the API and packed words in the kernel: a ``Dataset`` packs its
+points once (``Dataset.kernel_rows``), ``Dataset.check_query`` packs a
+query once, and the public ``pair_distances`` packs the rows it is given
+and calls the same kernel. ``all_pair_distances`` adds the Gram-identity
+enumeration, and ``within_radius`` is the ball-membership predicate
+``pair_distances(...) <= radius`` for every pair of two row blocks, equal
+to the kernel's answer element by element (a Gram screen decides the pairs
+its rounding bound can, the kernel the rest); both read 0/1 rows. Rows are
+validated when a ``Dataset`` is built (``load_dataset`` builds one); each
+public entry point that takes an outside point validates it once, at entry
+(``Dataset.check_query``); internal loops over dataset rows call the
+kernel directly, through ``Dataset.distances``.
 
 The diameter bound is one quantity per dataset: it is scanned once, at
 scale 1, cached on the ``Dataset`` and shared with every rescaled copy,
@@ -129,12 +135,25 @@ def _as_bits(arr: np.ndarray, what: str) -> np.ndarray:
     return arr.astype(np.uint8, copy=False)
 
 
-def pair_distances(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances between matching rows of ``a`` and ``b`` (raw value / scale).
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """0/1 rows (the last axis) packed into uint64 words, the last word
+    zero-padded. Equal rows give equal words, and the XOR of two rows' words
+    has one set bit per position where the rows differ."""
+    nbytes = (bits.shape[-1] + 7) // 8
+    packed = np.zeros(bits.shape[:-1] + (-(-nbytes // 8) * 8,), dtype=np.uint8)
+    packed[..., :nbytes] = np.packbits(bits, axis=-1)
+    return packed.view(np.uint64)
 
-    Rows broadcast, so one point against a matrix gives its distance to
-    every row. Nothing is validated: callers pass checked points.
-    """
+
+def _kernel_form(metric: MetricDescriptor, rows: np.ndarray) -> np.ndarray:
+    """Checked rows as ``_kernel`` reads them: packed words for Hamming."""
+    return _pack_bits(rows) if metric.kind.uses_bits else rows
+
+
+def _kernel(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+    """Distances between matching kernel-form rows of ``a`` and ``b``
+    (raw value / scale); ``dim`` is the bit length of Hamming rows, which
+    their packed words do not show. Rows broadcast."""
     kind = metric.kind
     if kind is MetricKind.EUCLIDEAN:
         diff = a - b
@@ -144,8 +163,20 @@ def pair_distances(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray) -> np
     elif kind is MetricKind.CHEBYSHEV:
         raw = np.abs(a - b).max(axis=-1)
     else:
-        raw = (a != b).sum(axis=-1) / a.shape[-1]
+        raw = np.bitwise_count(a ^ b).sum(axis=-1) / dim
     return raw / metric.scale
+
+
+def pair_distances(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between matching rows of ``a`` and ``b`` (raw value / scale).
+
+    Rows broadcast, so one point against a matrix gives its distance to
+    every row. Nothing is validated: callers pass checked points. Hamming
+    rows are 0/1 here; they are packed into words for the kernel, which
+    counts differing bits with one popcount. Code that holds a ``Dataset``
+    calls ``Dataset.distances`` on its packed rows instead.
+    """
+    return _kernel(metric, _kernel_form(metric, a), _kernel_form(metric, b), a.shape[-1])
 
 
 def all_pair_distances(metric: MetricDescriptor, points: np.ndarray) -> np.ndarray:
@@ -284,14 +315,18 @@ def distances_to(metric: MetricDescriptor, x, points: np.ndarray) -> np.ndarray:
 class Dataset:
     """A point matrix, its metric, and the seed that produced it (if any).
 
-    The points are a private read-only copy of the caller's array. The
-    diameter bound is scanned once, on first use, and cached; rescaled
-    copies share it (see ``diameter_upper_bound``).
+    The points are a private read-only copy of the caller's array.
+    ``kernel_rows`` holds them in the kernel's form, made once: for Hamming
+    the 0/1 rows packed into read-only uint64 words, for real metrics the
+    points themselves. The diameter bound is scanned once, on first use,
+    and cached. Rescaled copies share the points, the kernel rows and the
+    bound (see ``diameter_upper_bound``).
     """
 
     points: np.ndarray
     metric: MetricDescriptor
     seed: int | None = None
+    kernel_rows: np.ndarray = field(init=False, repr=False, compare=False)
     # The raw (scale 1) diameter bound, under "raw" once scanned. Rescaled
     # copies hold this same dict, so one scan serves every scale.
     _bound: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -311,6 +346,9 @@ class Dataset:
             raise InvalidInputError("coordinates must be finite (no NaN or infinity)")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        rows = _kernel_form(self.metric, pts)
+        rows.setflags(write=False)
+        object.__setattr__(self, "kernel_rows", rows)
 
     @property
     def n(self) -> int:
@@ -324,12 +362,20 @@ class Dataset:
         return self.points[i]
 
     def check_query(self, q) -> np.ndarray:
-        """``q`` validated against this dataset's metric and dimension."""
-        return _check_point(self.metric, q, self.dim)
+        """``q`` validated against this dataset's metric and dimension, in
+        the kernel's form (packed words for Hamming)."""
+        return _kernel_form(self.metric, _check_point(self.metric, q, self.dim))
+
+    def distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Distances between matching rows of ``a`` and ``b``, which are
+        kernel rows of this dataset or queries from ``check_query``. Rows
+        broadcast, as in ``pair_distances``."""
+        return _kernel(self.metric, a, b, self.dim)
 
     def rescaled(self, scale: float) -> "Dataset":
         """This dataset under the metric divided by ``scale``. The copy shares
-        the checked point matrix and the cached diameter bound."""
+        the checked point matrix, its kernel rows and the cached diameter
+        bound."""
         out = copy.copy(self)
         object.__setattr__(out, "metric", self.metric.rescaled(scale))
         return out
@@ -372,19 +418,19 @@ def counted_distances_to(oracle: CountingOracle, x, points: np.ndarray) -> np.nd
     return values
 
 
-def _raw_diameter(points: np.ndarray, kind: MetricKind) -> float:
-    """The diameter bound of ``points`` at scale 1: the exact maximum up to
+def _raw_diameter(ds: Dataset) -> float:
+    """The diameter bound of ``ds`` at scale 1: the exact maximum up to
     EXACT_DIAMETER_LIMIT rows, else 2 max_i d(points[0], points[i]), capped
     at 1 for the normalized Hamming metric, which never exceeds it."""
-    metric = MetricDescriptor(kind)
-    n = points.shape[0]
-    if n <= EXACT_DIAMETER_LIMIT:
+    metric = MetricDescriptor(ds.metric.kind)
+    rows = ds.kernel_rows
+    if ds.n <= EXACT_DIAMETER_LIMIT:
         best = 0.0
-        for i in range(n - 1):
-            best = max(best, float(pair_distances(metric, points[i], points[i + 1 :]).max()))
+        for i in range(ds.n - 1):
+            best = max(best, float(_kernel(metric, rows[i], rows[i + 1 :], ds.dim).max()))
         return best
-    bound = 2.0 * float(pair_distances(metric, points[0], points).max())
-    return min(bound, 1.0) if kind.uses_bits else bound
+    bound = 2.0 * float(_kernel(metric, rows[0], rows, ds.dim).max())
+    return min(bound, 1.0) if metric.kind.uses_bits else bound
 
 
 def diameter_upper_bound(ds: Dataset) -> float:
@@ -405,7 +451,7 @@ def diameter_upper_bound(ds: Dataset) -> float:
     if ds.n < 2:
         raise InvalidInputError("diameter bound needs at least 2 points")
     if "raw" not in ds._bound:
-        ds._bound["raw"] = _raw_diameter(ds.points, ds.metric.kind)
+        ds._bound["raw"] = _raw_diameter(ds)
     return ds._bound["raw"] / ds.metric.scale
 
 
@@ -437,11 +483,13 @@ def _parse_real_row(line: str, lineno: int) -> list[float]:
     return values
 
 
-def _parse_bit_row(line: str, lineno: int) -> list[int]:
+def _parse_bit_row(line: str, lineno: int) -> np.ndarray:
     compact = line.replace(",", "").replace(" ", "").replace("\t", "")
-    if not compact or any(c not in "01" for c in compact):
+    # Every byte other than "0" and "1" (48, 49) maps above 1, wrapping below 48.
+    bits = np.frombuffer(compact.encode(), np.uint8) - 48
+    if not bits.size or (bits > 1).any():
         raise InvalidInputError(f"line {lineno}: expected a 0/1 string, got {line.strip()!r}")
-    return [int(c) for c in compact]
+    return bits
 
 
 def load_dataset(path, metric: MetricDescriptor, seed: int | None = None) -> Dataset:

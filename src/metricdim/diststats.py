@@ -29,7 +29,6 @@ from .core import (
     Dataset,
     InvalidInputError,
     all_pair_distances,
-    pair_distances,
 )
 
 PAIR_BUDGET = 5_000_000
@@ -90,13 +89,13 @@ def pairwise_distances(ds: Dataset, mode: PairMode | None = None) -> DistanceSam
     gathers its rows and writes its distances into the output, so neither
     whole index array nor a gathered block of the whole sample is held.
 
-    A chunk is sized by the bytes of rows it gathers per side
+    A chunk is sized by the bytes of kernel rows it gathers per side
     (``_CHUNK_BYTES``), not by a pair count, because the cache sets the
     best size: about 2 MB both for 16 float64 columns (16k pairs) and for
-    512 bits (4k pairs), so any one pair count is too large for one of them
-    or too small for the other. The values do not depend on the chunking:
-    every draw is a pure function of its index, and the kernel works row
-    by row.
+    512 bits packed into 64-byte rows (32k pairs), so a pair count would
+    have to follow the row width. The values do not depend on the
+    chunking: every draw is a pure function of its index, and the kernel
+    works row by row.
     """
     if ds.n < 2:
         raise InvalidInputError("pairwise distances need at least 2 points")
@@ -104,15 +103,15 @@ def pairwise_distances(ds: Dataset, mode: PairMode | None = None) -> DistanceSam
         mode = default_mode(ds.n, seed=ds.seed if ds.seed is not None else 0)
     if isinstance(mode, AllPairs):
         return DistanceSample(all_pair_distances(ds.metric, ds.points), mode, ds.n)
-    points = ds.points
-    per_chunk = max(1, _CHUNK_BYTES // (points.itemsize * ds.dim))
+    rows = ds.kernel_rows
+    per_chunk = max(1, _CHUNK_BYTES // rows[0].nbytes)
     out = np.empty(mode.m)
     for start in range(0, mode.m, per_chunk):
         stop = min(start + per_chunk, mode.m)
         ii = rng._draw_range(mode.seed, start, stop, ds.n, stream=0)
         jj = rng._draw_range(mode.seed, start, stop, ds.n - 1, stream=1)
         jj += jj >= ii
-        out[start:stop] = pair_distances(ds.metric, np.take(points, ii, axis=0), np.take(points, jj, axis=0))
+        out[start:stop] = ds.distances(np.take(rows, ii, axis=0), np.take(rows, jj, axis=0))
     return DistanceSample(out, mode, ds.n)
 
 
@@ -224,12 +223,12 @@ def nn_statistics(
     if sample is not None and sample.n != ds.n:
         raise InvalidInputError("the pair sample was not drawn from this dataset")
     nn_sum = 0.0
-    for q in queries.points:
-        dv = pair_distances(ds.metric, q, ds.points)
+    for q in queries.kernel_rows:
+        dv = ds.distances(q, ds.kernel_rows)
         if oracle is not None:
             oracle.add(ds.n)
         if leave_one_out:
-            dv = dv[~(ds.points == q).all(axis=1)]
+            dv = dv[~(ds.kernel_rows == q).all(axis=1)]
             if dv.size == 0:
                 raise InvalidInputError("leave-one-out excluded every data point for a query")
         nn_sum += float(dv.min())

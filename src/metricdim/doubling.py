@@ -30,7 +30,6 @@ from .core import (
     InvalidInputError,
     diameter_upper_bound,
     first_occurrence_indices,
-    pair_distances,
     within_radius,
 )
 
@@ -78,7 +77,8 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
 
     Repeatedly picks the lowest-index uncovered point as a new center and
     marks everything within the radius as covered. Deterministic.
-    ``subset`` holds integer point indices in [0, n); duplicates count once.
+    ``subset`` holds integer point indices in [0, n); duplicates count once,
+    and a strictly ascending subset is taken as it is, without a sort.
     Centers ascend, so a point's owner is its lowest-index center in reach.
 
     The work runs in blocks. The first b uncovered points (ascending) are
@@ -103,7 +103,8 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
         raise InvalidInputError(f"subset indices must lie in [0, {ds.n})")
     if not radius > 0:
         raise InvalidInputError("cover radius must be positive")
-    subset = np.unique(idx).astype(np.int64)
+    subset = idx if (idx[1:] > idx[:-1]).all() else np.unique(idx)
+    subset = subset.astype(np.int64, copy=False)
     pts = ds.points[subset]
     uncovered = np.arange(subset.size)
     owners = np.empty(subset.size, dtype=np.int64)
@@ -148,9 +149,10 @@ def probe_rows(ds: Dataset, probes: int, seed: int = 0) -> list[ProbeRecord]:
     radii = bound * np.exp(log_span * (1.0 - rng.uniform01(seed, probes, stream=1)))
     radii[0] = bound
 
+    rows = distinct.kernel_rows
     records = []
     for center, radius in zip(centers.tolist(), radii.tolist()):
-        ball = np.flatnonzero(pair_distances(distinct.metric, distinct.points[center], distinct.points) <= radius)
+        ball = np.flatnonzero(distinct.distances(rows[center], rows) <= radius)
         cover = greedy_cover(distinct, ball, radius / 2.0)
         records.append(ProbeRecord(int(keep[center]), float(radius), len(cover.centers)))
     return records

@@ -34,7 +34,6 @@ from .core import (
     InvariantViolation,
     diameter_upper_bound,
     first_occurrence_indices,
-    pair_distances,
 )
 from .doubling import greedy_cover
 from .pivot import QueryStats, _check_eps, _verified_result
@@ -115,12 +114,13 @@ def net_range_query(
     """
     _check_eps(eps)
     q = ds.check_query(q)
+    rows = ds.kernel_rows
     root = tree.levels[0]
-    live = np.array([pair_distances(ds.metric, q, ds.points[root.nodes[0]]) <= eps + 2.0 * root.radius])
+    live = np.array([ds.distances(q, rows[root.nodes[0]]) <= eps + 2.0 * root.radius])
     computations = 1
     for level in tree.levels[1:]:
         visit = np.flatnonzero(live[level.parents])
-        dv = pair_distances(ds.metric, q, ds.points[level.nodes[visit]])
+        dv = ds.distances(q, rows[level.nodes[visit]])
         computations += dv.size
         live = np.zeros(level.nodes.size, dtype=bool)
         live[visit] = dv <= eps + 2.0 * level.radius
@@ -132,13 +132,14 @@ def verify_net_invariants(tree: NetTree, ds: Dataset) -> None:
     queries rest on; raises InvariantViolation."""
     if tree.levels[0].nodes.size != 1 or tree.levels[0].parents.tolist() != [-1]:
         raise InvariantViolation("net tree must have a single root, with parent -1")
+    rows = ds.kernel_rows
     for level in tree.levels:
-        node_pts = ds.points[level.nodes]
+        node_rows = rows[level.nodes]
         covered = np.zeros(ds.n, dtype=bool)
         for pos, node in enumerate(level.nodes.tolist()):
-            dv = pair_distances(ds.metric, ds.points[node], ds.points)
+            dv = ds.distances(rows[node], rows)
             covered |= dv <= level.radius
-            to_others = pair_distances(ds.metric, ds.points[node], node_pts)
+            to_others = ds.distances(rows[node], node_rows)
             to_others[pos] = np.inf
             if level.nodes.size > 1 and float(to_others.min()) <= level.radius:
                 raise InvariantViolation(f"net nodes not more than the level radius {level.radius} apart")
@@ -149,10 +150,10 @@ def verify_net_invariants(tree: NetTree, ds: Dataset) -> None:
         parents = level.parents
         if parents.shape != level.nodes.shape or (parents < 0).any() or (parents >= above.nodes.size).any():
             raise InvariantViolation(f"parents of level {i} are not positions in level {i - 1}")
-        if (pair_distances(ds.metric, ds.points[level.nodes], ds.points[above.nodes[parents]]) > above.radius).any():
+        if (ds.distances(rows[level.nodes], rows[above.nodes[parents]]) > above.radius).any():
             raise InvariantViolation("parent link longer than the level radius")
     bottom, owners = tree.levels[-1], tree.owners
     if owners.shape != (ds.n,) or (owners < 0).any() or (owners >= bottom.nodes.size).any():
         raise InvariantViolation("owners are not one bottom-level position per point")
-    if (pair_distances(ds.metric, ds.points, ds.points[bottom.nodes[owners]]) > bottom.radius).any():
+    if (ds.distances(rows, rows[bottom.nodes[owners]]) > bottom.radius).any():
         raise InvariantViolation(f"bottom members not within the bottom radius {bottom.radius} of their node")

@@ -28,14 +28,7 @@ from typing import Union
 import numpy as np
 
 from . import rng
-from .core import (
-    CountingOracle,
-    Dataset,
-    InvalidInputError,
-    counted_distances_to,
-    distances_to,
-    pair_distances,
-)
+from .core import CountingOracle, Dataset, InvalidInputError
 from .generate import Family, GeneratorSpec, generate
 
 PRUNE_WIDENING = 1e-12
@@ -88,7 +81,7 @@ def _select_farthest_first(ds: Dataset, k: int, seed: int, oracle: CountingOracl
 def _distances_from(ds: Dataset, index: int, oracle: CountingOracle | None) -> np.ndarray:
     if oracle is not None:
         oracle.add(ds.n)
-    return pair_distances(ds.metric, ds.points[index], ds.points)
+    return ds.distances(ds.kernel_rows[index], ds.kernel_rows)
 
 
 def build_pivot_index(ds: Dataset, k: int, policy: PivotPolicy, oracle: CountingOracle | None = None) -> PivotIndex:
@@ -125,8 +118,9 @@ def _verified_result(
     oracle: CountingOracle | None,
 ) -> tuple[set[int], QueryStats]:
     """The tail of an indexed range query: verify the candidates with one
-    kernel call and charge the oracle once, for pruning and verification."""
-    verified = pair_distances(ds.metric, q, ds.points[candidates])
+    kernel call and charge the oracle once, for pruning and verification.
+    ``q`` is a query from ``ds.check_query``."""
+    verified = ds.distances(q, ds.kernel_rows[candidates])
     result = set(candidates[verified < eps].tolist())
     computations = pruning_computations + verified.size
     if oracle is not None:
@@ -150,7 +144,7 @@ def range_query(
     """All points strictly within eps of q, with pruning statistics."""
     _check_eps(eps)
     q = ds.check_query(q)
-    q_to_pivot = pair_distances(ds.metric, q, ds.points[index.pivots])
+    q_to_pivot = ds.distances(q, ds.kernel_rows[index.pivots])
     survives = (np.abs(index.table - q_to_pivot) <= eps + PRUNE_WIDENING).all(axis=1)
     return _verified_result(ds, q, eps, np.flatnonzero(survives), q_to_pivot.size, oracle)
 
@@ -158,9 +152,9 @@ def range_query(
 def sequential_scan(ds: Dataset, q, eps: float, oracle: CountingOracle | None = None) -> set[int]:
     """The baseline: evaluate the true distance to every point."""
     _check_eps(eps)
-    if oracle is None:
-        oracle = CountingOracle(ds.metric)
-    dv = counted_distances_to(oracle, q, ds.points)
+    dv = ds.distances(ds.check_query(q), ds.kernel_rows)
+    if oracle is not None:
+        oracle.add(ds.n)
     return set(np.flatnonzero(dv < eps).tolist())
 
 
@@ -174,7 +168,7 @@ def calibrate_eps(ds: Dataset, q, target_result_size: int) -> float:
         raise InvalidInputError("target result size must be >= 1")
     if target_result_size > ds.n:
         raise InvalidInputError("target result size exceeds the dataset size")
-    dv = distances_to(ds.metric, q, ds.points)
+    dv = ds.distances(ds.check_query(q), ds.kernel_rows)
     lo = 0.0
     hi = max(float(dv.max()) * 2.0, 1e-300)
     for _ in range(CALIBRATION_ITERATIONS):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -249,9 +250,9 @@ class TestDiameterScans:
         sizes = []
         scan = core._raw_diameter
 
-        def counted(points, kind):
-            sizes.append(points.shape[0])
-            return scan(points, kind)
+        def counted(ds):
+            sizes.append(ds.n)
+            return scan(ds)
 
         monkeypatch.setattr(core, "_raw_diameter", counted)
         return sizes
@@ -274,6 +275,43 @@ class TestDiameterScans:
     def test_fig_a(self, scans, capsys):
         assert run_cli(["fig-a", "--d", "2,20,200", "--n", "40"], capsys)[0] == 0
         assert scans == [40, 40, 40]
+
+
+class TestHammingOutputDigests:
+    """SHA-256 of small Hamming outputs, recorded with the uint8 kernel
+    ``(a != b).sum``; the packed popcount kernel must give the same bytes.
+    The 2,000-row file takes the exact diameter scan and every pair, the
+    4,000-row file the triangle bound and the sampled pairs."""
+
+    DIGESTS = {
+        "fig-c": (["fig-c", "--d", "16,64", "--n", "2000"], "adc2397f451a3f02c919c05faf42e30f3b68edaa4a1dcc401ecfffc815a016b9"),
+        "pivot-sweep": (
+            ["pivot-sweep", "--family", "hamming", "--d", "8,32,128", "--n", "2000"],
+            "f6c40ef4543e493f8082ed6ee0549003dcf65e281adccb282a93f3bf42db3902",
+        ),
+        "nettree-stats": (
+            ["nettree-stats", "--workloads", "hamming:16,hamming:64", "--n", "500"],
+            "93a192c5d9e6a898b27290c22694f50c7c7890794381e8c1e2d789e6dec426b7",
+        ),
+        "estimate-exact": (
+            ["estimate", "--metric", "hamming", "--in", "bits2000.txt"],
+            "9c5f693318ed570797d4cc8b4a0ecc27b6e362b59f5ff6ea9c9b5c5914e1e9e7",
+        ),
+        "estimate-sampled": (
+            ["estimate", "--metric", "hamming", "--in", "bits4000.txt"],
+            "ff4afc0200071b0eea69ce424b78515cb854e69a20ac65e38f0b6521ad93fbf9",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", DIGESTS)
+    def test_output_matches_its_digest(self, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # estimate echoes its relative --in path
+        for n in (2000, 4000):
+            assert cli.main(["generate", "--family", "hamming", "--d", "70", "--n", str(n), "--out", f"bits{n}.txt"]) == 0
+        args, digest = self.DIGESTS[name]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestGenerateCommand:

@@ -151,6 +151,42 @@ def test_batch_equals_scalar_exactly(metric, data):
     assert distances_to(metric, q, pts).tolist() == [distance(metric, q, p) for p in pts]
 
 
+def reference_hamming(a, b, scale):
+    """Differing bits of each broadcast row pair, counted in plain Python,
+    divided by the bit length and then by the scale."""
+    a, b = np.broadcast_arrays(a, b)
+    d = a.shape[-1]
+    rows = zip(a.reshape(-1, d).tolist(), b.reshape(-1, d).tolist())
+    return np.array([sum(x != y for x, y in zip(ra, rb)) / d / scale for ra, rb in rows]).reshape(a.shape[:-1])
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_packed_hamming_kernel_counts_every_bit(data):
+    # Widths 1-200 give every remainder mod 8 (bytes) and mod 64 (words);
+    # densities 0 and 1 fill whole words and leave only the padding clear.
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    d, m, k = data.draw(st.integers(1, 200)), data.draw(st.integers(1, 30)), data.draw(st.integers(1, 6))
+    density = data.draw(st.sampled_from([0.0, 0.5, 1.0, float(g.random())]))
+    pts = (g.random((m, d)) < density).astype(np.uint8)
+    q = g.integers(0, 2, d).astype(np.uint8)
+    scale = data.draw(st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
+    metric = MetricDescriptor(MetricKind.HAMMING, scale)
+    ds = Dataset(pts, metric)
+    rows = ds.kernel_rows
+    assert rows.dtype == np.uint64 and rows.shape == (m, -(-d // 64))
+
+    one_to_many = reference_hamming(q, pts, scale).tolist()
+    assert pair_distances(metric, q, pts).tolist() == one_to_many
+    assert ds.distances(ds.check_query(q), rows).tolist() == one_to_many
+
+    blocks = reference_hamming(pts[:k, None], pts[None], scale).tolist()
+    assert pair_distances(metric, pts[:k, None], pts[None]).tolist() == blocks
+    assert ds.distances(rows[:k, None], rows[None]).tolist() == blocks
+    rescaled = Dataset(pts, HAMMING).rescaled(scale)
+    assert rescaled.distances(rows[:k, None], rows[None]).tolist() == blocks
+
+
 # Row layouts for the ball predicate: "offset" needs the centring, "huge"
 # overflows squares (every pair goes to the kernel), "tiny" lies below the
 # screen's range, "grid" puts distances exactly on radii like sqrt(2), and
@@ -404,6 +440,14 @@ class TestDatasetIO:
         ds = Dataset(np.array([[1.0]]), EUCLID)
         with pytest.raises(ValueError):
             ds.points[0, 0] = 2.0
+
+    def test_rescaled_copy_shares_the_read_only_packed_words(self):
+        ds = Dataset(np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8), HAMMING)
+        # np.packbits order (first bit highest), zero-padded to one 8-byte word
+        assert ds.kernel_rows.view(np.uint8).tolist() == [[0b01100000] + [0] * 7, [0b10000000] + [0] * 7]
+        assert ds.rescaled(0.25).kernel_rows is ds.kernel_rows
+        with pytest.raises(ValueError):
+            ds.kernel_rows[0, 0] = 0
 
 
 # Every public entry point that takes an outside point validates it once,

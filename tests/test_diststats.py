@@ -136,7 +136,7 @@ def test_sample_is_independent_of_the_chunking(metric, monkeypatch):
     ds = Dataset(pts, metric)
     per_chunk = 7
     # Seven pairs per chunk: 143 whole chunks and a ragged tail of two.
-    monkeypatch.setattr(diststats, "_CHUNK_BYTES", per_chunk * ds.points.itemsize * dim)
+    monkeypatch.setattr(diststats, "_CHUNK_BYTES", per_chunk * ds.kernel_rows[0].nbytes)
     chunked = pairwise_distances(ds, SampledPairs(m, seed)).values
     ii = rng.integers(seed, m, n, stream=0)
     jj = rng.integers(seed, m, n - 1, stream=1)

@@ -74,8 +74,9 @@ GRID_RADII = (1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0)
 
 @st.composite
 def cover_inputs(draw, kind):
-    """A dataset, an unsorted subset with repeats, and a cover radius that is
-    often exactly one of the data's distances."""
+    """A dataset, a subset (unsorted with repeats, or strictly ascending as
+    the internal callers pass it) and a cover radius that is often exactly
+    one of the data's distances."""
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, dim = draw(st.integers(1, 150)), draw(st.integers(1, 6))
     if kind is MetricKind.HAMMING:
@@ -87,6 +88,8 @@ def cover_inputs(draw, kind):
         points = COVER_LAYOUTS[layout](g, (n, dim))
     ds = Dataset(points, MetricDescriptor(kind))
     subset = g.integers(0, n, draw(st.integers(1, 2 * n)))
+    if draw(st.booleans()):
+        subset = np.unique(subset)
     row = pair_distances(ds.metric, ds.points[subset[0]], ds.points[subset])
     options = [float(v) for v in np.unique(row) if v > 0] + list(GRID_RADII) + [math.inf]
     return ds, subset, draw(st.sampled_from(options))
