@@ -17,15 +17,21 @@ and calls the same kernel. ``all_pair_distances`` adds the Gram-identity
 enumeration, and ``within_radius`` is the ball-membership predicate
 ``pair_distances(...) <= radius`` for every pair of two row blocks, equal
 to the kernel's answer element by element (a Gram screen decides the pairs
-its rounding bound can, the kernel the rest); both read 0/1 rows. Rows are
-validated when a ``Dataset`` is built (``load_dataset`` builds one); each
-public entry point that takes an outside point validates it once, at entry
-(``Dataset.check_query``); internal loops over dataset rows call the
-kernel directly, through ``Dataset.distances``.
+its rounding bound can, the kernel the rest); both read 0/1 rows. The
+screen is ``_BallScreen``: it prepares a row set once (centred rows and
+squared norms, or float32 bits and bit counts) and answers for any two
+index blocks of it, so a greedy cover, which screens many blocks of the
+same rows, pays the preparation once and ``within_radius`` is its one-shot
+use. Rows are validated when a ``Dataset`` is built (``load_dataset``
+builds one); each public entry point that takes an outside point validates
+it once, at entry (``Dataset.check_query``); internal loops over dataset
+rows call the kernel directly, through ``Dataset.distances``.
 
 The diameter bound is one quantity per dataset: it is scanned once, at
 scale 1, cached on the ``Dataset`` and shared with every rescaled copy,
-which gives the same bits as a fresh scan at the new scale.
+which gives the same bits as a fresh scan at the new scale. The exact
+scan measures blocks of rows against the rows after them, a few kernel
+calls in all rather than one per row.
 
 Precision: distances are computed in double precision; the Euclidean
 metric is the square root of the sum of squared differences, so
@@ -195,7 +201,9 @@ def all_pair_distances(metric: MetricDescriptor, points: np.ndarray) -> np.ndarr
         d2 = sq[iu] + sq[ju] - 2.0 * gram[iu, ju]
         np.maximum(d2, 0.0, out=d2)
         return np.sqrt(d2) / metric.scale
-    diff = _bit_difference_counts(points, points, np.matmul)[iu, ju]
+    bits = points.astype(np.float32)
+    ones = bits.sum(axis=1)
+    diff = _bit_difference_counts(bits, ones, bits, ones, np.matmul)[iu, ju]
     return diff.astype(np.float64) / points.shape[1] / metric.scale
 
 
@@ -215,18 +223,17 @@ def _chunked_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bit_difference_counts(a: np.ndarray, b: np.ndarray, matmul) -> np.ndarray:
-    """Differing bits of every row pair: |x XOR y| = |x| + |y| - 2 x.y.
+def _bit_difference_counts(fa: np.ndarray, ca: np.ndarray, fb: np.ndarray, cb: np.ndarray, matmul) -> np.ndarray:
+    """Differing bits of every row pair: |x XOR y| = |x| + |y| - 2 x.y, from
+    0/1 rows as float32 (``fa``, ``fb``) and their bit counts (``ca``, ``cb``).
 
     Every partial sum is an integer below 2**24, so the float32 result is
     exact for d < 2**24 whatever order ``matmul`` sums the products in.
     """
-    fa = a.astype(np.float32)
-    fb = b.astype(np.float32)
     counts = matmul(fa, fb.T)
     counts *= -2.0
-    counts += fa.sum(axis=1)[:, None]
-    counts += fb.sum(axis=1)[None, :]
+    counts += ca[:, None]
+    counts += cb[None, :]
     return counts
 
 
@@ -237,65 +244,100 @@ _SCREEN_RANGE = (2.0**-256, 2.0**256)
 _UNIT_ROUNDOFF = 2.0**-53
 
 
+class _BallScreen:
+    """Exact ball membership between index blocks of one row set, with the
+    per-row work done once.
+
+    Built from checked rows (0/1 rows for Hamming), it holds the metric's
+    prepared form: for Euclidean the rows centred on ``rows[0]`` and their
+    squared norms, for Hamming the rows as float32 and their bit counts, for
+    Manhattan and Chebyshev the rows themselves. ``within`` gathers what two
+    index blocks need, so a caller that screens many blocks of the same rows
+    (a greedy cover) prepares them once.
+    """
+
+    def __init__(self, metric: MetricDescriptor, rows: np.ndarray):
+        self.metric = metric
+        self.rows = rows
+        if metric.kind is MetricKind.EUCLIDEAN:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._form = rows - rows[0]
+                self._norms = np.einsum("ij,ij->i", self._form, self._form)
+        elif metric.kind is MetricKind.HAMMING:
+            self._form = rows.astype(np.float32)
+            self._norms = self._form.sum(axis=1)
+
+    def within(self, ia: np.ndarray, ib: np.ndarray, radius: float) -> np.ndarray:
+        """The boolean matrix ``pair_distances(metric, rows[ia][:, None],
+        rows[ib][None]) <= radius``, equal to it element by element. ``ia``
+        and ``ib`` are non-empty integer index arrays; neither needs to hold
+        the centre row."""
+        kind = self.metric.kind
+        if kind is MetricKind.HAMMING:
+            form, ones = self._form, self._norms
+            counts = _bit_difference_counts(form[ia], ones[ia], form[ib], ones[ib], _chunked_matmul)
+            return counts.astype(np.float64) / self.rows.shape[1] / self.metric.scale <= radius
+        if kind is MetricKind.EUCLIDEAN:
+            return self._euclidean_within(ia, ib, radius)
+        return self._kernel_within(ia, ib, radius)
+
+    def _kernel_within(self, ia: np.ndarray, ib: np.ndarray, radius: float) -> np.ndarray:
+        b = self.rows[ib]
+        out = np.empty((len(ia), b.shape[0]), dtype=bool)
+        for i, row in enumerate(self.rows[ia]):
+            out[i] = pair_distances(self.metric, row, b) <= radius
+        return out
+
+    def _euclidean_within(self, ia: np.ndarray, ib: np.ndarray, radius: float) -> np.ndarray:
+        t = float(radius) * self.metric.scale
+        na, nb = self._norms[ia], self._norms[ib]
+        reach = math.sqrt(na.max()) + math.sqrt(nb.max())
+        lo, hi = _SCREEN_RANGE
+        if not all(lo <= x <= hi for x in (radius, t, reach)):
+            return self._kernel_within(ia, ib, radius)
+        ac = self._form[ia]
+        ac *= -2.0
+        gap = _chunked_matmul(ac, self._form[ib].T)
+        gap += na[:, None]
+        gap += (nb - t * t)[None, :]
+        band = 4.0 * (self.rows.shape[1] + 8) * _UNIT_ROUNDOFF * (reach * reach + t * t)
+        inside = gap <= 0.0
+        ambiguous = np.abs(gap, out=gap) <= band
+        if ambiguous.any():
+            ii, jj = np.nonzero(ambiguous)
+            inside[ii, jj] = pair_distances(self.metric, self.rows[ia[ii]], self.rows[ib[jj]]) <= radius
+        return inside
+
+
 def within_radius(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     """The boolean matrix ``pair_distances(metric, a[:, None], b[None]) <= radius``.
 
     The result equals that expression element by element, at a fraction of
-    its cost. Hamming counts differing bits with the exact Gram identity;
-    Manhattan and Chebyshev run one kernel row per row of ``a``. ``a`` and
-    ``b`` are non-empty row blocks.
+    its cost. ``a`` and ``b`` are non-empty row blocks. This is the one-shot
+    use of ``_BallScreen`` on the rows of ``a`` and ``b``, centred on
+    ``a[0]``. Hamming counts differing bits with the exact Gram identity;
+    Manhattan and Chebyshev run one kernel row per row of ``a``.
 
-    Euclidean screens with a Gram product on coordinates centred on
-    ``a[0]``: g = |a'|^2 + |b'|^2 - 2 a'.b' against t^2, t = radius * scale.
-    With u = 2**-53 and the reach R = max |a'| + max |b'| (no distance
-    exceeds it), the squared-distance error of the centring is at most
-    3 u R^2, of the Gram product and its three additions
-    gamma_d R^2 + 3 u (R^2 + t^2), of t^2 3 u t^2, and of the kernel (its
-    differences, squares and sum, the square root and the division by
-    scale) gamma_{d+6} max(R^2, t^2). They sum to at most
-    (2 d + 12) u (R^2 + t^2) to first order, and the band keeps more than
-    twice that: a pair with |g - t^2| <= 4 (d + 8) u (R^2 + t^2) is decided
-    by ``pair_distances`` itself, and every other pair lies on the same side
-    of the radius for both. Inside ``_SCREEN_RANGE`` every screen value is
-    finite; outside it (an infinite radius, coordinates near overflow, all
-    points equal) every pair goes to the kernel.
+    Euclidean screens with a Gram product on coordinates centred on a
+    shared centre c, one of the screen's rows: with a' = a - c and
+    b' = b - c, g = |a'|^2 + |b'|^2 - 2 a'.b' against t^2, t = radius * scale.
+    With u = 2**-53 and the reach R = max |a'| + max |b'| over the two
+    blocks (no distance between them exceeds it, wherever c lies), the
+    squared-distance error of the centring is at most 3 u R^2, of the Gram
+    product and its three additions gamma_d R^2 + 3 u (R^2 + t^2), of t^2
+    3 u t^2, and of the kernel (its differences, squares and sum, the
+    square root and the division by scale) gamma_{d+6} max(R^2, t^2). They
+    sum to at most (2 d + 12) u (R^2 + t^2) to first order, and the band
+    keeps more than twice that: a pair with |g - t^2| <= 4 (d + 8) u
+    (R^2 + t^2) is decided by ``pair_distances`` itself, and every other
+    pair lies on the same side of the radius for both. The argument uses c
+    only through R, so it holds for blocks that do not contain c. Inside
+    ``_SCREEN_RANGE`` every screen value is finite; outside it (an infinite
+    radius, coordinates near overflow, all points equal to c) every pair
+    goes to the kernel.
     """
-    kind = metric.kind
-    if kind is MetricKind.HAMMING:
-        counts = _bit_difference_counts(a, b, _chunked_matmul)
-        return counts.astype(np.float64) / a.shape[1] / metric.scale <= radius
-    if kind is MetricKind.EUCLIDEAN:
-        return _euclidean_within(metric, a, b, radius)
-    return _kernel_within(metric, a, b, radius)
-
-
-def _kernel_within(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
-    out = np.empty((a.shape[0], b.shape[0]), dtype=bool)
-    for i, row in enumerate(a):
-        out[i] = pair_distances(metric, row, b) <= radius
-    return out
-
-
-def _euclidean_within(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
-    t = float(radius) * metric.scale
-    with np.errstate(over="ignore", invalid="ignore"):
-        ac = a - a[0]
-        bc = b - a[0]
-        na = np.einsum("ij,ij->i", ac, ac)
-        nb = np.einsum("ij,ij->i", bc, bc)
-        reach = math.sqrt(na.max()) + math.sqrt(nb.max())
-    lo, hi = _SCREEN_RANGE
-    if not all(lo <= x <= hi for x in (radius, t, reach)):
-        return _kernel_within(metric, a, b, radius)
-    gap = _chunked_matmul(-2.0 * ac, bc.T)
-    gap += na[:, None]
-    gap += (nb - t * t)[None, :]
-    band = 4.0 * (a.shape[1] + 8) * _UNIT_ROUNDOFF * (reach * reach + t * t)
-    inside = gap <= 0.0
-    ii, jj = np.nonzero(np.abs(gap) <= band)
-    if ii.size:
-        inside[ii, jj] = pair_distances(metric, a[ii], b[jj]) <= radius
-    return inside
+    screen = _BallScreen(metric, np.concatenate([a, b]))
+    return screen.within(np.arange(len(a)), np.arange(len(a), len(a) + len(b)), radius)
 
 
 def distance(metric: MetricDescriptor, x, y) -> float:
@@ -418,16 +460,33 @@ def counted_distances_to(oracle: CountingOracle, x, points: np.ndarray) -> np.nd
     return values
 
 
+# The exact diameter scan measures blocks of rows against the rows after
+# them; a block's kernel temporaries (per pair, one row of differences or
+# XORed words and two float64 results) hold at most this many bytes. 1 MiB
+# kept nettree-stats' peak RSS where the row loop had it; 2 MiB raised it
+# and was slower on narrow rows.
+_SCAN_BYTES = 2**20
+
+
 def _raw_diameter(ds: Dataset) -> float:
     """The diameter bound of ``ds`` at scale 1: the exact maximum up to
     EXACT_DIAMETER_LIMIT rows, else 2 max_i d(points[0], points[i]), capped
-    at 1 for the normalized Hamming metric, which never exceeds it."""
+    at 1 for the normalized Hamming metric, which never exceeds it.
+
+    The exact scan takes rows i..i+B-1 against every row after i, so a block
+    also meets pairs it has already seen, reversed, and each row itself.
+    The kernel is symmetric bit for bit and works pair by pair, so the
+    maximum equals that of the one-row-at-a-time loop."""
     metric = MetricDescriptor(ds.metric.kind)
     rows = ds.kernel_rows
     if ds.n <= EXACT_DIAMETER_LIMIT:
         best = 0.0
-        for i in range(ds.n - 1):
-            best = max(best, float(_kernel(metric, rows[i], rows[i + 1 :], ds.dim).max()))
+        i = 0
+        while i < ds.n - 1:
+            step = max(1, _SCAN_BYTES // ((ds.n - 1 - i) * (rows[0].nbytes + 16)))
+            block = _kernel(metric, rows[i : i + step, None], rows[None, i + 1 :], ds.dim)
+            best = max(best, float(block.max()))
+            i += step
         return best
     bound = 2.0 * float(_kernel(metric, rows[0], rows, ds.dim).max())
     return min(bound, 1.0) if metric.kind.uses_bits else bound
@@ -475,10 +534,10 @@ def first_occurrence_indices(points: np.ndarray) -> np.ndarray:
 def _parse_real_row(line: str, lineno: int) -> list[float]:
     fields = line.replace(",", " ").split()
     try:
-        values = [float(f) for f in fields]
+        values = list(map(float, fields))
     except ValueError as exc:
         raise InvalidInputError(f"line {lineno}: not a numeric row: {exc}") from None
-    if not all(math.isfinite(v) for v in values):
+    if not all(map(math.isfinite, values)):
         raise InvalidInputError(f"line {lineno}: coordinates must be finite")
     return values
 

@@ -222,13 +222,17 @@ def nn_statistics(
         raise InvalidInputError("queries do not match the dataset's dimension and metric")
     if sample is not None and sample.n != ds.n:
         raise InvalidInputError("the pair sample was not drawn from this dataset")
+    rows = ds.kernel_rows
     nn_sum = 0.0
     for q in queries.kernel_rows:
-        dv = ds.distances(q, ds.kernel_rows)
+        dv = ds.distances(q, rows)
         if oracle is not None:
             oracle.add(ds.n)
         if leave_one_out:
-            dv = dv[~(ds.kernel_rows == q).all(axis=1)]
+            # A coordinate-identical row is at distance exactly 0, so only
+            # the zeros need their coordinates compared.
+            zero = np.flatnonzero(dv == 0.0)
+            dv = np.delete(dv, zero[(rows[zero] == q).all(axis=1)])
             if dv.size == 0:
                 raise InvalidInputError("leave-one-out excluded every data point for a query")
         nn_sum += float(dv.min())

@@ -10,11 +10,11 @@ scales. Radius halving is used rather than diameter halving; the two
 definitions differ by at most a constant factor in rho.
 
 Covers are built in blocks: the lowest-index uncovered points are screened
-against every uncovered point with one ``core.within_radius`` call, the
-greedy order inside the block is settled from that matrix, and the covered
-points leave a compacted index array. The centers are those of the
-one-center-at-a-time loop, because ``within_radius`` answers exactly as
-the distance kernel does.
+against every uncovered point with one exact ball screen (``core._BallScreen``,
+prepared once per cover), the greedy order inside the block is settled from
+that matrix, and the covered points leave a compacted index array. The
+centers are those of the one-center-at-a-time loop, because the screen
+answers exactly as the distance kernel does.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from . import rng
 from .core import (
     Dataset,
     InvalidInputError,
+    _BallScreen,
     diameter_upper_bound,
     first_occurrence_indices,
-    within_radius,
 )
 
 # Probed radii run log-uniformly from this fraction of the diameter bound
@@ -81,16 +81,20 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
     and a strictly ascending subset is taken as it is, without a sort.
     Centers ascend, so a point's owner is its lowest-index center in reach.
 
-    The work runs in blocks. The first b uncovered points (ascending) are
-    candidates, and one ``within_radius`` matrix holds their ball
-    membership against all uncovered points. Candidate 0 is a center; the
-    next center is the first candidate no center so far covers, and so on,
-    one step per center. That is the loop's order exactly: the candidates
-    are consecutive among the uncovered points, distances are symmetric,
-    and ``within_radius`` equals the kernel's ``<=`` pair by pair. Every
-    candidate ends the block covered; a point the block covers is owned by
-    the first picked row that holds it. b is twice the centers the previous
-    block found, at most ``_BLOCK_ENTRIES`` matrix entries.
+    The subset's rows are prepared for the ball screen once
+    (``core._BallScreen``), and the work runs in blocks. The first b
+    uncovered points (ascending) are candidates, and one screen matrix holds
+    their ball membership against all uncovered points. Candidate 0 is a
+    center; the next center is the first candidate no center so far covers,
+    and so on, one step per center. That is the loop's order exactly: the
+    candidates are consecutive among the uncovered points, distances are
+    symmetric, and the screen equals the kernel's ``<=`` pair by pair. The
+    picks run on bitsets: the covered candidates are one Python int, and a
+    step takes its lowest clear bit and ORs in that candidate's row of the
+    b x b candidate square. They end because every candidate covers itself
+    (d = 0 <= r); a point the block covers is owned by the first picked row
+    that holds it. b is twice the centers the previous block found, at most
+    ``_BLOCK_ENTRIES`` matrix entries.
     """
     idx = np.asarray(subset)
     if idx.ndim != 1:
@@ -105,25 +109,40 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
         raise InvalidInputError("cover radius must be positive")
     subset = idx if (idx[1:] > idx[:-1]).all() else np.unique(idx)
     subset = subset.astype(np.int64, copy=False)
-    pts = ds.points[subset]
+    screen = _BallScreen(ds.metric, ds.points[subset])
     uncovered = np.arange(subset.size)
     owners = np.empty(subset.size, dtype=np.int64)
     centers = []
     size = 1
     while uncovered.size:
         size = min(size, uncovered.size, max(1, _BLOCK_ENTRIES // uncovered.size))
-        within = within_radius(ds.metric, pts[uncovered[:size]], pts[uncovered], radius)
-        picked = [0]
-        covered = within[0].copy()
-        while not covered[:size].all():
-            k = int(np.argmin(covered[:size]))
-            picked.append(k)
-            covered |= within[k]
-        owners[uncovered[covered]] = len(centers) + np.argmax(within[picked][:, covered], axis=0)
+        within = screen.within(uncovered[:size], uncovered, radius)
+        picked = _pick_centers(within[:, :size])
+        rows = within[picked]
+        covered = rows.any(axis=0)
+        owners[uncovered[covered]] = len(centers) + np.argmax(rows[:, covered], axis=0)
         centers.extend(subset[uncovered[picked]].tolist())
         uncovered = uncovered[~covered]
         size = 2 * len(picked)
     return CoverResult(np.asarray(centers, dtype=np.int64), radius, int(subset.size), owners)
+
+
+def _pick_centers(square: np.ndarray) -> list[int]:
+    """Greedy centers among b candidates, from their b x b ball matrix: the
+    first candidate, then each time the first one no pick so far covers.
+    A picked row k is read as the int whose bit j is ``square[k, j]``."""
+    size = square.shape[0]
+    packed = np.packbits(square, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    full = (1 << size) - 1
+    covered = 0
+    picked = []
+    while covered != full:
+        k = (~covered & (covered + 1)).bit_length() - 1
+        picked.append(k)
+        covered |= int.from_bytes(data[k * width : (k + 1) * width], "little")
+    return picked
 
 
 def probe_rows(ds: Dataset, probes: int, seed: int = 0) -> list[ProbeRecord]:

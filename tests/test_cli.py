@@ -314,6 +314,48 @@ class TestHammingOutputDigests:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestCoverOutputDigests:
+    """SHA-256 of small real-metric outputs whose doubling probes and net
+    trees run greedy covers, recorded with the one-center-at-a-time settle
+    loop and a screen prepared per block; the prepared screen and the bitset
+    picks must give the same bytes. The 2,000-row file takes the exact
+    diameter scan and every pair, the 4,000-row file the triangle bound and
+    the sampled pairs (3,000 rows would still enumerate every pair)."""
+
+    DIGESTS = {
+        "nettree-stats": (
+            ["nettree-stats", "--workloads", "uniform-cube:1,uniform-cube:8,gaussian:4", "--n", "500"],
+            "3822313e9069caa6d6b70801780a97eecca4d2ee52c4a4ef8be7ee79da2e86e9",
+        ),
+        "estimate-exact": (
+            ["estimate", "--metric", "euclidean", "--in", "gauss2000.txt"],
+            "c469ab0ed0e574abf2ae9d31445ca05b2837d214852d761a37aa4b2006603187",
+        ),
+        "estimate-sampled": (
+            ["estimate", "--metric", "euclidean", "--in", "gauss4000.txt"],
+            "ab6da3a9ed7977ccf63287f9d27d2753cc3d1e53817d5a48fe8cb9e3f64db24b",
+        ),
+        "estimate-manhattan": (
+            ["estimate", "--metric", "manhattan", "--in", "gauss2000.txt"],
+            "4d0462c050f663721fb7779ddec00ab427d758bbc3d3b02ce4ee511c5581bd10",
+        ),
+        "estimate-chebyshev": (
+            ["estimate", "--metric", "chebyshev", "--in", "gauss2000.txt"],
+            "a54ab6ca6dca1f200015fed3c10d2de3d138fd57395750987215716ebb067b17",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", DIGESTS)
+    def test_output_matches_its_digest(self, name, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # estimate echoes its relative --in path
+        for n in (2000, 4000):
+            assert cli.main(["generate", "--family", "gaussian", "--d", "8", "--n", str(n), "--out", f"gauss{n}.txt"]) == 0
+        args, digest = self.DIGESTS[name]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestGenerateCommand:
     def test_round_trips_through_estimate(self, tmp_path, capsys):
         data = tmp_path / "bits.txt"

@@ -243,6 +243,39 @@ def test_within_radius_decides_exact_ties_on_a_grid():
             assert (pair_distances(EUCLID, pts[:, None], pts[None]) == radius).any()
 
 
+# Layouts for the prepared screen: "offset" needs the centring, "scaled"
+# lies far inside the unit box, and "far-centre" moves the centre row
+# (row 0) away from the rest, so blocks without it have a large reach.
+SCREEN_LAYOUTS = {
+    "offset": lambda g, shape: 1e8 + g.random(shape),
+    "scaled": lambda g, shape: 1e-3 * g.standard_normal(shape),
+    "far-centre": lambda g, shape: g.random(shape) + 1e4 * (np.arange(shape[0]) == 0)[:, None],
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+@pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_prepared_screen_equals_the_kernel_comparison(kind, scale, data):
+    metric = MetricDescriptor(kind, scale)
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n, dim = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 20))
+    if kind.uses_bits:
+        rows = g.integers(0, 2, (n, dim)).astype(np.uint8)
+    else:
+        rows = SCREEN_LAYOUTS[data.draw(st.sampled_from(sorted(SCREEN_LAYOUTS)))](g, (n, dim))
+    # Index blocks in any order, with repeats, often without the centre row 0.
+    low = data.draw(st.sampled_from([0, 1]))
+    ia, ib = (np.array(data.draw(st.lists(st.integers(low, n - 1), min_size=1, max_size=30))) for _ in range(2))
+    values = pair_distances(metric, rows[ia][:, None], rows[ib][None])
+    on = float(values.ravel()[data.draw(st.integers(0, values.size - 1))])
+    near = st.sampled_from([on, np.nextafter(on, 0.0), np.nextafter(on, np.inf)])
+    radius = float(data.draw(st.one_of(near, near, st.sampled_from([1e-3, 1.0, math.inf]))))
+    got = core._BallScreen(metric, rows).within(ia, ib, radius)
+    np.testing.assert_array_equal(got, values <= radius)
+
+
 class TestCountingOracle:
     def test_single_call(self):
         oracle = CountingOracle(EUCLID)
@@ -340,6 +373,26 @@ def scanned_bound(points, metric):
     return min(bound, 1.0 / metric.scale) if metric.kind.uses_bits else bound
 
 
+@pytest.mark.parametrize("scan_bytes", [None, 3000], ids=["default-blocks", "small-blocks"])
+@pytest.mark.parametrize(
+    "kind, dim",
+    [(MetricKind.EUCLIDEAN, 1), (MetricKind.MANHATTAN, 1), (MetricKind.CHEBYSHEV, 1), (MetricKind.EUCLIDEAN, 7)]
+    + [(MetricKind.HAMMING, w) for w in (1, 63, 64, 65)],
+    ids=lambda v: v.value if isinstance(v, MetricKind) else str(v),
+)
+@pytest.mark.parametrize("n", [2, 3, 2048])
+def test_blocked_diameter_scan_equals_the_row_loop(n, kind, dim, scan_bytes, monkeypatch):
+    if scan_bytes is not None:
+        monkeypatch.setattr(core, "_SCAN_BYTES", scan_bytes)
+    g = np.random.default_rng(n * 100 + dim)
+    if kind.uses_bits:
+        points = g.integers(0, 2, (n, dim)).astype(np.uint8)
+    else:
+        points = g.standard_normal((n, dim)) * 10.0 ** g.integers(-3, 4, (n, 1))
+    ds = Dataset(points, MetricDescriptor(kind))
+    assert core._raw_diameter(ds) == scanned_bound(points, ds.metric)
+
+
 @pytest.mark.parametrize("limit", [core.EXACT_DIAMETER_LIMIT, 5], ids=["exact", "triangle"])
 @pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
 @given(data=st.data())
@@ -397,6 +450,16 @@ class TestDatasetIO:
         path = tmp_path / "bad.txt"
         path.write_text("1.0 2.0\noops 4.0\n")
         with pytest.raises(InvalidInputError, match="line 2"):
+            load_dataset(path, EUCLID)
+
+    def test_parse_errors_name_the_first_bad_line_and_its_reason(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("1.0 2.0\n1.0 inf\n1.0 oops\n")
+        with pytest.raises(InvalidInputError, match="^line 2: coordinates must be finite$"):
+            load_dataset(path, EUCLID)
+        path.write_text("1.0 2.0\n1.0 oops\n1.0 inf\n")
+        message = "line 2: not a numeric row: could not convert string to float: 'oops'"
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
             load_dataset(path, EUCLID)
 
     def test_ragged_rows_rejected(self, tmp_path):

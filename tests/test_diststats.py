@@ -250,6 +250,23 @@ class TestNNStatistics:
         nn = nn_statistics(ds, line_dataset([0.0]), leave_one_out=True)
         assert nn.mean_eps_nn == 10.0
 
+    def test_leave_one_out_keeps_distinct_rows_at_distance_zero(self):
+        # 1e-170 squared underflows, so that row is at distance 0 from the
+        # origin without being coordinate-identical to it; -0.0 equals 0.0.
+        ds = Dataset(np.array([[0.0, 0.0], [-0.0, 0.0], [1e-170, 0.0], [3.0, 4.0]]), EUCLID)
+        queries = Dataset(np.array([[0.0, 0.0], [3.0, 4.0]]), EUCLID)
+        assert nn_statistics(ds, queries, leave_one_out=True).mean_eps_nn == 2.5
+
+    def test_leave_one_out_drops_every_duplicate_bit_row(self):
+        g = np.random.default_rng(3)
+        bits = g.integers(0, 2, (10, 9)).astype(np.uint8)[g.integers(0, 10, 60)]
+        metric = MetricDescriptor(MetricKind.HAMMING)
+        ds, queries = Dataset(bits, metric), Dataset(bits[:12], metric)
+        expected = sum(
+            float(pair_distances(metric, q, bits[~(bits == q).all(axis=1)]).min()) for q in bits[:12]
+        )
+        assert nn_statistics(ds, queries, leave_one_out=True).mean_eps_nn == expected / 12
+
     def test_leave_one_out_exhausting_dataset_rejected(self):
         ds = line_dataset([5.0])
         with pytest.raises(InvalidInputError):

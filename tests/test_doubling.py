@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metricdim import doubling
+from metricdim import core, doubling
 from metricdim.core import Dataset, InvalidInputError, MetricDescriptor, MetricKind, distance, pair_distances
 from metricdim.diststats import dataset_cnbym
 from metricdim.doubling import CoverResult, doubling_estimate, greedy_cover, probe_rows
@@ -113,6 +113,43 @@ def test_cover_larger_than_one_block(family):
     got = greedy_cover(ds, subset, radius)
     assert len(got.centers) > 200
     assert_same_cover(got, reference_cover(ds, subset, radius))
+
+
+# Grid covers whose blocks grow past 64 candidates, so the candidate bitsets
+# span several 64-bit words, and whose distances land exactly on the radius.
+GRID_COVERS = {
+    MetricKind.EUCLIDEAN: (3, 6, 1.0),
+    MetricKind.MANHATTAN: (3, 6, 1.0),
+    MetricKind.CHEBYSHEV: (5, 6, 1.0),
+    MetricKind.HAMMING: (2, 12, 1.0 / 12.0),
+}
+
+
+@pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
+def test_grid_cover_with_wide_blocks_picks_the_reference_centers(kind, monkeypatch):
+    values, dim, radius = GRID_COVERS[kind]
+    points = np.random.default_rng(7).integers(0, values, (1200, dim))
+    ds = Dataset(points.astype(np.uint8 if kind.uses_bits else np.float64), MetricDescriptor(kind))
+    blocks, kernel_pairs = [], []
+    screen_within, kernel = core._BallScreen.within, core.pair_distances
+
+    def recorded_within(self, ia, ib, r):
+        blocks.append(len(ia))
+        return screen_within(self, ia, ib, r)
+
+    def recorded_kernel(metric, a, b):
+        kernel_pairs.append(a.shape[0])
+        return kernel(metric, a, b)
+
+    monkeypatch.setattr(core._BallScreen, "within", recorded_within)
+    monkeypatch.setattr(core, "pair_distances", recorded_kernel)
+    got = greedy_cover(ds, np.arange(ds.n), radius)
+    monkeypatch.undo()
+    assert max(blocks) > 64
+    assert (pair_distances(ds.metric, ds.points[:50, None], ds.points[None]) == radius).any()
+    if kind is MetricKind.EUCLIDEAN:
+        assert kernel_pairs  # some pairs fell in the screen's band
+    assert_same_cover(got, reference_cover(ds, np.arange(ds.n), radius))
 
 
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
