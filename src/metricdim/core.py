@@ -13,31 +13,41 @@ uint64 words, whose differing bits one popcount counts. Hamming rows are
 0/1 at the API and packed words in the kernel: a ``Dataset`` packs its
 points once (``Dataset.kernel_rows``), ``Dataset.check_query`` packs a
 query once, and the public ``pair_distances`` packs the rows it is given
-and calls the same kernel. ``all_pair_distances`` adds the Gram-identity
-enumeration, and ``within_radius`` is the ball-membership predicate
-``pair_distances(...) <= radius`` for every pair of two row blocks, equal
-to the kernel's answer element by element (a Gram screen decides the pairs
-its rounding bound can, the kernel the rest); both read 0/1 rows. The
-screen is ``_BallScreen``: it prepares a row set once (centred rows and
-squared norms, or float32 bits and bit counts) and answers for any two
-index blocks of it, so a greedy cover, which screens many blocks of the
-same rows, pays the preparation once and ``within_radius`` is its one-shot
-use. Rows are validated when a ``Dataset`` is built (``load_dataset``
-builds one); each public entry point that takes an outside point validates
-it once, at entry (``Dataset.check_query``); internal loops over dataset
-rows call the kernel directly, through ``Dataset.distances``.
+and calls the same kernel.
+
+Pairs of rows are enumerated in one place, the ball screen
+``_BallScreen``. It prepares a row set once (rows centred on the first
+one and their squared norms, or float32 bits and bit counts) and measures
+any two index blocks of it in one private helper: the centred Gram gap and
+its rounding band for Euclidean, exact differing-bit counts for Hamming,
+and the kernel's values for Manhattan, Chebyshev and every Euclidean block
+outside the screen's range. Three uses read that helper:
+``within_radius`` and a greedy cover's blocks ask for ball membership
+``pair_distances(...) <= radius``, equal to the kernel's answer element
+by element (the screen decides the pairs its band can, the kernel the
+rest); ``all_pair_distances`` takes the upper triangles of the screen's
+row bands (rows i..i+B-1 against the rows after i); and the exact
+diameter scan takes the maximum over the same bands. A greedy cover, which
+screens many blocks of the same rows, pays the preparation once. Rows are
+validated when a ``Dataset`` is built (``load_dataset`` builds one); each
+public entry point that takes an outside point validates it once, at
+entry (``Dataset.check_query``); internal loops over dataset rows call the
+kernel directly, through ``Dataset.distances``.
 
 The diameter bound is one quantity per dataset: it is scanned once, at
 scale 1, cached on the ``Dataset`` and shared with every rescaled copy,
-which gives the same bits as a fresh scan at the new scale. The exact
-scan measures blocks of rows against the rows after them, a few kernel
-calls in all rather than one per row.
+which gives the same bits as a fresh scan at the new scale.
 
 Precision: distances are computed in double precision; the Euclidean
 metric is the square root of the sum of squared differences, so
 coordinate differences below sqrt of the smallest normal double
 (~1.5e-154) underflow and compare as zero. Within that (enormous) working
-range the metric axioms hold exactly.
+range the metric axioms hold exactly. Ball membership and the exact
+diameter equal the kernel's answers bit for bit. ``all_pair_distances``
+equals the kernel's values bit for bit for Hamming, Manhattan and
+Chebyshev, and within 1e-9 relative for Euclidean, wherever the points
+lie short of overflow: the Gram values are centred, so a translation
+does not cancel them.
 """
 
 from __future__ import annotations
@@ -185,28 +195,6 @@ def pair_distances(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray) -> np
     return _kernel(metric, _kernel_form(metric, a), _kernel_form(metric, b), a.shape[-1])
 
 
-def all_pair_distances(metric: MetricDescriptor, points: np.ndarray) -> np.ndarray:
-    """Distances of every unordered pair (i, j > i) of rows, in that order.
-
-    Euclidean and Hamming use one Gram matrix product, |x - y|^2 =
-    |x|^2 + |y|^2 - 2 x.y; the other metrics scan rows through the kernel.
-    """
-    n = points.shape[0]
-    if metric.kind in (MetricKind.MANHATTAN, MetricKind.CHEBYSHEV):
-        return np.concatenate([pair_distances(metric, points[i], points[i + 1 :]) for i in range(n)])
-    iu, ju = np.triu_indices(n, k=1)
-    if metric.kind is MetricKind.EUCLIDEAN:
-        sq = np.einsum("ij,ij->i", points, points)
-        gram = points @ points.T
-        d2 = sq[iu] + sq[ju] - 2.0 * gram[iu, ju]
-        np.maximum(d2, 0.0, out=d2)
-        return np.sqrt(d2) / metric.scale
-    bits = points.astype(np.float32)
-    ones = bits.sum(axis=1)
-    diff = _bit_difference_counts(bits, ones, bits, ones, np.matmul)[iu, ju]
-    return diff.astype(np.float64) / points.shape[1] / metric.scale
-
-
 # OpenBLAS runs a matrix product of at most 2**18 multiply-adds on the
 # calling thread and wakes its worker threads for a larger one. For products
 # issued one after another with other work between them, that wake-up cost
@@ -223,37 +211,35 @@ def _chunked_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bit_difference_counts(fa: np.ndarray, ca: np.ndarray, fb: np.ndarray, cb: np.ndarray, matmul) -> np.ndarray:
-    """Differing bits of every row pair: |x XOR y| = |x| + |y| - 2 x.y, from
-    0/1 rows as float32 (``fa``, ``fb``) and their bit counts (``ca``, ``cb``).
-
-    Every partial sum is an integer below 2**24, so the float32 result is
-    exact for d < 2**24 whatever order ``matmul`` sums the products in.
-    """
-    counts = matmul(fa, fb.T)
-    counts *= -2.0
-    counts += ca[:, None]
-    counts += cb[None, :]
-    return counts
-
-
 # The Euclidean screen decides a pair only while the radius, the raw radius
 # (radius * scale) and the reach R lie in this range: no square overflows,
 # and underflowed products stay far below the band.
 _SCREEN_RANGE = (2.0**-256, 2.0**256)
 _UNIT_ROUNDOFF = 2.0**-53
 
+# A row band of the ball screen (all pairs, the exact diameter) holds at
+# most this many bytes, 16 a pair: a float64 value and a mask. A kernel
+# block runs in row chunks whose temporaries (per pair, one row of
+# differences and two float64 results) hold at most this many bytes too;
+# one kernel call per 65,536-pair cover block ran the covers of 10k x 16
+# rows 1.6x slower for Manhattan and 1.3x for Chebyshev. 1 MiB kept
+# nettree-stats' peak RSS where the row loop had it; 2 MiB raised it and
+# was slower on narrow rows.
+_SCAN_BYTES = 2**20
+
 
 class _BallScreen:
-    """Exact ball membership between index blocks of one row set, with the
-    per-row work done once.
+    """The pair engine of one row set, with the per-row work done once:
+    exact ball membership between index blocks (``within``) and every pair
+    in row bands (``_bands``).
 
     Built from checked rows (0/1 rows for Hamming), it holds the metric's
     prepared form: for Euclidean the rows centred on ``rows[0]`` and their
     squared norms, for Hamming the rows as float32 and their bit counts, for
-    Manhattan and Chebyshev the rows themselves. ``within`` gathers what two
-    index blocks need, so a caller that screens many blocks of the same rows
-    (a greedy cover) prepares them once.
+    Manhattan and Chebyshev the rows themselves. ``_block`` measures two
+    index blocks from it, and both uses read ``_block``, so a caller that
+    screens many blocks of the same rows (a greedy cover) prepares them
+    once.
     """
 
     def __init__(self, metric: MetricDescriptor, rows: np.ndarray):
@@ -261,52 +247,81 @@ class _BallScreen:
         self.rows = rows
         if metric.kind is MetricKind.EUCLIDEAN:
             with np.errstate(over="ignore", invalid="ignore"):
-                self._form = rows - rows[0]
+                self._form = np.subtract(rows, rows[0], dtype=np.float64)
                 self._norms = np.einsum("ij,ij->i", self._form, self._form)
         elif metric.kind is MetricKind.HAMMING:
             self._form = rows.astype(np.float32)
             self._norms = self._form.sum(axis=1)
+
+    def _block(self, ia: np.ndarray, ib: np.ndarray | slice, radius: float = 0.0) -> tuple[np.ndarray, float | None]:
+        """Rows ``ia`` (an index array) against rows ``ib`` (an index array
+        or a slice), as ``(values, band)``.
+
+        With ``band`` None, ``values`` are the distances themselves, equal
+        to the kernel's bit for bit: exact differing-bit counts for Hamming,
+        and for Manhattan, Chebyshev and a Euclidean block outside
+        ``_SCREEN_RANGE`` the kernel's values, in row chunks of at most
+        ``_SCAN_BYTES`` of temporaries. Otherwise ``values`` hold the
+        centred Gram gap g - t^2 of each pair, t = radius * scale, and a
+        pair with |g - t^2| > band lies on the same side of t as the
+        kernel's distance (see ``within_radius``). Radius 0 screens the
+        squared distances g."""
+        kind, dim = self.metric.kind, self.rows.shape[1]
+        if kind in (MetricKind.EUCLIDEAN, MetricKind.HAMMING):
+            euclid = kind is MetricKind.EUCLIDEAN
+            t = float(radius) * self.metric.scale if euclid else 0.0
+            na, nb = self._norms[ia], self._norms[ib]
+            reach = math.sqrt(na.max()) + math.sqrt(nb.max())
+            lo, hi = _SCREEN_RANGE
+            if not euclid or all(lo <= x <= hi for x in ((reach,) if radius == 0.0 else (radius, t, reach))):
+                # |x - y|^2 = |x|^2 + |y|^2 - 2 x.y. For 0/1 rows it is the
+                # differing-bit count, and in float32 every partial sum is an
+                # integer below 2**24, exact in any order for d < 2**23.
+                ac = self._form[ia]
+                ac *= -2.0
+                gap = _chunked_matmul(ac, self._form[ib].T)
+                gap += na[:, None]
+                gap += (nb - t * t)[None, :]
+                if euclid:
+                    return gap, 4.0 * (dim + 8) * _UNIT_ROUNDOFF * (reach * reach + t * t)
+                values = gap.astype(np.float64)
+                values /= dim
+                values /= self.metric.scale
+                return values, None
+        b = self.rows[ib]
+        out = np.empty((len(ia), b.shape[0]))
+        step = max(1, _SCAN_BYTES // (b.shape[0] * (b[0].nbytes + 16)))
+        for k in range(0, len(ia), step):
+            out[k : k + step] = _kernel(self.metric, self.rows[ia[k : k + step], None], b[None], dim)
+        return out, None
 
     def within(self, ia: np.ndarray, ib: np.ndarray, radius: float) -> np.ndarray:
         """The boolean matrix ``pair_distances(metric, rows[ia][:, None],
         rows[ib][None]) <= radius``, equal to it element by element. ``ia``
         and ``ib`` are non-empty integer index arrays; neither needs to hold
         the centre row."""
-        kind = self.metric.kind
-        if kind is MetricKind.HAMMING:
-            form, ones = self._form, self._norms
-            counts = _bit_difference_counts(form[ia], ones[ia], form[ib], ones[ib], _chunked_matmul)
-            return counts.astype(np.float64) / self.rows.shape[1] / self.metric.scale <= radius
-        if kind is MetricKind.EUCLIDEAN:
-            return self._euclidean_within(ia, ib, radius)
-        return self._kernel_within(ia, ib, radius)
-
-    def _kernel_within(self, ia: np.ndarray, ib: np.ndarray, radius: float) -> np.ndarray:
-        b = self.rows[ib]
-        out = np.empty((len(ia), b.shape[0]), dtype=bool)
-        for i, row in enumerate(self.rows[ia]):
-            out[i] = pair_distances(self.metric, row, b) <= radius
-        return out
-
-    def _euclidean_within(self, ia: np.ndarray, ib: np.ndarray, radius: float) -> np.ndarray:
-        t = float(radius) * self.metric.scale
-        na, nb = self._norms[ia], self._norms[ib]
-        reach = math.sqrt(na.max()) + math.sqrt(nb.max())
-        lo, hi = _SCREEN_RANGE
-        if not all(lo <= x <= hi for x in (radius, t, reach)):
-            return self._kernel_within(ia, ib, radius)
-        ac = self._form[ia]
-        ac *= -2.0
-        gap = _chunked_matmul(ac, self._form[ib].T)
-        gap += na[:, None]
-        gap += (nb - t * t)[None, :]
-        band = 4.0 * (self.rows.shape[1] + 8) * _UNIT_ROUNDOFF * (reach * reach + t * t)
-        inside = gap <= 0.0
-        ambiguous = np.abs(gap, out=gap) <= band
+        values, band = self._block(ia, ib, radius)
+        if band is None:
+            return values <= radius
+        inside = values <= 0.0
+        ambiguous = np.abs(values, out=values) <= band
         if ambiguous.any():
             ii, jj = np.nonzero(ambiguous)
             inside[ii, jj] = pair_distances(self.metric, self.rows[ia[ii]], self.rows[ib[jj]]) <= radius
         return inside
+
+    def _bands(self):
+        """Every row pair, as ``(i, values, band)`` from ``_block`` at
+        radius 0 for rows i..i+B-1 against rows i+1..n-1, i = 0, B, ... A
+        band also meets pairs it has already seen, reversed, and each of its
+        rows itself. B keeps a band within ``_SCAN_BYTES`` at 16 bytes a
+        pair."""
+        n = self.rows.shape[0]
+        i = 0
+        while i < n - 1:
+            step = max(1, _SCAN_BYTES // ((n - 1 - i) * 16))
+            yield (i, *self._block(np.arange(i, min(i + step, n - 1)), slice(i + 1, n)))
+            i += step
 
 
 def within_radius(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
@@ -316,7 +331,7 @@ def within_radius(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray, radius
     its cost. ``a`` and ``b`` are non-empty row blocks. This is the one-shot
     use of ``_BallScreen`` on the rows of ``a`` and ``b``, centred on
     ``a[0]``. Hamming counts differing bits with the exact Gram identity;
-    Manhattan and Chebyshev run one kernel row per row of ``a``.
+    Manhattan and Chebyshev take the kernel's values in row chunks.
 
     Euclidean screens with a Gram product on coordinates centred on a
     shared centre c, one of the screen's rows: with a' = a - c and
@@ -338,6 +353,30 @@ def within_radius(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray, radius
     """
     screen = _BallScreen(metric, np.concatenate([a, b]))
     return screen.within(np.arange(len(a)), np.arange(len(a), len(a) + len(b)), radius)
+
+
+def all_pair_distances(metric: MetricDescriptor, points: np.ndarray) -> np.ndarray:
+    """Distances of every unordered pair (i, j > i) of rows, in that order:
+    the upper triangle of each of the ball screen's row bands in turn.
+
+    Hamming, Manhattan and Chebyshev values are the kernel's own, bit for
+    bit. A Euclidean value is sqrt(g) / scale from the centred Gram value g
+    and is within 1e-9 relative of the kernel's: g errs by at most a
+    quarter of the band at t = 0, so where g is at least band / 2e-9 the
+    square root errs by less than 3e-10 relative, and every smaller g (near
+    duplicates, and a whole band outside ``_SCREEN_RANGE``) is measured by
+    the kernel.
+    """
+    out = [np.empty(0)]
+    for i, values, band in _BallScreen(metric, points)._bands():
+        upper = np.arange(values.shape[1]) >= np.arange(values.shape[0])[:, None]
+        if band is not None:
+            ii, jj = np.divmod(np.flatnonzero(upper & (values < band / 2e-9)), values.shape[1])
+            np.sqrt(np.maximum(values, 0.0, out=values), out=values)
+            values /= metric.scale
+            values[ii, jj] = _kernel(metric, points[i + ii], points[i + 1 + jj], points.shape[1])
+        out.append(values[upper])
+    return np.concatenate(out)
 
 
 def distance(metric: MetricDescriptor, x, y) -> float:
@@ -460,34 +499,32 @@ def counted_distances_to(oracle: CountingOracle, x, points: np.ndarray) -> np.nd
     return values
 
 
-# The exact diameter scan measures blocks of rows against the rows after
-# them; a block's kernel temporaries (per pair, one row of differences or
-# XORed words and two float64 results) hold at most this many bytes. 1 MiB
-# kept nettree-stats' peak RSS where the row loop had it; 2 MiB raised it
-# and was slower on narrow rows.
-_SCAN_BYTES = 2**20
-
-
 def _raw_diameter(ds: Dataset) -> float:
     """The diameter bound of ``ds`` at scale 1: the exact maximum up to
     EXACT_DIAMETER_LIMIT rows, else 2 max_i d(points[0], points[i]), capped
     at 1 for the normalized Hamming metric, which never exceeds it.
 
-    The exact scan takes rows i..i+B-1 against every row after i, so a block
-    also meets pairs it has already seen, reversed, and each row itself.
-    The kernel is symmetric bit for bit and works pair by pair, so the
-    maximum equals that of the one-row-at-a-time loop."""
+    The exact maximum runs over the ball screen's row bands, which also
+    hold reversed pairs and each row against itself; neither changes it.
+    Hamming, Manhattan and Chebyshev bands are the kernel's values. In a
+    Euclidean band g is within half the band of the kernel's square, so a
+    pair whose Gram value g lies more than the band below the band's
+    largest g is shorter than the pair with that g, and one more than the
+    band below the best distance so far squared is shorter than the best;
+    the kernel measures the rest. The kernel is symmetric bit for
+    bit and works pair by pair, so the maximum equals that of the
+    one-row-at-a-time loop."""
     metric = MetricDescriptor(ds.metric.kind)
-    rows = ds.kernel_rows
     if ds.n <= EXACT_DIAMETER_LIMIT:
         best = 0.0
-        i = 0
-        while i < ds.n - 1:
-            step = max(1, _SCAN_BYTES // ((ds.n - 1 - i) * (rows[0].nbytes + 16)))
-            block = _kernel(metric, rows[i : i + step, None], rows[None, i + 1 :], ds.dim)
-            best = max(best, float(block.max()))
-            i += step
+        for i, values, band in _BallScreen(metric, ds.points)._bands():
+            if band is not None:
+                near = np.flatnonzero(values >= max(float(values.max()), best * best) - band)
+                ii, jj = np.divmod(near, values.shape[1])
+                values = _kernel(metric, ds.points[i + ii], ds.points[i + 1 + jj], ds.dim)
+            best = float(values.max(initial=best))
         return best
+    rows = ds.kernel_rows
     bound = 2.0 * float(_kernel(metric, rows[0], rows, ds.dim).max())
     return min(bound, 1.0) if metric.kind.uses_bits else bound
 

@@ -10,9 +10,12 @@ Conventions fixed here (and echoed by the CLI): quartiles use linear
 interpolation of order statistics (quantile type 7), variance is the
 unbiased count-1 estimator, and full pair enumeration is capped at
 PAIR_BUDGET unordered pairs, beyond which pairs are sampled uniformly
-with replacement. The sample is drawn, gathered and measured in chunks of
-a fixed byte budget (see ``pairwise_distances``); only its distance vector
-is held whole.
+with replacement. Full enumeration reads the row bands of the one pair
+engine in ``core`` (``all_pair_distances``): Hamming, Manhattan and
+Chebyshev values are the kernel's own, Euclidean values are within 1e-9
+relative of them and unchanged by translating the points. The sample is
+drawn, gathered and measured in chunks of a fixed byte budget (see
+``pairwise_distances``); only its distance vector is held whole.
 """
 
 from __future__ import annotations

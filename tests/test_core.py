@@ -276,6 +276,44 @@ def test_prepared_screen_equals_the_kernel_comparison(kind, scale, data):
     np.testing.assert_array_equal(got, values <= radius)
 
 
+# "huge" would overflow the kernel's own squares.
+PAIR_LAYOUTS = {**{k: v for k, v in REAL_LAYOUTS.items() if k != "huge"}, **SCREEN_LAYOUTS}
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+@pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_all_pair_distances_match_the_kernel_pair_by_pair(kind, scale, data):
+    metric = MetricDescriptor(kind, scale)
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # Above about 260 rows the pairs take more than one row band.
+    n = data.draw(st.one_of(st.integers(1, 12), st.integers(250, 400)))
+    dim = data.draw(st.integers(1, 20))
+    if kind.uses_bits:
+        pool = g.integers(0, 2, (data.draw(st.sampled_from([3, n])), dim)).astype(np.uint8)
+        points = pool[g.integers(0, pool.shape[0], n)]
+    else:
+        points = PAIR_LAYOUTS[data.draw(st.sampled_from(sorted(PAIR_LAYOUTS)))](g, (n, dim))
+    # Every pair (i, j > i), in that order.
+    ii = np.repeat(np.arange(n), np.arange(n - 1, -1, -1))
+    jj = np.concatenate([np.arange(i + 1, n) for i in range(n)])
+    expected = pair_distances(metric, points[ii], points[jj])
+    got = core.all_pair_distances(metric, points)
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    if kind is MetricKind.EUCLIDEAN:
+        np.testing.assert_allclose(got, expected, rtol=1e-9, atol=0.0)
+    else:
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_pair_engine_reads_integer_rows_as_reals():
+    ints = np.array([[0, 0], [3, 4], [1, 1]])
+    for metric in REAL_METRICS:
+        assert core.all_pair_distances(metric, ints).tolist() == core.all_pair_distances(metric, ints * 1.0).tolist()
+    assert within_radius(EUCLID, ints, ints, 2.0).tolist() == within_radius(EUCLID, ints * 1.0, ints * 1.0, 2.0).tolist()
+
+
 class TestCountingOracle:
     def test_single_call(self):
         oracle = CountingOracle(EUCLID)
@@ -373,24 +411,51 @@ def scanned_bound(points, metric):
     return min(bound, 1.0 / metric.scale) if metric.kind.uses_bits else bound
 
 
+REAL_SCANS = [
+    (MetricKind.EUCLIDEAN, 1),
+    (MetricKind.MANHATTAN, 1),
+    (MetricKind.CHEBYSHEV, 1),
+    (MetricKind.EUCLIDEAN, 7),
+]
+# Beside rows scaled one by one, layouts with many tied and cancelling
+# maxima: "offset" (the centring), "grid" and "pool" (exact ties).
+TIE_LAYOUTS = ("offset", "grid", "pool")
+
+
 @pytest.mark.parametrize("scan_bytes", [None, 3000], ids=["default-blocks", "small-blocks"])
 @pytest.mark.parametrize(
-    "kind, dim",
-    [(MetricKind.EUCLIDEAN, 1), (MetricKind.MANHATTAN, 1), (MetricKind.CHEBYSHEV, 1), (MetricKind.EUCLIDEAN, 7)]
-    + [(MetricKind.HAMMING, w) for w in (1, 63, 64, 65)],
-    ids=lambda v: v.value if isinstance(v, MetricKind) else str(v),
+    "kind, dim, layout",
+    [pytest.param(k, d, None, id=f"{k.value}-{d}") for k, d in REAL_SCANS]
+    + [pytest.param(MetricKind.HAMMING, w, None, id=f"hamming-{w}") for w in (1, 63, 64, 65)]
+    + [pytest.param(k, d, lay, id=f"{k.value}-{d}-{lay}") for k, d in REAL_SCANS for lay in TIE_LAYOUTS],
 )
-@pytest.mark.parametrize("n", [2, 3, 2048])
-def test_blocked_diameter_scan_equals_the_row_loop(n, kind, dim, scan_bytes, monkeypatch):
+# 300 rows take two row bands at the default budget.
+@pytest.mark.parametrize("n", [2, 3, 300, 2048])
+def test_blocked_diameter_scan_equals_the_row_loop(n, kind, dim, layout, scan_bytes, monkeypatch):
     if scan_bytes is not None:
         monkeypatch.setattr(core, "_SCAN_BYTES", scan_bytes)
     g = np.random.default_rng(n * 100 + dim)
     if kind.uses_bits:
         points = g.integers(0, 2, (n, dim)).astype(np.uint8)
+    elif layout is not None:
+        points = REAL_LAYOUTS[layout](g, (n, dim))
     else:
         points = g.standard_normal((n, dim)) * 10.0 ** g.integers(-3, 4, (n, 1))
     ds = Dataset(points, MetricDescriptor(kind))
     assert core._raw_diameter(ds) == scanned_bound(points, ds.metric)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_exact_diameter_of_near_tied_maxima_equals_the_row_loop(data):
+    # Unit rows and their negatives: many pairs at distance 2 up to rounding,
+    # where the largest Gram value need not belong to the kernel's maximum.
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n, dim = data.draw(st.integers(2, 300)), data.draw(st.integers(2, 8))
+    u = g.standard_normal((-(-n // 2), dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    points = np.concatenate([u, -u])[g.permutation(2 * len(u))[:n]] + data.draw(st.sampled_from([0.0, 1e3]))
+    assert core._raw_diameter(Dataset(points, EUCLID)) == scanned_bound(points, EUCLID)
 
 
 @pytest.mark.parametrize("limit", [core.EXACT_DIAMETER_LIMIT, 5], ids=["exact", "triangle"])

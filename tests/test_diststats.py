@@ -93,6 +93,18 @@ class TestPairwise:
         np.testing.assert_array_equal(values, brute)
 
 
+def test_cnbym_dimension_is_translation_invariant():
+    # The uncentred Gram identity gave 2.2102 and then 0.0942 here: at an
+    # offset of 1e8 it cancelled squares near 1e16 and lost distances of 1.
+    ds = generate(GeneratorSpec(Family.UNIFORM_CUBE, 2, 500, seed=1))
+    dims = [
+        cnbym_dimension(moments(pairwise_distances(Dataset(ds.points + shift, EUCLID), ALL_PAIRS)))
+        for shift in (0.0, 1e8)
+    ]
+    assert 2.0 < dims[0] < 2.5
+    assert abs(dims[1] - dims[0]) < 1e-9 * dims[0]
+
+
 ALL_METRICS = [MetricDescriptor(kind) for kind in MetricKind]
 
 
@@ -121,10 +133,9 @@ def test_pairwise_matches_distance_on_the_same_pairs(metric, data, m, seed):
     exact = np.array([distance(metric, ds.points[i], ds.points[j]) for i, j in zip(iu, ju)])
     enumerated = pairwise_distances(ds, ALL_PAIRS).values
     if metric.kind is MetricKind.EUCLIDEAN:
-        # The Gram identity cancels |x|^2 + |y|^2 against 2 x.y, so the
-        # rounding error is absolute in the squared distance: compare squares
-        # at 1e-9 of the unit data scale.
-        np.testing.assert_allclose(enumerated**2, exact**2, rtol=0, atol=1e-9)
+        # Centred Gram values are within 1e-9 relative of the kernel's; the
+        # kernel measures the pairs too close for that.
+        np.testing.assert_allclose(enumerated, exact, rtol=1e-9, atol=0.0)
     else:
         np.testing.assert_array_equal(enumerated, exact)
 
