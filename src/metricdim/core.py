@@ -21,18 +21,21 @@ one and their squared norms, or float32 bits and bit counts) and measures
 any two index blocks of it in one private helper: the centred Gram gap and
 its rounding band for Euclidean, exact differing-bit counts for Hamming,
 and the kernel's values for Manhattan, Chebyshev and every Euclidean block
-outside the screen's range. Three uses read that helper:
+outside the screen's range. Four uses read that helper:
 ``within_radius`` and a greedy cover's blocks ask for ball membership
 ``pair_distances(...) <= radius``, equal to the kernel's answer element
 by element (the screen decides the pairs its band can, the kernel the
 rest); ``all_pair_distances`` takes the upper triangles of the screen's
-row bands (rows i..i+B-1 against the rows after i); and the exact
-diameter scan takes the maximum over the same bands. A greedy cover, which
-screens many blocks of the same rows, pays the preparation once. Rows are
-validated when a ``Dataset`` is built (``load_dataset`` builds one); each
-public entry point that takes an outside point validates it once, at
-entry (``Dataset.check_query``); internal loops over dataset rows call the
-kernel directly, through ``Dataset.distances``.
+row bands (rows i..i+B-1 against the rows after i); and two scans take
+the extremes over the same bands: the exact diameter scan the maximum,
+and the nearest-neighbour scan each row's minimum, both equal to the
+kernel's bit for bit (the kernel re-measures the Euclidean pairs near
+them). A greedy cover, which screens many blocks of the same rows, pays
+the preparation once. Rows are validated when a ``Dataset`` is built
+(``load_dataset`` builds one); each public entry point that takes an
+outside point validates it once, at entry (``Dataset.check_query``);
+internal loops over dataset rows call the kernel directly, through
+``Dataset.distances``.
 
 The diameter bound is one quantity per dataset: it is scanned once, at
 scale 1, cached on the ``Dataset`` and shared with every rescaled copy,
@@ -42,12 +45,12 @@ Precision: distances are computed in double precision; the Euclidean
 metric is the square root of the sum of squared differences, so
 coordinate differences below sqrt of the smallest normal double
 (~1.5e-154) underflow and compare as zero. Within that (enormous) working
-range the metric axioms hold exactly. Ball membership and the exact
-diameter equal the kernel's answers bit for bit. ``all_pair_distances``
-equals the kernel's values bit for bit for Hamming, Manhattan and
-Chebyshev, and within 1e-9 relative for Euclidean, wherever the points
-lie short of overflow: the Gram values are centred, so a translation
-does not cancel them.
+range the metric axioms hold exactly. Ball membership, the exact
+diameter and the nearest-neighbour distances equal the kernel's answers
+bit for bit. ``all_pair_distances`` equals the kernel's values bit for bit
+for Hamming, Manhattan and Chebyshev, and within 1e-9 relative for
+Euclidean, wherever the points lie short of overflow: the Gram values are
+centred, so a translation does not cancel them.
 """
 
 from __future__ import annotations
@@ -306,7 +309,7 @@ class _BallScreen:
         inside = values <= 0.0
         ambiguous = np.abs(values, out=values) <= band
         if ambiguous.any():
-            ii, jj = np.nonzero(ambiguous)
+            ii, jj = np.divmod(np.flatnonzero(ambiguous), ambiguous.shape[1])
             inside[ii, jj] = pair_distances(self.metric, self.rows[ia[ii]], self.rows[ib[jj]]) <= radius
         return inside
 
@@ -527,6 +530,44 @@ def _raw_diameter(ds: Dataset) -> float:
     rows = ds.kernel_rows
     bound = 2.0 * float(_kernel(metric, rows[0], rows, ds.dim).max())
     return min(bound, 1.0) if metric.kind.uses_bits else bound
+
+
+def _nearest_distances(ds: Dataset) -> np.ndarray:
+    """Each row's distance to its nearest other row under ``ds.metric``,
+    equal to the kernel's minimum bit for bit: 0 for a duplicate row, inf
+    for the row of a 1-point dataset.
+
+    One pass over the ball screen's row bands at scale 1 meets every pair,
+    and each band updates the best distance of its rows and of its columns.
+    A band also meets pairs it has already seen, reversed, which change no
+    minimum, and each of its rows itself, which is masked out. Hamming,
+    Manhattan and Chebyshev bands are the kernel's values. In a Euclidean
+    band g is within half the band of the kernel's square, so a pair whose g
+    lies more than the band above the smallest g of its band row, or above
+    that row's best distance so far squared, is longer than a pair measured
+    for that row, and likewise for its column; the kernel measures every
+    pair not ruled out on both sides. The kernel is symmetric bit for bit,
+    and dividing by the scale is monotone, so each minimum equals the
+    kernel's at the dataset's scale."""
+    metric = MetricDescriptor(ds.metric.kind)
+    best = np.full(ds.n, np.inf)
+    for i, values, band in _BallScreen(metric, ds.points)._bands():
+        size, width = values.shape
+        # Row k of the band is row i + k, and column k - 1 holds it too.
+        values[np.arange(1, size), np.arange(size - 1)] = np.inf
+        head, tail = best[i : i + size], best[i + 1 :]
+        if band is None:
+            np.minimum(head, values.min(axis=1), out=head)
+            np.minimum(tail, values.min(axis=0), out=tail)
+            continue
+        row_limit = np.minimum(values.min(axis=1), head * head) + band
+        col_limit = np.minimum(values.min(axis=0), tail * tail) + band
+        near = (values <= row_limit[:, None]) | (values <= col_limit)
+        ii, jj = np.divmod(np.flatnonzero(near), width)
+        measured = _kernel(metric, ds.points[i + ii], ds.points[i + 1 + jj], ds.dim)
+        np.minimum.at(head, ii, measured)
+        np.minimum.at(tail, jj, measured)
+    return best / ds.metric.scale
 
 
 def diameter_upper_bound(ds: Dataset) -> float:

@@ -4,11 +4,14 @@ Level i holds a net at radius r_i: nodes pairwise more than r_i apart,
 every point within r_i of some node. Radii halve from the diameter bound
 down to the scale where every distinct point is its own node (or a floor
 of 2^-40 times the top radius for pathologically close points). Each level
-below the root is a ``doubling.greedy_cover`` of all points, grown in
-ascending point index, so the structure is a pure function of the dataset.
-The cover's owners (each point's lowest-index node in reach) give every
-node its parent one level up, and the bottom cover's owners give every
-point the bottom node that answers for it. The tree stores only these
+below the root is the greedy cover of all points grown in ascending point
+index (``doubling.greedy_cover``), so the structure is a pure function of
+the dataset. The build runs that cover only on the points with another
+point in reach, read off one nearest-neighbour scan
+(``core._nearest_distances``); every other point is a node of its own. The
+cover's owners (each point's lowest-index node in reach) give every node
+its parent one level up, and the bottom cover's owners give every point
+the bottom node that answers for it. The tree stores only these
 labels: a node's children are the nodes of the level below whose parent it
 is, and a bottom node's members are the points it owns. The root is point
 0: the top radius (the exact diameter, 2 * max d(p0, .), or the Hamming
@@ -32,6 +35,7 @@ from .core import (
     CountingOracle,
     Dataset,
     InvariantViolation,
+    _nearest_distances,
     diameter_upper_bound,
     first_occurrence_indices,
 )
@@ -76,7 +80,20 @@ def _top_radius(ds: Dataset) -> float:
 
 
 def build_net_tree(ds: Dataset) -> tuple[NetTree, TreeStats]:
-    """Construct the full level hierarchy for ``ds``."""
+    """Construct the full level hierarchy for ``ds``.
+
+    Each level equals ``greedy_cover(ds, np.arange(ds.n), radius)``, with
+    the cover run on fewer points. A point whose nearest other point lies
+    beyond the radius is isolated: it covers no other point, and no other
+    point covers it. The greedy loop over all points therefore picks it as
+    a center when it reaches it, and that pick changes nothing for the
+    rest, so the loop picks the same centers among the other points as a
+    cover of those points alone. No such center is in an isolated point's
+    reach, so each of those points keeps its lowest-index center in reach
+    as its owner, and an isolated point owns itself. The level is the two
+    sets of centers merged by point index. The nearest distances are
+    scanned once per dataset and equal the kernel's, so the comparison with
+    the radius agrees with the cover's own."""
     n_distinct = first_occurrence_indices(ds.points).size
     top_radius = _top_radius(ds)
     # At least the smallest positive double, so a halved radius stays > 0.
@@ -84,12 +101,21 @@ def build_net_tree(ds: Dataset) -> tuple[NetTree, TreeStats]:
 
     levels = [NetLevel(top_radius, np.array([0], dtype=np.int64), np.array([-1], dtype=np.int64))]
     owners = np.zeros(ds.n, dtype=np.int64)
+    nearest = _nearest_distances(ds)
     radius = top_radius
     while levels[-1].nodes.size < n_distinct and radius > floor:
         radius /= 2.0
-        cover = greedy_cover(ds, np.arange(ds.n), radius)
-        levels.append(NetLevel(radius, cover.centers, owners[cover.centers]))
-        owners = cover.owners
+        is_node = nearest > radius
+        near = np.flatnonzero(~is_node)
+        # Each point's owning node, as a point index and then as a position.
+        owner_points = np.arange(ds.n)
+        if near.size:
+            cover = greedy_cover(ds, near, radius)
+            is_node[cover.centers] = True
+            owner_points[near] = cover.centers[cover.owners]
+        nodes = np.flatnonzero(is_node)
+        levels.append(NetLevel(radius, nodes, owners[nodes]))
+        owners = (np.cumsum(is_node) - 1)[owner_points]
 
     stats = TreeStats(
         max_degree=max([1] + [int(np.bincount(level.parents).max()) for level in levels[1:]]),

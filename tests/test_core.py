@@ -490,6 +490,88 @@ def test_rescaled_bound_equals_a_fresh_scan(kind, limit, data):
         assert diameter_upper_bound(fresh) == expected
 
 
+def per_row_minimum(ds):
+    """Each row's kernel distance to its nearest other row, one row at a time."""
+    others = (np.delete(ds.points, i, axis=0) for i in range(ds.n))
+    return [float(pair_distances(ds.metric, row, rest).min(initial=np.inf)) for row, rest in zip(ds.points, others)]
+
+
+def unit_ring(g, shape):
+    """Unit rows at equal angles on a randomly placed circle: each row's two
+    neighbours are at the same distance up to rounding."""
+    n, dim = shape
+    angles = 2.0 * np.pi * np.arange(n) / n + g.random()
+    plane = np.linalg.qr(g.standard_normal((max(dim, 2), 2)))[0][:dim].T
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1) @ plane
+
+
+def unit_star(g, shape):
+    """Row 1 is a centre, every other row lies on a random unit direction
+    from it: at distance 1 (odd rows) or 1.001 (even rows, one per odd row's
+    direction). The centre's neighbours tie up to rounding, and each of them
+    has a nearer neighbour, its partner on the same direction."""
+    n, dim = shape
+    u = g.standard_normal((-(-n // 2), dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    centre = g.standard_normal(dim)
+    rows = centre + np.repeat(u, 2, axis=0)[:n] * np.where(np.arange(n) % 2 == 0, 1.001, 1.0)[:, None]
+    rows[min(1, n - 1)] = centre
+    return rows
+
+
+# "grid" ties nearest neighbours exactly, "pool" repeats rows (distance 0),
+# and "ring" and "star" tie them up to rounding. The star's centre meets its
+# neighbours as a band row; reversed, it meets them as a band column.
+NEAREST_LAYOUTS = {
+    **{k: REAL_LAYOUTS[k] for k in ("random", "offset", "grid", "pool")},
+    "ring": unit_ring,
+    "star": unit_star,
+    "star-reversed": lambda g, shape: unit_star(g, shape)[::-1],
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+@pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_nearest_distances_equal_the_per_row_kernel_minimum(kind, scale, data):
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # Above about 260 rows the pairs take more than one row band; a small
+    # band budget splits any row set into many.
+    n = data.draw(st.one_of(st.integers(1, 12), st.integers(250, 400)))
+    dim = data.draw(st.integers(1, 20))
+    if kind.uses_bits:
+        pool = g.integers(0, 2, (data.draw(st.sampled_from([3, n])), dim)).astype(np.uint8)
+        points = pool[g.integers(0, pool.shape[0], n)]
+    else:
+        points = NEAREST_LAYOUTS[data.draw(st.sampled_from(sorted(NEAREST_LAYOUTS)))](g, (n, dim))
+    ds = Dataset(points, MetricDescriptor(kind, scale))
+    with pytest.MonkeyPatch.context() as mp:
+        if data.draw(st.booleans()):
+            mp.setattr(core, "_SCAN_BYTES", 3000)
+        got = core._nearest_distances(ds)
+    assert got.dtype == np.float64
+    assert got.tolist() == per_row_minimum(ds)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["centre-as-row", "centre-as-column"])
+def test_nearest_distances_of_near_tied_stars(reverse, monkeypatch):
+    # Bands of a few rows, so the centre meets most of its neighbours only
+    # in its own band row (or, reversed, only as a band column). Many stars:
+    # in any one of them the rounding seldom puts the smallest Gram value on
+    # a pair other than the kernel's nearest.
+    monkeypatch.setattr(core, "_SCAN_BYTES", 3000)
+    for seed in range(200):
+        g = np.random.default_rng(seed)
+        points = unit_star(g, (int(g.integers(3, 40)), int(g.integers(2, 8))))
+        ds = Dataset(points[::-1] if reverse else points, EUCLID)
+        assert core._nearest_distances(ds).tolist() == per_row_minimum(ds)
+
+
+def test_nearest_distance_of_a_lone_row_is_infinite():
+    assert core._nearest_distances(Dataset(np.array([[0.5, 2.0]]), EUCLID)).tolist() == [math.inf]
+
+
 class TestDatasetIO:
     def test_real_round_trip(self, tmp_path):
         ds = Dataset(np.array([[0.25, -1.5], [3.0, 4.0]]), EUCLID, seed=9)

@@ -14,6 +14,7 @@ from metricdim.core import (
     first_occurrence_indices,
     pair_distances,
 )
+from metricdim.doubling import greedy_cover
 from metricdim.generate import Family, GeneratorSpec, generate
 from metricdim.nettree import (
     RADIUS_FLOOR_FACTOR,
@@ -144,6 +145,40 @@ def test_build_matches_the_reference_loops(kind, data):
         assert got.parents.tolist() == want.parents.tolist()
     assert tree.owners.tolist() == want_tree.owners.tolist()
     verify_net_invariants(tree, ds)
+
+
+# Inputs whose deep levels hold both points with another point in reach and
+# points without: "grid" (distinct integer points) puts Manhattan distances
+# exactly on the radii 4, 2 and 1, and "pool" repeats rows, whose nearest
+# distance is 0 at every level.
+SPLIT_LEVEL_INPUTS = {
+    "uniform-cube-1": lambda: generate(GeneratorSpec(Family.UNIFORM_CUBE, 1, 600, seed=rng.derive_seed(7, 1))),
+    "hamming-64": lambda: generate(GeneratorSpec(Family.HAMMING_UNIFORM, 64, 400, seed=rng.derive_seed(7, 64))),
+    "pool": lambda: Dataset(TREE_LAYOUTS["pool"](np.random.default_rng(7), 300, 3), EUCLID),
+    "grid": lambda: Dataset(
+        np.stack(np.divmod(np.random.default_rng(7).permutation(25)[:10], 5), axis=1).astype(np.float64),
+        MetricDescriptor(MetricKind.MANHATTAN),
+    ),
+}
+
+
+@pytest.mark.parametrize("make", SPLIT_LEVEL_INPUTS.values(), ids=SPLIT_LEVEL_INPUTS)
+def test_levels_equal_greedy_covers_of_all_points(make):
+    # The build covers only the points with another point in reach and makes
+    # each other point its own node; a cover of all points must agree.
+    ds = make()
+    tree, _ = build_net_tree(ds)
+    owners = np.zeros(ds.n, dtype=np.int64)
+    split = False
+    for level in tree.levels[1:]:
+        cover = greedy_cover(ds, np.arange(ds.n), level.radius)
+        assert level.nodes.tolist() == cover.centers.tolist()
+        assert level.parents.tolist() == owners[cover.centers].tolist()
+        owners = cover.owners
+        near = [(pair_distances(ds.metric, ds.points[i], ds.points) <= level.radius).sum() > 1 for i in range(ds.n)]
+        split |= 0 < sum(near) < ds.n
+    assert tree.owners.tolist() == owners.tolist()
+    assert split
 
 
 @pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
