@@ -21,25 +21,30 @@ one and their squared norms, or float32 bits and bit counts) and measures
 any two index blocks of it in one private helper: the centred Gram gap and
 its rounding band for Euclidean, exact differing-bit counts for Hamming,
 and the kernel's values for Manhattan, Chebyshev and every Euclidean block
-outside the screen's range. Four uses read that helper:
-``within_radius`` and a greedy cover's blocks ask for ball membership
-``pair_distances(...) <= radius``, equal to the kernel's answer element
-by element (the screen decides the pairs its band can, the kernel the
-rest); ``all_pair_distances`` takes the upper triangles of the screen's
-row bands (rows i..i+B-1 against the rows after i); and two scans take
-the extremes over the same bands: the exact diameter scan the maximum,
-and the nearest-neighbour scan each row's minimum, both equal to the
-kernel's bit for bit (the kernel re-measures the Euclidean pairs near
-them). A greedy cover, which screens many blocks of the same rows, pays
-the preparation once. Rows are validated when a ``Dataset`` is built
+outside the screen's range. Pairs the Euclidean band cannot decide go
+back to the kernel through one more helper, and only the screen knows
+where its bands lie. Three uses read the screen: ``within_radius`` and a
+greedy cover's blocks ask for ball membership ``pair_distances(...) <=
+radius``, equal to the kernel's answer element by element (the screen
+decides the pairs its band can, the kernel the rest);
+``all_pair_distances`` takes the upper triangles of the screen's row
+bands (rows i..i+B-1 against the rows after i); and one pass over the
+same bands takes both extremes, the exact diameter and each row's
+nearest distance, equal to the kernel's bit for bit (the kernel
+re-measures, in one call per band, the Euclidean pairs near either). A
+greedy cover, which screens many blocks of the same rows, pays the
+preparation once. Rows are validated when a ``Dataset`` is built
 (``load_dataset`` builds one); each public entry point that takes an
 outside point validates it once, at entry (``Dataset.check_query``);
 internal loops over dataset rows call the kernel directly, through
 ``Dataset.distances``.
 
-The diameter bound is one quantity per dataset: it is scanned once, at
-scale 1, cached on the ``Dataset`` and shared with every rescaled copy,
-which gives the same bits as a fresh scan at the new scale.
+Each quantity that does not depend on the scale is computed once per
+dataset, at scale 1, cached on the ``Dataset`` and shared with every
+rescaled copy: the band pass's extremes, the diameter bound (the pass's
+maximum up to ``EXACT_DIAMETER_LIMIT`` rows, a triangle bound above, which
+never starts the pass) and the distinct rows. A rescaled copy gives the
+same bits as a fresh computation at the new scale.
 
 Precision: distances are computed in double precision; the Euclidean
 metric is the square root of the sum of squared differences, so
@@ -233,16 +238,18 @@ _SCAN_BYTES = 2**20
 
 class _BallScreen:
     """The pair engine of one row set, with the per-row work done once:
-    exact ball membership between index blocks (``within``) and every pair
-    in row bands (``_bands``).
+    exact ball membership between index blocks (``within``), every pair in
+    row bands (``_bands``) and the extremes over those bands
+    (``extremes``).
 
     Built from checked rows (0/1 rows for Hamming), it holds the metric's
     prepared form: for Euclidean the rows centred on ``rows[0]`` and their
     squared norms, for Hamming the rows as float32 and their bit counts, for
     Manhattan and Chebyshev the rows themselves. ``_block`` measures two
-    index blocks from it, and both uses read ``_block``, so a caller that
+    index blocks from it, and every use reads ``_block``, so a caller that
     screens many blocks of the same rows (a greedy cover) prepares them
-    once.
+    once. Pairs that a Euclidean block's band leaves open are measured again
+    by the kernel in ``_remeasure``.
     """
 
     def __init__(self, metric: MetricDescriptor, rows: np.ndarray):
@@ -309,22 +316,70 @@ class _BallScreen:
         inside = values <= 0.0
         ambiguous = np.abs(values, out=values) <= band
         if ambiguous.any():
-            ii, jj = np.divmod(np.flatnonzero(ambiguous), ambiguous.shape[1])
-            inside[ii, jj] = pair_distances(self.metric, self.rows[ia[ii]], self.rows[ib[jj]]) <= radius
+            ii, jj, measured = self._remeasure(ia, ib, ambiguous)
+            inside[ii, jj] = measured <= radius
         return inside
 
+    def _remeasure(self, ia: np.ndarray, ib: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs that ``mask`` marks in the block of rows ``ia`` against
+        rows ``ib`` (index arrays), as ``(ii, jj, distances)``: their row and
+        column positions in the block and the kernel's distances."""
+        ii, jj = np.divmod(np.flatnonzero(mask), mask.shape[1])
+        return ii, jj, pair_distances(self.metric, self.rows[ia[ii]], self.rows[ib[jj]])
+
     def _bands(self):
-        """Every row pair, as ``(i, values, band)`` from ``_block`` at
-        radius 0 for rows i..i+B-1 against rows i+1..n-1, i = 0, B, ... A
-        band also meets pairs it has already seen, reversed, and each of its
-        rows itself. B keeps a band within ``_SCAN_BYTES`` at 16 bytes a
-        pair."""
+        """Every row pair, as ``(ia, ib, values, band)`` from ``_block`` at
+        radius 0 for rows ia = i..i+B-1 against rows ib = i+1..n-1 (index
+        arrays), i = 0, B, ... A band also meets pairs it has already seen,
+        reversed, and each of its rows itself. B keeps a band within
+        ``_SCAN_BYTES`` at 16 bytes a pair."""
         n = self.rows.shape[0]
         i = 0
         while i < n - 1:
             step = max(1, _SCAN_BYTES // ((n - 1 - i) * 16))
-            yield (i, *self._block(np.arange(i, min(i + step, n - 1)), slice(i + 1, n)))
+            ia = np.arange(i, min(i + step, n - 1))
+            yield (ia, np.arange(i + 1, n), *self._block(ia, slice(i + 1, n)))
             i += step
+
+    def extremes(self) -> tuple[float, np.ndarray]:
+        """The largest distance between two rows, and each row's distance to
+        its nearest other row (inf for a lone row), from one pass over
+        ``_bands``. Both equal the kernel's bit for bit.
+
+        Reversed pairs change no extreme, and a row against itself is
+        masked out. Hamming, Manhattan and Chebyshev bands are the kernel's
+        values. In a Euclidean band g is within half the band of the
+        kernel's square. So a pair whose g lies more than the band below the
+        band's largest g, or below the largest distance so far squared, is
+        shorter than a pair already measured or about to be. Likewise a pair
+        whose g lies more than the band above the smallest g of its band
+        row, or above that row's nearest distance so far squared, is longer
+        than a pair measured for that row, and the same holds for its
+        column. The kernel re-measures, in one call, every pair that one of
+        these three tests keeps. It is symmetric bit for bit and works pair
+        by pair, so each extreme equals that of the one-row-at-a-time
+        loop."""
+        top, nearest = 0.0, np.full(self.rows.shape[0], np.inf)
+        for ia, ib, values, band in self._bands():
+            # Row k of the band is row ia[k], which column k - 1 holds too.
+            # NaN masks these self pairs: fmax and fmin skip it, and no
+            # comparison keeps it.
+            values[np.arange(1, ia.size), np.arange(ia.size - 1)] = np.nan
+            high = float(np.fmax.reduce(values, axis=None))
+            row_min, col_min = np.fmin.reduce(values, axis=1), np.fmin.reduce(values, axis=0)
+            if band is None:
+                top = max(top, high)
+                nearest[ia] = np.minimum(nearest[ia], row_min)
+                nearest[ib] = np.minimum(nearest[ib], col_min)
+                continue
+            row_limit = np.minimum(row_min, np.square(nearest[ia])) + band
+            col_limit = np.minimum(col_min, np.square(nearest[ib])) + band
+            near = (values >= max(high, top * top) - band) | (values <= row_limit[:, None]) | (values <= col_limit)
+            ii, jj, measured = self._remeasure(ia, ib, near)
+            top = float(measured.max(initial=top))
+            np.minimum.at(nearest, ia[ii], measured)
+            np.minimum.at(nearest, ib[jj], measured)
+        return top, nearest
 
 
 def within_radius(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
@@ -370,14 +425,15 @@ def all_pair_distances(metric: MetricDescriptor, points: np.ndarray) -> np.ndarr
     duplicates, and a whole band outside ``_SCREEN_RANGE``) is measured by
     the kernel.
     """
+    screen = _BallScreen(metric, points)
     out = [np.empty(0)]
-    for i, values, band in _BallScreen(metric, points)._bands():
-        upper = np.arange(values.shape[1]) >= np.arange(values.shape[0])[:, None]
+    for ia, ib, values, band in screen._bands():
+        upper = ib > ia[:, None]
         if band is not None:
-            ii, jj = np.divmod(np.flatnonzero(upper & (values < band / 2e-9)), values.shape[1])
+            ii, jj, measured = screen._remeasure(ia, ib, upper & (values < band / 2e-9))
             np.sqrt(np.maximum(values, 0.0, out=values), out=values)
             values /= metric.scale
-            values[ii, jj] = _kernel(metric, points[i + ii], points[i + 1 + jj], points.shape[1])
+            values[ii, jj] = measured
         out.append(values[upper])
     return np.concatenate(out)
 
@@ -402,18 +458,19 @@ class Dataset:
     The points are a private read-only copy of the caller's array.
     ``kernel_rows`` holds them in the kernel's form, made once: for Hamming
     the 0/1 rows packed into read-only uint64 words, for real metrics the
-    points themselves. The diameter bound is scanned once, on first use,
-    and cached. Rescaled copies share the points, the kernel rows and the
-    bound (see ``diameter_upper_bound``).
+    points themselves. Quantities that do not depend on the scale (the
+    band scan's extremes, the diameter bound, the distinct rows) are
+    computed once, on first use, and cached. Rescaled copies share the
+    points, the kernel rows and that cache (see ``diameter_upper_bound``).
     """
 
     points: np.ndarray
     metric: MetricDescriptor
     seed: int | None = None
     kernel_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    # The raw (scale 1) diameter bound, under "raw" once scanned. Rescaled
-    # copies hold this same dict, so one scan serves every scale.
-    _bound: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Scale-free quantities computed on first use (see ``_cached``).
+    # Rescaled copies hold this same dict, so one scan serves every scale.
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points)
@@ -458,8 +515,8 @@ class Dataset:
 
     def rescaled(self, scale: float) -> "Dataset":
         """This dataset under the metric divided by ``scale``. The copy shares
-        the checked point matrix, its kernel rows and the cached diameter
-        bound."""
+        the checked point matrix, its kernel rows and the cached scale-free
+        quantities."""
         out = copy.copy(self)
         object.__setattr__(out, "metric", self.metric.rescaled(scale))
         return out
@@ -502,72 +559,35 @@ def counted_distances_to(oracle: CountingOracle, x, points: np.ndarray) -> np.nd
     return values
 
 
+def _cached(ds: Dataset, key: str, make):
+    """``make(ds)``, computed once per dataset and shared with its rescaled
+    copies. ``make`` must not depend on the scale; callers read the value
+    and never write it."""
+    return ds._cache[key] if key in ds._cache else ds._cache.setdefault(key, make(ds))
+
+
+def _extremes(ds: Dataset) -> tuple[float, np.ndarray]:
+    """``_BallScreen.extremes`` of the points of ``ds`` at scale 1: the
+    exact diameter and each row's nearest distance (0 for a duplicate row),
+    from one band scan. Dividing by a positive scale is monotone, so the
+    minima divided by the scale equal the kernel's at that scale."""
+    return _cached(ds, "extremes", lambda ds: _BallScreen(MetricDescriptor(ds.metric.kind), ds.points).extremes())
+
+
 def _raw_diameter(ds: Dataset) -> float:
-    """The diameter bound of ``ds`` at scale 1: the exact maximum up to
-    EXACT_DIAMETER_LIMIT rows, else 2 max_i d(points[0], points[i]), capped
-    at 1 for the normalized Hamming metric, which never exceeds it.
-
-    The exact maximum runs over the ball screen's row bands, which also
-    hold reversed pairs and each row against itself; neither changes it.
-    Hamming, Manhattan and Chebyshev bands are the kernel's values. In a
-    Euclidean band g is within half the band of the kernel's square, so a
-    pair whose Gram value g lies more than the band below the band's
-    largest g is shorter than the pair with that g, and one more than the
-    band below the best distance so far squared is shorter than the best;
-    the kernel measures the rest. The kernel is symmetric bit for
-    bit and works pair by pair, so the maximum equals that of the
-    one-row-at-a-time loop."""
-    metric = MetricDescriptor(ds.metric.kind)
-    if ds.n <= EXACT_DIAMETER_LIMIT:
-        best = 0.0
-        for i, values, band in _BallScreen(metric, ds.points)._bands():
-            if band is not None:
-                near = np.flatnonzero(values >= max(float(values.max()), best * best) - band)
-                ii, jj = np.divmod(near, values.shape[1])
-                values = _kernel(metric, ds.points[i + ii], ds.points[i + 1 + jj], ds.dim)
-            best = float(values.max(initial=best))
-        return best
-    rows = ds.kernel_rows
-    bound = 2.0 * float(_kernel(metric, rows[0], rows, ds.dim).max())
-    return min(bound, 1.0) if metric.kind.uses_bits else bound
+    """The diameter bound of ``ds`` at scale 1: the band scan's exact
+    maximum when ``diameter_is_exact``, else 2 max_i d(points[0],
+    points[i]), capped at 1 for the normalized Hamming metric, which never
+    exceeds it."""
+    if diameter_is_exact(ds.n):
+        return _extremes(ds)[0]
+    bound = 2.0 * float(_kernel(MetricDescriptor(ds.metric.kind), ds.kernel_rows[0], ds.kernel_rows, ds.dim).max())
+    return min(bound, 1.0) if ds.metric.kind.uses_bits else bound
 
 
-def _nearest_distances(ds: Dataset) -> np.ndarray:
-    """Each row's distance to its nearest other row under ``ds.metric``,
-    equal to the kernel's minimum bit for bit: 0 for a duplicate row, inf
-    for the row of a 1-point dataset.
-
-    One pass over the ball screen's row bands at scale 1 meets every pair,
-    and each band updates the best distance of its rows and of its columns.
-    A band also meets pairs it has already seen, reversed, which change no
-    minimum, and each of its rows itself, which is masked out. Hamming,
-    Manhattan and Chebyshev bands are the kernel's values. In a Euclidean
-    band g is within half the band of the kernel's square, so a pair whose g
-    lies more than the band above the smallest g of its band row, or above
-    that row's best distance so far squared, is longer than a pair measured
-    for that row, and likewise for its column; the kernel measures every
-    pair not ruled out on both sides. The kernel is symmetric bit for bit,
-    and dividing by the scale is monotone, so each minimum equals the
-    kernel's at the dataset's scale."""
-    metric = MetricDescriptor(ds.metric.kind)
-    best = np.full(ds.n, np.inf)
-    for i, values, band in _BallScreen(metric, ds.points)._bands():
-        size, width = values.shape
-        # Row k of the band is row i + k, and column k - 1 holds it too.
-        values[np.arange(1, size), np.arange(size - 1)] = np.inf
-        head, tail = best[i : i + size], best[i + 1 :]
-        if band is None:
-            np.minimum(head, values.min(axis=1), out=head)
-            np.minimum(tail, values.min(axis=0), out=tail)
-            continue
-        row_limit = np.minimum(values.min(axis=1), head * head) + band
-        col_limit = np.minimum(values.min(axis=0), tail * tail) + band
-        near = (values <= row_limit[:, None]) | (values <= col_limit)
-        ii, jj = np.divmod(np.flatnonzero(near), width)
-        measured = _kernel(metric, ds.points[i + ii], ds.points[i + 1 + jj], ds.dim)
-        np.minimum.at(head, ii, measured)
-        np.minimum.at(tail, jj, measured)
-    return best / ds.metric.scale
+def _distinct_rows(ds: Dataset) -> np.ndarray:
+    """``first_occurrence_indices(ds.points)``, computed once per dataset."""
+    return _cached(ds, "distinct", lambda ds: first_occurrence_indices(ds.points))
 
 
 def diameter_upper_bound(ds: Dataset) -> float:
@@ -577,7 +597,9 @@ def diameter_upper_bound(ds: Dataset) -> float:
     and the true maximum returned. Above that, the triangle-inequality
     bound 2 * max_i d(points[0], points[i]) is used, capped by the
     normalized Hamming metric's own bound 1 / scale. Use
-    ``diameter_is_exact`` to report which branch applied.
+    ``diameter_is_exact`` to report which branch applied. A bound that
+    overflows the doubles (coordinates near 1e300) raises
+    ``InvalidInputError``.
 
     The scan runs once per dataset, at scale 1, and is shared with its
     rescaled copies; this divides it by the scale. Division by a positive
@@ -587,9 +609,10 @@ def diameter_upper_bound(ds: Dataset) -> float:
     """
     if ds.n < 2:
         raise InvalidInputError("diameter bound needs at least 2 points")
-    if "raw" not in ds._bound:
-        ds._bound["raw"] = _raw_diameter(ds)
-    return ds._bound["raw"] / ds.metric.scale
+    bound = _cached(ds, "diameter", _raw_diameter) / ds.metric.scale
+    if not math.isfinite(bound):
+        raise InvalidInputError(f"the diameter bound overflows to {bound}; the coordinates are too large")
+    return bound
 
 
 def diameter_is_exact(n: int) -> bool:

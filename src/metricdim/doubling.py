@@ -29,8 +29,8 @@ from .core import (
     Dataset,
     InvalidInputError,
     _BallScreen,
+    _distinct_rows,
     diameter_upper_bound,
-    first_occurrence_indices,
 )
 
 # Probed radii run log-uniformly from this fraction of the diameter bound
@@ -157,7 +157,7 @@ def probe_rows(ds: Dataset, probes: int, seed: int = 0) -> list[ProbeRecord]:
     """
     if probes < 1:
         raise InvalidInputError("need at least one probe")
-    keep = first_occurrence_indices(ds.points)
+    keep = _distinct_rows(ds)
     distinct = Dataset(ds.points[keep], ds.metric, ds.seed)
     if distinct.n == 1:
         return [ProbeRecord(int(keep[0]), 0.0, 1) for _ in range(probes)]

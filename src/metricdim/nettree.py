@@ -7,8 +7,9 @@ of 2^-40 times the top radius for pathologically close points). Each level
 below the root is the greedy cover of all points grown in ascending point
 index (``doubling.greedy_cover``), so the structure is a pure function of
 the dataset. The build runs that cover only on the points with another
-point in reach, read off one nearest-neighbour scan
-(``core._nearest_distances``); every other point is a node of its own. The
+point in reach, read off the nearest distances of the dataset's one band
+pass (``core._extremes``, which also gives the exact diameter the probes
+read); every other point is a node of its own. The
 cover's owners (each point's lowest-index node in reach) give every node
 its parent one level up, and the bottom cover's owners give every point
 the bottom node that answers for it. The tree stores only these
@@ -35,9 +36,9 @@ from .core import (
     CountingOracle,
     Dataset,
     InvariantViolation,
-    _nearest_distances,
+    _distinct_rows,
+    _extremes,
     diameter_upper_bound,
-    first_occurrence_indices,
 )
 from .doubling import greedy_cover
 from .pivot import QueryStats, _check_eps, _verified_result
@@ -57,26 +58,12 @@ class NetTree:
     levels: list[NetLevel]
     owners: np.ndarray  # per point: the position of its bottom-level node, the one that answers for it
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
-
 
 @dataclass(frozen=True)
 class TreeStats:
     max_degree: int
     depth: int
     node_count: int
-
-
-def _top_radius(ds: Dataset) -> float:
-    # Bit metrics have an intrinsic diameter bound (1 / scale); anchoring
-    # the halving ladder there keeps the level scales independent of the
-    # sample. Real metrics anchor at the sample's diameter bound, the one
-    # cached on the dataset, so a tree built after the probes scans nothing.
-    if ds.metric.kind.uses_bits:
-        return 1.0 / ds.metric.scale
-    return diameter_upper_bound(ds) if ds.n >= 2 else 0.0
 
 
 def build_net_tree(ds: Dataset) -> tuple[NetTree, TreeStats]:
@@ -91,17 +78,24 @@ def build_net_tree(ds: Dataset) -> tuple[NetTree, TreeStats]:
     cover of those points alone. No such center is in an isolated point's
     reach, so each of those points keeps its lowest-index center in reach
     as its owner, and an isolated point owns itself. The level is the two
-    sets of centers merged by point index. The nearest distances are
-    scanned once per dataset and equal the kernel's, so the comparison with
-    the radius agrees with the cover's own."""
-    n_distinct = first_occurrence_indices(ds.points).size
-    top_radius = _top_radius(ds)
+    sets of centers merged by point index. The nearest distances come from
+    the band pass cached on the dataset, divided by its scale, and equal
+    the kernel's, so the comparison with the radius agrees with the cover's
+    own."""
+    n_distinct = _distinct_rows(ds).size
+    # Bit metrics have an intrinsic diameter bound (1 / scale); anchoring
+    # the halving ladder there keeps the level scales independent of the
+    # sample. Real metrics anchor at the sample's diameter bound.
+    if ds.metric.kind.uses_bits:
+        top_radius = 1.0 / ds.metric.scale
+    else:
+        top_radius = diameter_upper_bound(ds) if ds.n >= 2 else 0.0
     # At least the smallest positive double, so a halved radius stays > 0.
     floor = max(top_radius * RADIUS_FLOOR_FACTOR, 5e-324)
 
     levels = [NetLevel(top_radius, np.array([0], dtype=np.int64), np.array([-1], dtype=np.int64))]
     owners = np.zeros(ds.n, dtype=np.int64)
-    nearest = _nearest_distances(ds)
+    nearest = _extremes(ds)[1] / ds.metric.scale
     radius = top_radius
     while levels[-1].nodes.size < n_distinct and radius > floor:
         radius /= 2.0

@@ -195,6 +195,17 @@ class TestEstimate:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_diameter_fails_cleanly(self, tmp_path, capsys):
+        # Distances between coordinates near 1e300 overflow the doubles; the
+        # refusal names that, before any statistic warns.
+        pts = np.random.default_rng(0).uniform(-1e300, 1e300, (50, 3))
+        data = tmp_path / "huge.txt"
+        data.write_text("".join(" ".join(repr(float(v)) for v in row) + "\n" for row in pts))
+        code, out, err = run_cli(["estimate", "--in", str(data), "--metric", "euclidean"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: the diameter bound overflows to inf; the coordinates are too large\n"
+
     def test_parse_error_names_line(self, tmp_path, capsys):
         data = tmp_path / "bad.txt"
         data.write_text("1.0\nnope\n")
@@ -243,31 +254,35 @@ class TestEstimate:
 
 
 class TestDiameterScans:
-    """Every command scans each dataset's diameter bound once."""
+    """Every command scans the row bands of each dataset at most once: the
+    one scan yields both the exact diameter and the nearest distances."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
         sizes = []
-        scan = core._raw_diameter
+        scan = core._BallScreen.extremes
 
-        def counted(ds):
-            sizes.append(ds.n)
-            return scan(ds)
+        def counted(screen):
+            sizes.append(screen.rows.shape[0])
+            return scan(screen)
 
-        monkeypatch.setattr(core, "_raw_diameter", counted)
+        monkeypatch.setattr(core._BallScreen, "extremes", counted)
         return sizes
 
-    @pytest.mark.parametrize("n", [300, EXACT_DIAMETER_LIMIT + 52], ids=["exact", "triangle"])
-    def test_estimate(self, n, scans, tmp_path, capsys):
+    @pytest.mark.parametrize("n, expected", [(300, [300]), (EXACT_DIAMETER_LIMIT + 52, [])], ids=["exact", "triangle"])
+    def test_estimate(self, n, expected, scans, tmp_path, capsys):
+        # Above the limit the diameter is the triangle bound, and nothing
+        # else in estimate reads the scan.
         data = tmp_path / "g.txt"
         assert cli.main(["generate", "--family", "gaussian", "--d", "3", "--n", str(n), "--out", str(data)]) == 0
         args = ["estimate", "--in", str(data), "--metric", "euclidean", "--probes", "2", "--k", "4", "--grid", "11"]
         assert run_cli(args, capsys)[0] == 0
-        assert scans == [n]
+        assert scans == expected
 
     def test_nettree_stats(self, scans, capsys):
-        # Real workloads scan in the probes and reuse the bound as the tree's
-        # top radius; the Hamming tree starts from the metric's own bound.
+        # The probes scan each dataset for its diameter; the tree reads its
+        # nearest distances (and, on real workloads, its top radius) from
+        # that same scan.
         args = ["nettree-stats", "--n", "300", "--queries", "3", "--probes", "4"]
         assert run_cli(args, capsys)[0] == 0
         assert scans == [300, 300, 300]

@@ -488,6 +488,9 @@ def test_rescaled_bound_equals_a_fresh_scan(kind, limit, data):
         assert rescaled.points is ds.points
         assert diameter_upper_bound(rescaled) == expected
         assert diameter_upper_bound(fresh) == expected
+        nearest = core._extremes(rescaled)[1] / scale
+        assert nearest.tobytes() == (core._extremes(fresh)[1] / scale).tobytes()
+        assert nearest.tolist() == per_row_minimum(fresh)
 
 
 def per_row_minimum(ds):
@@ -549,7 +552,7 @@ def test_nearest_distances_equal_the_per_row_kernel_minimum(kind, scale, data):
     with pytest.MonkeyPatch.context() as mp:
         if data.draw(st.booleans()):
             mp.setattr(core, "_SCAN_BYTES", 3000)
-        got = core._nearest_distances(ds)
+        got = core._extremes(ds)[1] / ds.metric.scale
     assert got.dtype == np.float64
     assert got.tolist() == per_row_minimum(ds)
 
@@ -565,11 +568,11 @@ def test_nearest_distances_of_near_tied_stars(reverse, monkeypatch):
         g = np.random.default_rng(seed)
         points = unit_star(g, (int(g.integers(3, 40)), int(g.integers(2, 8))))
         ds = Dataset(points[::-1] if reverse else points, EUCLID)
-        assert core._nearest_distances(ds).tolist() == per_row_minimum(ds)
+        assert core._extremes(ds)[1].tolist() == per_row_minimum(ds)
 
 
 def test_nearest_distance_of_a_lone_row_is_infinite():
-    assert core._nearest_distances(Dataset(np.array([[0.5, 2.0]]), EUCLID)).tolist() == [math.inf]
+    assert core._extremes(Dataset(np.array([[0.5, 2.0]]), EUCLID))[1].tolist() == [math.inf]
 
 
 class TestDatasetIO:
