@@ -174,21 +174,32 @@ def _kernel_form(metric: MetricDescriptor, rows: np.ndarray) -> np.ndarray:
     return _pack_bits(rows) if metric.kind.uses_bits else rows
 
 
-def _kernel(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray, dim: int) -> np.ndarray:
+def _kernel(
+    metric: MetricDescriptor, a: np.ndarray, b: np.ndarray, dim: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Distances between matching kernel-form rows of ``a`` and ``b``
     (raw value / scale); ``dim`` is the bit length of Hamming rows, which
-    their packed words do not show. Rows broadcast."""
+    their packed words do not show. Rows broadcast.
+
+    With ``out``, a float64 array of the result's shape, the distances are
+    written there and ``a``, which must then be a writeable array of the
+    operands' broadcast shape, is overwritten as scratch: the call
+    allocates no array. The arithmetic is the same either way, so the
+    values are the same bits."""
     kind = metric.kind
+    work = None if out is None else a
     if kind is MetricKind.EUCLIDEAN:
-        diff = a - b
-        raw = np.sqrt(np.einsum("...i,...i->...", diff, diff))
+        diff = np.subtract(a, b, out=work)
+        raw = np.sqrt(np.einsum("...i,...i->...", diff, diff, out=out), out=out)
     elif kind is MetricKind.MANHATTAN:
-        raw = np.abs(a - b).sum(axis=-1)
+        raw = np.abs(np.subtract(a, b, out=work), out=work).sum(axis=-1, out=out)
     elif kind is MetricKind.CHEBYSHEV:
-        raw = np.abs(a - b).max(axis=-1)
+        raw = np.abs(np.subtract(a, b, out=work), out=work).max(axis=-1, out=out)
     else:
-        raw = np.bitwise_count(a ^ b).sum(axis=-1) / dim
-    return raw / metric.scale
+        # Bit counts are small integers, exact in any of the dtypes they pass through.
+        counts = np.bitwise_count(np.bitwise_xor(a, b, out=work), out=work).sum(axis=-1, out=out)
+        raw = np.divide(counts, dim, out=out)
+    return np.divide(raw, metric.scale, out=out)
 
 
 def pair_distances(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -507,11 +518,12 @@ class Dataset:
         the kernel's form (packed words for Hamming)."""
         return _kernel_form(self.metric, _check_point(self.metric, q, self.dim))
 
-    def distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def distances(self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Distances between matching rows of ``a`` and ``b``, which are
         kernel rows of this dataset or queries from ``check_query``. Rows
-        broadcast, as in ``pair_distances``."""
-        return _kernel(self.metric, a, b, self.dim)
+        broadcast, as in ``pair_distances``. With ``out`` the distances are
+        written there and ``a`` is overwritten as scratch (see ``_kernel``)."""
+        return _kernel(self.metric, a, b, self.dim, out)
 
     def rescaled(self, scale: float) -> "Dataset":
         """This dataset under the metric divided by ``scale``. The copy shares

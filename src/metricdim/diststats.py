@@ -14,12 +14,16 @@ with replacement. Full enumeration reads the row bands of the one pair
 engine in ``core`` (``all_pair_distances``): Hamming, Manhattan and
 Chebyshev values are the kernel's own, Euclidean values are within 1e-9
 relative of them and unchanged by translating the points. The sample is
-drawn, gathered and measured in chunks of a fixed byte budget (see
-``pairwise_distances``); only its distance vector is held whole.
+drawn, gathered and measured in chunks of a fixed byte budget, on buffers
+made once per call and shared round-robin over a few threads (see
+``pairwise_distances``); only its distance vector is held whole. Neither
+the chunking nor the thread count changes a value: each draw is a pure
+function of its index, and the kernel measures each pair on its own.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Union
 
@@ -36,6 +40,9 @@ from .core import (
 
 PAIR_BUDGET = 5_000_000
 _CHUNK_BYTES = 2**21
+# At most this many threads share one pair sample. Each holds two gathered
+# blocks of _CHUNK_BYTES, and the chunks are memory-bound numpy calls.
+_MAX_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -73,7 +80,9 @@ class DistanceSample:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        if (values < 0).any():
+        # (values < 0).any() without its boolean array: fmin skips NaN as the
+        # comparison does, and the initial 0 covers an empty sample.
+        if np.fmin.reduce(values, axis=None, initial=0.0) < 0:
             raise InvalidInputError("distances cannot be negative")
         if isinstance(self.mode, AllPairs) and values.size != self.n * (self.n - 1) // 2:
             raise InvalidInputError("full enumeration must hold exactly n(n-1)/2 values")
@@ -96,9 +105,18 @@ def pairwise_distances(ds: Dataset, mode: PairMode | None = None) -> DistanceSam
     (``_CHUNK_BYTES``), not by a pair count, because the cache sets the
     best size: about 2 MB both for 16 float64 columns (16k pairs) and for
     512 bits packed into 64-byte rows (32k pairs), so a pair count would
-    have to follow the row width. The values do not depend on the
-    chunking: every draw is a pure function of its index, and the kernel
-    works row by row.
+    have to follow the row width.
+
+    The chunks go round-robin to one thread per usable CPU, at most
+    ``_MAX_WORKERS`` and at most one per chunk; a single worker runs in
+    the calling thread. Each worker draws, gathers and measures its chunks
+    on one set of buffers (see ``_sample_chunks``), so no chunk allocates,
+    and writes disjoint slices of the output. The buffers are allocated
+    here, in the calling thread: glibc would keep a worker's own
+    allocations in that thread's arena, which showed as peak memory. The
+    values depend neither on the chunking nor on the worker count: every
+    draw is a pure function of its index, and the kernel measures each
+    pair on its own.
     """
     if ds.n < 2:
         raise InvalidInputError("pairwise distances need at least 2 points")
@@ -107,15 +125,70 @@ def pairwise_distances(ds: Dataset, mode: PairMode | None = None) -> DistanceSam
     if isinstance(mode, AllPairs):
         return DistanceSample(all_pair_distances(ds.metric, ds.points), mode, ds.n)
     rows = ds.kernel_rows
-    per_chunk = max(1, _CHUNK_BYTES // rows[0].nbytes)
+    per_chunk = min(mode.m, max(1, _CHUNK_BYTES // rows[0].nbytes))
+    workers = min(_usable_cpus(), -(-mode.m // per_chunk), _MAX_WORKERS)
+    keys = (rng.stream_key(mode.seed, 0), rng.stream_key(mode.seed, 1))
+    steps = rng._counter_steps(per_chunk)
     out = np.empty(mode.m)
-    for start in range(0, mode.m, per_chunk):
-        stop = min(start + per_chunk, mode.m)
-        ii = rng._draw_range(mode.seed, start, stop, ds.n, stream=0)
-        jj = rng._draw_range(mode.seed, start, stop, ds.n - 1, stream=1)
-        jj += jj >= ii
-        out[start:stop] = ds.distances(np.take(rows, ii, axis=0), np.take(rows, jj, axis=0))
+    jobs = [
+        (ds, keys, steps, out, range(w * per_chunk, mode.m, workers * per_chunk), _chunk_buffers(rows, per_chunk))
+        for w in range(workers)
+    ]
+    if workers == 1:
+        _sample_chunks(*jobs[0])
+    else:
+        # Imported here: concurrent.futures loads logging, which cost every
+        # CLI start about 7 ms.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            for future in [pool.submit(_sample_chunks, *job) for job in jobs]:
+                future.result()
     return DistanceSample(out, mode, ds.n)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunk_buffers(rows: np.ndarray, size: int) -> tuple:
+    """One worker's buffers for chunks of ``size`` pairs: the i and j
+    draws, scratch words, and the two gathered row blocks."""
+    block = (size,) + rows.shape[1:]
+    return (
+        np.empty(size, dtype=np.int64),
+        np.empty(size, dtype=np.int64),
+        np.empty(size, dtype=np.int64),
+        np.empty(block, dtype=rows.dtype),
+        np.empty(block, dtype=rows.dtype),
+    )
+
+
+def _sample_chunks(ds: Dataset, keys, steps: np.ndarray, out: np.ndarray, starts: range, buffers: tuple) -> None:
+    """Write the sampled distances of the chunks beginning at ``starts``
+    into ``out``, on ``buffers`` (see ``_chunk_buffers``) alone. ``keys``
+    and ``steps`` are the two streams' keys and their shared counter steps
+    (see ``rng._draw_range``), read only.
+
+    The gathers clip instead of checking their indices: every draw lies in
+    [0, bound) (see ``rng._draw_range``), and with ``out`` numpy's checked
+    mode copies the block once more.
+    """
+    rows = ds.kernel_rows
+    size = buffers[0].size
+    for start in starts:
+        stop = min(start + size, out.size)
+        ii, jj, scratch, a, b = (buf[: stop - start] for buf in buffers)
+        rng._draw_range(keys[0], start, stop, ds.n, out=ii, scratch=scratch, steps=steps)
+        rng._draw_range(keys[1], start, stop, ds.n - 1, out=jj, scratch=scratch, steps=steps)
+        jj += np.greater_equal(jj, ii, out=scratch)
+        np.take(rows, ii, axis=0, out=a, mode="clip")
+        np.take(rows, jj, axis=0, out=b, mode="clip")
+        ds.distances(a, b, out=out[start:stop])
 
 
 @dataclass(frozen=True)

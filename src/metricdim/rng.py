@@ -28,10 +28,18 @@ def mix64(z):
     suppressed accordingly.
     """
     with np.errstate(over="ignore"):
-        z = np.asarray(z, dtype=np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * _MIX_A
-        z = (z ^ (z >> np.uint64(27))) * _MIX_B
-        return z ^ (z >> np.uint64(31))
+        z = np.array(z, dtype=np.uint64)
+        return _mix64_into(z, np.empty_like(z))[()]
+
+
+def _mix64_into(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``mix64`` of the uint64 array ``z``, written into ``out`` (a uint64
+    array of its shape); ``z`` is overwritten as scratch."""
+    np.bitwise_xor(z, np.right_shift(z, np.uint64(30), out=out), out=out)
+    np.multiply(out, _MIX_A, out=out)
+    np.bitwise_xor(out, np.right_shift(out, np.uint64(27), out=z), out=out)
+    np.multiply(out, _MIX_B, out=out)
+    return np.bitwise_xor(out, np.right_shift(out, np.uint64(31), out=z), out=out)
 
 
 def _as_u64(value) -> np.uint64:
@@ -61,7 +69,7 @@ def _raw(key: np.uint64, indices) -> np.ndarray:
 
 def uniform01(seed, n, stream=0) -> np.ndarray:
     """n uniforms in [0, 1) with 53-bit resolution."""
-    return _draw_range(seed, 0, n, None, stream)
+    return _draw_range(stream_key(seed, stream), 0, n, None)
 
 
 def integers(seed, n, bound, stream=0) -> np.ndarray:
@@ -70,22 +78,55 @@ def integers(seed, n, bound, stream=0) -> np.ndarray:
     Implemented as floor(u * bound) from a 53-bit uniform; the bias is
     below bound * 2**-53 per value, vanishing at any bound used here.
     """
-    return _draw_range(seed, 0, n, bound, stream)
+    return _draw_range(stream_key(seed, stream), 0, n, bound)
 
 
-def _draw_range(seed, start, stop, bound, stream) -> np.ndarray:
-    """Draws start..stop-1 of a stream: uniform01 draws when ``bound`` is
-    None, integers on [0, bound) otherwise.
+def _counter_steps(n: int) -> np.ndarray:
+    """``(k + 1) * GOLDEN`` modulo 2**64 for k < n: the counters of draws
+    0..n-1 less their key, which ``_draw_range`` shifts to any start."""
+    with np.errstate(over="ignore"):
+        return _GOLDEN * np.arange(1, n + 1, dtype=np.uint64)
+
+
+def _draw_range(key, start, stop, bound, out=None, scratch=None, steps=None) -> np.ndarray:
+    """Draws start..stop-1 of the stream whose ``stream_key`` is ``key``:
+    uniform01 draws when ``bound`` is None, integers on [0, bound)
+    otherwise. Every integer lies in [0, bound), also where ``u * bound``
+    rounds up to ``bound``, so callers may index with it unchecked.
 
     Each draw is a pure function of its index, so this equals
     ``uniform01(seed, stop, stream)[start:]`` (or the ``integers`` slice)
-    without drawing the prefix; chunked samplers call it directly.
+    without drawing the prefix; chunked samplers call it directly, with
+    the key computed once.
+
+    ``out`` (float64 for uniforms, int64 for integers) receives the draws
+    and ``scratch`` (any 8-byte dtype) the intermediate words; both hold
+    ``stop - start`` entries, and their old contents are ignored.
+    ``steps`` is ``_counter_steps(n)`` for any n >= stop - start, read
+    only. A caller that passes all three allocates nothing per draw;
+    without them, they are made here. The values are the same bits either
+    way.
     """
     if bound is not None and bound <= 0:
         raise ValueError("bound must be positive")
-    raw = _raw(stream_key(seed, stream), np.arange(start, stop, dtype=np.uint64))
-    u = (raw >> np.uint64(11)).astype(np.float64) * _U53
-    return u if bound is None else np.minimum((u * bound).astype(np.int64), bound - 1)
+    size = stop - start
+    if out is None:
+        out = np.empty(size, dtype=np.float64 if bound is None else np.int64)
+    words = np.empty(size, dtype=np.uint64) if scratch is None else scratch.view(np.uint64)
+    steps = _counter_steps(size) if steps is None else steps[:size]
+    counters = out.view(np.uint64)
+    # errstate is per thread, so it is entered here, in the drawing thread.
+    with np.errstate(over="ignore"):
+        # Counter k is key + (k + 1) * GOLDEN modulo 2**64, as in ``_raw``.
+        np.add(steps, key + _GOLDEN * np.uint64(start), out=counters)
+        _mix64_into(counters, words)
+    words >>= np.uint64(11)
+    if bound is None:
+        return np.multiply(words, _U53, out=out)
+    u = np.multiply(words, _U53, out=out.view(np.float64))
+    u *= bound
+    np.copyto(words.view(np.int64), u, casting="unsafe")
+    return np.minimum(words.view(np.int64), bound - 1, out=out)
 
 
 def distinct_indices(seed, k, n, stream=0) -> np.ndarray:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from metricdim import cli, core, rng
+from metricdim import cli, core, diststats, rng
 from metricdim.core import EXACT_DIAMETER_LIMIT, InvariantViolation, MetricDescriptor, MetricKind, load_dataset
 from metricdim.doubling import probe_rows
 
@@ -328,6 +328,11 @@ class TestHammingOutputDigests:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_sampled_output_is_independent_of_the_worker_count(self, workers, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(diststats, "_usable_cpus", lambda: workers)
+        self.test_output_matches_its_digest("estimate-sampled", tmp_path, monkeypatch, capsys)
+
 
 class TestCoverOutputDigests:
     """SHA-256 of small real-metric outputs whose doubling probes and net
@@ -369,6 +374,11 @@ class TestCoverOutputDigests:
         code, out, _ = run_cli(args, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_sampled_output_is_independent_of_the_worker_count(self, workers, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(diststats, "_usable_cpus", lambda: workers)
+        self.test_output_matches_its_digest("estimate-sampled", tmp_path, monkeypatch, capsys)
 
 
 class TestGenerateCommand:

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from metricdim.core import (
 )
 from metricdim.diststats import (
     ALL_PAIRS,
+    DistanceSample,
     MomentSummary,
     SampledPairs,
     boxplot_summary,
@@ -154,6 +158,54 @@ def test_sample_is_independent_of_the_chunking(metric, monkeypatch):
     jj = jj + (jj >= ii)
     whole = pair_distances(metric, ds.points[ii], ds.points[jj])
     assert chunked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.kind.value)
+def test_sample_is_independent_of_the_worker_count(metric, monkeypatch):
+    dim, n, m, seed = 6, 40, 1003, 11
+    pts = rng.matrix_bits(3, n, dim) if metric.kind.uses_bits else rng.matrix_normals(3, n, dim)
+    ds = Dataset(pts, metric)
+    # Seven pairs per chunk: 143 whole chunks and a ragged tail of two.
+    monkeypatch.setattr(diststats, "_CHUNK_BYTES", 7 * ds.kernel_rows[0].nbytes)
+    ii = rng.integers(seed, m, n, stream=0)
+    jj = rng.integers(seed, m, n - 1, stream=1)
+    jj = jj + (jj >= ii)
+    whole = pair_distances(metric, ds.points[ii], ds.points[jj]).tobytes()
+    fill = diststats._sample_chunks
+    threads = set()
+
+    def recorded_fill(*args):
+        threads.add(threading.get_ident())
+        fill(*args)
+
+    monkeypatch.setattr(diststats, "_sample_chunks", recorded_fill)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the workers as finely as the interpreter allows
+    try:
+        for workers in (1, 2, 3):
+            threads.clear()
+            monkeypatch.setattr(diststats, "_usable_cpus", lambda: workers)
+            assert pairwise_distances(ds, SampledPairs(m, seed)).values.tobytes() == whole
+            assert len(threads) == workers
+            assert (threading.get_ident() in threads) == (workers == 1)
+    finally:
+        sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize(
+    "values, rejected",
+    [([0.5, -1e-300], True), ([np.nan, 1.0], False), ([np.nan, -1.0], True), ([-0.0, 0.0], False), ([], False)],
+    ids=["negative", "nan", "nan-and-negative", "negative-zero", "empty"],
+)
+def test_sign_check_agrees_with_the_elementwise_comparison(values, rejected):
+    arr = np.array(values, dtype=np.float64)
+    assert (arr < 0).any() == rejected
+    mode, n = (SampledPairs(arr.size, 0), 5) if arr.size else (ALL_PAIRS, 1)
+    if rejected:
+        with pytest.raises(InvalidInputError, match="negative"):
+            DistanceSample(arr, mode, n)
+    else:
+        assert DistanceSample(arr, mode, n).values.tobytes() == arr.tobytes()
 
 
 class TestBoxplot:

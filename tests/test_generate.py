@@ -120,10 +120,30 @@ class TestRngPlumbing:
         # Chunked samplers draw [start, stop) on its own; it must be the
         # same values as that slice of one draw of the whole stream.
         n = 1000
-        assert np.array_equal(rng._draw_range(7, start, stop, None, stream), rng.uniform01(7, n, stream)[start:stop])
-        got = rng._draw_range(7, start, stop, 613, stream)
+        key = rng.stream_key(7, stream)
+        assert np.array_equal(rng._draw_range(key, start, stop, None), rng.uniform01(7, n, stream)[start:stop])
+        got = rng._draw_range(key, start, stop, 613)
         assert got.dtype == np.int64
         assert np.array_equal(got, rng.integers(7, n, 613, stream)[start:stop])
+
+    @pytest.mark.parametrize("stream", [0, 1])
+    @pytest.mark.parametrize("bound", [1000, 999, 2**53 - 1, 2**53 + 3])
+    @pytest.mark.parametrize("start, stop", [(0, 64), (5, 12), (211, 500), (300, 301), (777, 777)])
+    def test_draw_into_caller_buffers_equals_the_allocating_draw(self, start, stop, bound, stream):
+        # Chunked samplers reuse their buffers, so stale contents must not leak.
+        key = rng.stream_key(7, stream)
+        out = np.full(stop - start, -1, dtype=np.int64)
+        scratch = np.full(stop - start, np.nan)
+        got = rng._draw_range(key, start, stop, bound, out=out, scratch=scratch, steps=rng._counter_steps(1000))
+        assert got is out
+        assert np.array_equal(got, rng._draw_range(key, start, stop, bound))
+        assert np.array_equal(got, rng.integers(7, stop, bound, stream)[start:])
+        # Gathers index rows with these unchecked.
+        assert ((got >= 0) & (got < bound)).all()
+        uniforms = rng._draw_range(
+            key, start, stop, None, out=np.full(stop - start, np.inf), scratch=out, steps=rng._counter_steps(stop - start)
+        )
+        assert uniforms.tobytes() == rng.uniform01(7, stop, stream)[start:].tobytes()
 
     def test_derive_seed_differs_by_tag(self):
         assert rng.derive_seed(1, 2) != rng.derive_seed(1, 3)
