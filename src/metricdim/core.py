@@ -16,18 +16,19 @@ query once, and the public ``pair_distances`` packs the rows it is given
 and calls the same kernel.
 
 Pairs of rows are enumerated in one place, the ball screen
-``_BallScreen``. It prepares a row set once (rows centred on the first
-one and their squared norms, or float32 bits and bit counts) and measures
-any two index blocks of it in one private helper: the centred Gram gap and
-its rounding band for Euclidean, exact differing-bit counts for Hamming,
-and the kernel's values for Manhattan, Chebyshev and every Euclidean block
-outside the screen's range. Pairs the Euclidean band cannot decide go
-back to the kernel through one more helper, and only the screen knows
-where its bands lie. Three uses read the screen: ``within_radius`` and a
-greedy cover's blocks ask for ball membership ``pair_distances(...) <=
-radius``, equal to the kernel's answer element by element (the screen
-decides the pairs its band can, the kernel the rest);
-``all_pair_distances`` takes the upper triangles of the screen's row
+``_BallScreen``. It is built from kernel rows, prepares them once (for
+Euclidean, rows centred on the first one and their squared norms) and
+measures any two index blocks of them in one private helper: the centred
+Gram gap and its rounding band for Euclidean, and the kernel's values in
+row chunks for Hamming, Manhattan, Chebyshev and every Euclidean block
+outside the screen's range. So Hamming distances have one implementation,
+the popcount kernel, whatever the row width. Pairs the Euclidean band
+cannot decide go back to the kernel through one more helper, and only the
+screen knows where its bands lie. Three uses read the screen:
+``within_radius`` and a greedy cover's blocks ask for ball membership
+``pair_distances(...) <= radius``, equal to the kernel's answer element
+by element (the screen decides the pairs its band can, the kernel the
+rest); ``all_pair_distances`` takes the upper triangles of the screen's row
 bands (rows i..i+B-1 against the rows after i); and one pass over the
 same bands takes both extremes, the exact diameter and each row's
 nearest distance, equal to the kernel's bit for bit (the kernel
@@ -185,7 +186,15 @@ def _kernel(
     written there and ``a``, which must then be a writeable array of the
     operands' broadcast shape, is overwritten as scratch: the call
     allocates no array. The arithmetic is the same either way, so the
-    values are the same bits."""
+    values are the same bits.
+
+    Hamming adds up the popcounts of the XORed words one 64-bit word at a
+    time, into a zeroed float64 result: numpy's ``sum`` over the short
+    word axis took two to three times as long on blocks of rows of one to
+    eight words. Bit counts are integers, exact in every dtype they pass
+    through, so the order of the additions changes no bit. Each word
+    costs one pass per call, so from about 64 words a row the loop is the
+    slower of the two."""
     kind = metric.kind
     work = None if out is None else a
     if kind is MetricKind.EUCLIDEAN:
@@ -196,9 +205,12 @@ def _kernel(
     elif kind is MetricKind.CHEBYSHEV:
         raw = np.abs(np.subtract(a, b, out=work), out=work).max(axis=-1, out=out)
     else:
-        # Bit counts are small integers, exact in any of the dtypes they pass through.
-        counts = np.bitwise_count(np.bitwise_xor(a, b, out=work), out=work).sum(axis=-1, out=out)
-        raw = np.divide(counts, dim, out=out)
+        counts = np.bitwise_count(np.bitwise_xor(a, b, out=work), out=work)
+        raw = np.empty(counts.shape[:-1]) if out is None else out
+        raw.fill(0.0)
+        for word in range(counts.shape[-1]):
+            raw += counts[..., word]
+        raw /= dim
     return np.divide(raw, metric.scale, out=out)
 
 
@@ -253,74 +265,62 @@ class _BallScreen:
     row bands (``_bands``) and the extremes over those bands
     (``extremes``).
 
-    Built from checked rows (0/1 rows for Hamming), it holds the metric's
-    prepared form: for Euclidean the rows centred on ``rows[0]`` and their
-    squared norms, for Hamming the rows as float32 and their bit counts, for
-    Manhattan and Chebyshev the rows themselves. ``_block`` measures two
-    index blocks from it, and every use reads ``_block``, so a caller that
-    screens many blocks of the same rows (a greedy cover) prepares them
-    once. Pairs that a Euclidean block's band leaves open are measured again
-    by the kernel in ``_remeasure``.
+    Built from kernel rows (packed words for Hamming, see ``_kernel_form``)
+    and their length ``dim`` (the bit length for Hamming), it holds the
+    metric's prepared form: for Euclidean the rows centred on ``rows[0]``
+    and their squared norms, for the other metrics the rows themselves.
+    ``_block`` measures two index blocks from it, and every use reads
+    ``_block``, so a caller that screens many blocks of the same rows (a
+    greedy cover) prepares them once. Pairs that a Euclidean block's band
+    leaves open are measured again by the kernel in ``_remeasure``.
     """
 
-    def __init__(self, metric: MetricDescriptor, rows: np.ndarray):
+    def __init__(self, metric: MetricDescriptor, rows: np.ndarray, dim: int):
         self.metric = metric
         self.rows = rows
+        self.dim = dim
         if metric.kind is MetricKind.EUCLIDEAN:
             with np.errstate(over="ignore", invalid="ignore"):
                 self._form = np.subtract(rows, rows[0], dtype=np.float64)
                 self._norms = np.einsum("ij,ij->i", self._form, self._form)
-        elif metric.kind is MetricKind.HAMMING:
-            self._form = rows.astype(np.float32)
-            self._norms = self._form.sum(axis=1)
 
     def _block(self, ia: np.ndarray, ib: np.ndarray | slice, radius: float = 0.0) -> tuple[np.ndarray, float | None]:
         """Rows ``ia`` (an index array) against rows ``ib`` (an index array
         or a slice), as ``(values, band)``.
 
-        With ``band`` None, ``values`` are the distances themselves, equal
-        to the kernel's bit for bit: exact differing-bit counts for Hamming,
-        and for Manhattan, Chebyshev and a Euclidean block outside
+        With ``band`` None, ``values`` are the distances themselves: for
+        Hamming, Manhattan, Chebyshev and a Euclidean block outside
         ``_SCREEN_RANGE`` the kernel's values, in row chunks of at most
         ``_SCAN_BYTES`` of temporaries. Otherwise ``values`` hold the
         centred Gram gap g - t^2 of each pair, t = radius * scale, and a
         pair with |g - t^2| > band lies on the same side of t as the
         kernel's distance (see ``within_radius``). Radius 0 screens the
         squared distances g."""
-        kind, dim = self.metric.kind, self.rows.shape[1]
-        if kind in (MetricKind.EUCLIDEAN, MetricKind.HAMMING):
-            euclid = kind is MetricKind.EUCLIDEAN
-            t = float(radius) * self.metric.scale if euclid else 0.0
+        if self.metric.kind is MetricKind.EUCLIDEAN:
+            t = float(radius) * self.metric.scale
             na, nb = self._norms[ia], self._norms[ib]
             reach = math.sqrt(na.max()) + math.sqrt(nb.max())
             lo, hi = _SCREEN_RANGE
-            if not euclid or all(lo <= x <= hi for x in ((reach,) if radius == 0.0 else (radius, t, reach))):
-                # |x - y|^2 = |x|^2 + |y|^2 - 2 x.y. For 0/1 rows it is the
-                # differing-bit count, and in float32 every partial sum is an
-                # integer below 2**24, exact in any order for d < 2**23.
+            if all(lo <= x <= hi for x in ((reach,) if radius == 0.0 else (radius, t, reach))):
+                # |x - y|^2 = |x|^2 + |y|^2 - 2 x.y
                 ac = self._form[ia]
                 ac *= -2.0
                 gap = _chunked_matmul(ac, self._form[ib].T)
                 gap += na[:, None]
                 gap += (nb - t * t)[None, :]
-                if euclid:
-                    return gap, 4.0 * (dim + 8) * _UNIT_ROUNDOFF * (reach * reach + t * t)
-                values = gap.astype(np.float64)
-                values /= dim
-                values /= self.metric.scale
-                return values, None
+                return gap, 4.0 * (self.dim + 8) * _UNIT_ROUNDOFF * (reach * reach + t * t)
         b = self.rows[ib]
         out = np.empty((len(ia), b.shape[0]))
         step = max(1, _SCAN_BYTES // (b.shape[0] * (b[0].nbytes + 16)))
         for k in range(0, len(ia), step):
-            out[k : k + step] = _kernel(self.metric, self.rows[ia[k : k + step], None], b[None], dim)
+            out[k : k + step] = _kernel(self.metric, self.rows[ia[k : k + step], None], b[None], self.dim)
         return out, None
 
     def within(self, ia: np.ndarray, ib: np.ndarray, radius: float) -> np.ndarray:
-        """The boolean matrix ``pair_distances(metric, rows[ia][:, None],
-        rows[ib][None]) <= radius``, equal to it element by element. ``ia``
-        and ``ib`` are non-empty integer index arrays; neither needs to hold
-        the centre row."""
+        """The boolean matrix ``_kernel(metric, rows[ia][:, None],
+        rows[ib][None], dim) <= radius``, equal to it element by element.
+        ``ia`` and ``ib`` are non-empty integer index arrays; neither needs to
+        hold the centre row."""
         values, band = self._block(ia, ib, radius)
         if band is None:
             return values <= radius
@@ -336,7 +336,7 @@ class _BallScreen:
         rows ``ib`` (index arrays), as ``(ii, jj, distances)``: their row and
         column positions in the block and the kernel's distances."""
         ii, jj = np.divmod(np.flatnonzero(mask), mask.shape[1])
-        return ii, jj, pair_distances(self.metric, self.rows[ia[ii]], self.rows[ib[jj]])
+        return ii, jj, _kernel(self.metric, self.rows[ia[ii]], self.rows[ib[jj]], self.dim)
 
     def _bands(self):
         """Every row pair, as ``(ia, ib, values, band)`` from ``_block`` at
@@ -396,11 +396,12 @@ class _BallScreen:
 def within_radius(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     """The boolean matrix ``pair_distances(metric, a[:, None], b[None]) <= radius``.
 
-    The result equals that expression element by element, at a fraction of
-    its cost. ``a`` and ``b`` are non-empty row blocks. This is the one-shot
-    use of ``_BallScreen`` on the rows of ``a`` and ``b``, centred on
-    ``a[0]``. Hamming counts differing bits with the exact Gram identity;
-    Manhattan and Chebyshev take the kernel's values in row chunks.
+    The result equals that expression element by element, in bounded
+    memory and, for Euclidean, at a fraction of its cost. ``a`` and ``b``
+    are non-empty row blocks. This is the one-shot use of ``_BallScreen``
+    on the rows of ``a`` and ``b``, centred on ``a[0]``; Hamming rows are
+    packed into words once, here. Hamming, Manhattan and Chebyshev take
+    the kernel's values in row chunks.
 
     Euclidean screens with a Gram product on coordinates centred on a
     shared centre c, one of the screen's rows: with a' = a - c and
@@ -420,7 +421,7 @@ def within_radius(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray, radius
     radius, coordinates near overflow, all points equal to c) every pair
     goes to the kernel.
     """
-    screen = _BallScreen(metric, np.concatenate([a, b]))
+    screen = _BallScreen(metric, _kernel_form(metric, np.concatenate([a, b])), a.shape[1])
     return screen.within(np.arange(len(a)), np.arange(len(a), len(a) + len(b)), radius)
 
 
@@ -436,7 +437,7 @@ def all_pair_distances(metric: MetricDescriptor, points: np.ndarray) -> np.ndarr
     duplicates, and a whole band outside ``_SCREEN_RANGE``) is measured by
     the kernel.
     """
-    screen = _BallScreen(metric, points)
+    screen = _BallScreen(metric, _kernel_form(metric, points), points.shape[1])
     out = [np.empty(0)]
     for ia, ib, values, band in screen._bands():
         upper = ib > ia[:, None]
@@ -583,7 +584,7 @@ def _extremes(ds: Dataset) -> tuple[float, np.ndarray]:
     exact diameter and each row's nearest distance (0 for a duplicate row),
     from one band scan. Dividing by a positive scale is monotone, so the
     minima divided by the scale equal the kernel's at that scale."""
-    return _cached(ds, "extremes", lambda ds: _BallScreen(MetricDescriptor(ds.metric.kind), ds.points).extremes())
+    return _cached(ds, "extremes", lambda ds: _BallScreen(MetricDescriptor(ds.metric.kind), ds.kernel_rows, ds.dim).extremes())
 
 
 def _raw_diameter(ds: Dataset) -> float:

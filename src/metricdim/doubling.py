@@ -109,7 +109,7 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
         raise InvalidInputError("cover radius must be positive")
     subset = idx if (idx[1:] > idx[:-1]).all() else np.unique(idx)
     subset = subset.astype(np.int64, copy=False)
-    screen = _BallScreen(ds.metric, ds.points[subset])
+    screen = _BallScreen(ds.metric, ds.kernel_rows[subset], ds.dim)
     uncovered = np.arange(subset.size)
     owners = np.empty(subset.size, dtype=np.int64)
     centers = []

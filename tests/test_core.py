@@ -185,6 +185,11 @@ def test_packed_hamming_kernel_counts_every_bit(data):
     assert ds.distances(rows[:k, None], rows[None]).tolist() == blocks
     rescaled = Dataset(pts, HAMMING).rescaled(scale)
     assert rescaled.distances(rows[:k, None], rows[None]).tolist() == blocks
+    # With out=, the first operand is scratch and no NaN in out survives.
+    scratch = np.repeat(rows[:k, None], m, axis=1)
+    out = np.full(scratch.shape[:-1], np.nan)
+    assert core._kernel(metric, scratch, rows[None], d, out=out) is out
+    assert out.tolist() == blocks
 
 
 # Row layouts for the ball predicate: "offset" needs the centring, "huge"
@@ -243,6 +248,29 @@ def test_within_radius_decides_exact_ties_on_a_grid():
             assert (pair_distances(EUCLID, pts[:, None], pts[None]) == radius).any()
 
 
+def screen_widths(kind):
+    """Row widths for the ball screen's tests. Bit rows also take one,
+    two and eight packed words, with a ragged or a full last word."""
+    widths = st.integers(1, 20)
+    return st.one_of(widths, st.sampled_from([63, 64, 65, 127, 128, 129, 512])) if kind.uses_bits else widths
+
+
+def test_screen_counts_every_bit_of_rows_wider_than_float32_counts():
+    # Past 2**24 not every bit count is a float32 value: 2**24 + 3 and
+    # 2**24 + 5 are not. Rows 0 and 1 differ in 3 bits, the radius; rows 0
+    # and 2 in d - 1 bits, the diameter.
+    d = 2**24 + 6
+    rows = np.ones((3, d), dtype=np.uint8)
+    rows[1, :3] = 0
+    rows[2, 1:] = 0
+    kernel = pair_distances(HAMMING, rows[:, None], rows[None])
+    radius = float(kernel[0, 1])
+    assert radius == 3 / d
+    np.testing.assert_array_equal(within_radius(HAMMING, rows, rows, radius), kernel <= radius)
+    assert diameter_upper_bound(Dataset(rows, HAMMING)) == kernel.max() == (d - 1) / d
+    assert core.all_pair_distances(HAMMING, rows).tolist() == kernel[np.triu_indices(3, 1)].tolist()
+
+
 # Layouts for the prepared screen: "offset" needs the centring, "scaled"
 # lies far inside the unit box, and "far-centre" moves the centre row
 # (row 0) away from the rest, so blocks without it have a large reach.
@@ -260,7 +288,7 @@ SCREEN_LAYOUTS = {
 def test_prepared_screen_equals_the_kernel_comparison(kind, scale, data):
     metric = MetricDescriptor(kind, scale)
     g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    n, dim = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 20))
+    n, dim = data.draw(st.integers(2, 40)), data.draw(screen_widths(kind))
     if kind.uses_bits:
         rows = g.integers(0, 2, (n, dim)).astype(np.uint8)
     else:
@@ -272,7 +300,7 @@ def test_prepared_screen_equals_the_kernel_comparison(kind, scale, data):
     on = float(values.ravel()[data.draw(st.integers(0, values.size - 1))])
     near = st.sampled_from([on, np.nextafter(on, 0.0), np.nextafter(on, np.inf)])
     radius = float(data.draw(st.one_of(near, near, st.sampled_from([1e-3, 1.0, math.inf]))))
-    got = core._BallScreen(metric, rows).within(ia, ib, radius)
+    got = core._BallScreen(metric, core._kernel_form(metric, rows), dim).within(ia, ib, radius)
     np.testing.assert_array_equal(got, values <= radius)
 
 
@@ -289,7 +317,7 @@ def test_all_pair_distances_match_the_kernel_pair_by_pair(kind, scale, data):
     g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     # Above about 260 rows the pairs take more than one row band.
     n = data.draw(st.one_of(st.integers(1, 12), st.integers(250, 400)))
-    dim = data.draw(st.integers(1, 20))
+    dim = data.draw(screen_widths(kind))
     if kind.uses_bits:
         pool = g.integers(0, 2, (data.draw(st.sampled_from([3, n])), dim)).astype(np.uint8)
         points = pool[g.integers(0, pool.shape[0], n)]
@@ -542,7 +570,7 @@ def test_nearest_distances_equal_the_per_row_kernel_minimum(kind, scale, data):
     # Above about 260 rows the pairs take more than one row band; a small
     # band budget splits any row set into many.
     n = data.draw(st.one_of(st.integers(1, 12), st.integers(250, 400)))
-    dim = data.draw(st.integers(1, 20))
+    dim = data.draw(screen_widths(kind))
     if kind.uses_bits:
         pool = g.integers(0, 2, (data.draw(st.sampled_from([3, n])), dim)).astype(np.uint8)
         points = pool[g.integers(0, pool.shape[0], n)]

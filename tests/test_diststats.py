@@ -176,6 +176,9 @@ def test_sample_is_independent_of_the_worker_count(metric, monkeypatch):
 
     def recorded_fill(*args):
         threads.add(threading.get_ident())
+        # Each worker waits for the others: the pool would otherwise hand a
+        # job to a thread that had already finished one.
+        barrier.wait(timeout=10)
         fill(*args)
 
     monkeypatch.setattr(diststats, "_sample_chunks", recorded_fill)
@@ -184,6 +187,7 @@ def test_sample_is_independent_of_the_worker_count(metric, monkeypatch):
     try:
         for workers in (1, 2, 3):
             threads.clear()
+            barrier = threading.Barrier(workers)
             monkeypatch.setattr(diststats, "_usable_cpus", lambda: workers)
             assert pairwise_distances(ds, SampledPairs(m, seed)).values.tobytes() == whole
             assert len(threads) == workers

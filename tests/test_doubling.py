@@ -131,18 +131,18 @@ def test_grid_cover_with_wide_blocks_picks_the_reference_centers(kind, monkeypat
     points = np.random.default_rng(7).integers(0, values, (1200, dim))
     ds = Dataset(points.astype(np.uint8 if kind.uses_bits else np.float64), MetricDescriptor(kind))
     blocks, kernel_pairs = [], []
-    screen_within, kernel = core._BallScreen.within, core.pair_distances
+    screen_within, kernel = core._BallScreen.within, core._kernel
 
     def recorded_within(self, ia, ib, r):
         blocks.append(len(ia))
         return screen_within(self, ia, ib, r)
 
-    def recorded_kernel(metric, a, b):
+    def recorded_kernel(metric, a, b, dim, out=None):
         kernel_pairs.append(a.shape[0])
-        return kernel(metric, a, b)
+        return kernel(metric, a, b, dim, out)
 
     monkeypatch.setattr(core._BallScreen, "within", recorded_within)
-    monkeypatch.setattr(core, "pair_distances", recorded_kernel)
+    monkeypatch.setattr(core, "_kernel", recorded_kernel)
     got = greedy_cover(ds, np.arange(ds.n), radius)
     monkeypatch.undo()
     assert max(blocks) > 64
