@@ -10,7 +10,6 @@ from .core import (
     Dataset,
     InvalidInputError,
     InvariantViolation,
-    MetricDescriptor,
     MetricKind,
     all_pair_distances,
     counted_distance,
@@ -41,9 +40,7 @@ from .diststats import (
     pairwise_distances,
 )
 from .concentration import (
-    ChernoffBound,
     ConcentrationCurve,
-    Empirical,
     WitnessFamily,
     chernoff_alpha,
     chernoff_curve,

@@ -29,7 +29,6 @@ from .core import (
     Dataset,
     InvalidInputError,
     InvariantViolation,
-    MetricDescriptor,
     MetricKind,
     diameter_is_exact,
     diameter_upper_bound,
@@ -93,12 +92,6 @@ def _render(command: str, config: list[tuple[str, object]], columns: list[str], 
     return "\n".join(lines) + "\n"
 
 
-def _normalized(ds: Dataset, bound: float) -> Dataset:
-    if bound == 0.0:
-        return ds
-    return ds.rescaled(ds.metric.scale * bound)
-
-
 # ---------------------------------------------------------------------------
 # Figure commands
 # ---------------------------------------------------------------------------
@@ -112,10 +105,11 @@ def run_fig_a(d_list, n=100, seeds=(DEFAULT_SEED,), self_test=False) -> str:
     for seed in seeds:
         for d in d_list:
             ds = generate(GeneratorSpec(Family.UNIFORM_CUBE, d, n, rng.derive_seed(seed, d)))
-            sample = pairwise_distances(_normalized(ds, diameter_upper_bound(ds)), ALL_PAIRS)
-            box = boxplot_summary(sample)
+            bound = diameter_upper_bound(ds)
+            values = pairwise_distances(ds, ALL_PAIRS).values / (bound or 1.0)
+            box = boxplot_summary(values)
             if self_test:
-                _check_boxplot(box, sample.values)
+                _check_boxplot(box, values)
             rows.append(
                 [seed, d, box.median, box.q1, box.q3, box.whisker_low, box.whisker_high, len(box.outliers)]
             )
@@ -241,7 +235,7 @@ def run_generate(family, d, n, seed=DEFAULT_SEED) -> str:
         f"# d={d}",
         f"# n={n}",
         f"# seed={seed}",
-        f"# metric={ds.metric.kind.value}",
+        f"# metric={ds.metric.value}",
         "# rng=splitmix64-counter",
         f"# version={__version__}",
     ]
@@ -251,10 +245,15 @@ def run_generate(family, d, n, seed=DEFAULT_SEED) -> str:
 NN_QUERY_CAP = 200
 
 
-def run_estimate(path, metric: MetricDescriptor, seed=DEFAULT_SEED, k=32, grid_size=201, probes=64, self_test=False) -> str:
-    """One report with every estimator applied to a dataset file."""
+def run_estimate(path, metric: MetricKind, seed=DEFAULT_SEED, k=32, grid_size=201, probes=64, self_test=False) -> str:
+    """One report with every estimator applied to a dataset file.
+
+    Distances are in the file's units. The concentration curve divides
+    them by the diameter bound (by nothing when the bound is 0, all rows
+    equal). The ``scale`` row is always 1.0: the units are never changed.
+    """
     ds = load_dataset(path, metric, seed=None)
-    rows: list[list] = [["n", ds.n], ["dim", ds.dim], ["metric", metric.kind.value], ["scale", metric.scale]]
+    rows: list[list] = [["n", ds.n], ["dim", ds.dim], ["metric", metric.value], ["scale", 1.0]]
 
     if ds.n >= 2:
         bound = diameter_upper_bound(ds)
@@ -285,9 +284,10 @@ def run_estimate(path, metric: MetricDescriptor, seed=DEFAULT_SEED, k=32, grid_s
             rows.append(["mean_eps_nn", nn.mean_eps_nn])
             rows.append(["nn_ratio", nn.ratio])
 
-        normalized = _normalized(ds, bound)
         witness_count = min(k, ds.n)
-        curve = empirical_concentration(normalized, witness_count, grid_size, seed=rng.derive_seed(seed, 12))
+        curve = empirical_concentration(
+            ds, witness_count, grid_size, seed=rng.derive_seed(seed, 12), length=bound or 1.0
+        )
         if self_test and (np.diff(curve.alpha) > 1e-12).any():
             raise InvariantViolation("concentration curve is not nonincreasing")
         rows.append(["witnesses", witness_count])
@@ -352,9 +352,12 @@ _METRICS = {m.value: m for m in MetricKind}
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        out = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise InvalidInputError(f"expected a comma-separated integer list, got {text!r}") from None
+    if not out:
+        raise InvalidInputError(f"expected a non-empty comma-separated integer list, got {text!r}")
+    return out
 
 
 def _workload_list(text: str):
@@ -465,12 +468,13 @@ def _dispatch(args) -> str:
             raise InvariantViolation("generation is not deterministic")
         return text
     if args.command == "estimate":
-        metric = MetricDescriptor(_METRICS[args.metric])
-        return run_estimate(args.path, metric, args.seed, args.k, args.grid, args.probes, args.self_test)
+        return run_estimate(args.path, _METRICS[args.metric], args.seed, args.k, args.grid, args.probes, args.self_test)
     if args.command == "fig-a":
         return run_fig_a(_int_list(args.d), args.n, _int_list(args.seeds), args.self_test)
     if args.command == "fig-b":
-        d_values = _int_list(args.d) if args.d else list(range(1, args.d_max + 1))
+        if args.d_max < 1:
+            raise InvalidInputError(f"--d-max must be >= 1, got {args.d_max}")
+        d_values = _int_list(args.d) if args.d is not None else list(range(1, args.d_max + 1))
         return run_fig_b(d_values, args.n, _int_list(args.seeds), args.self_test)
     if args.command == "fig-c":
         return run_fig_c(_int_list(args.d), args.n, args.k, args.grid, args.seed, args.self_test)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -39,26 +38,11 @@ _NORMALIZATION_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
-class Empirical:
-    witnesses: int
-    seed: int
-
-
-@dataclass(frozen=True)
-class ChernoffBound:
-    dim: int
-
-
-Provenance = Union[Empirical, ChernoffBound]
-
-
-@dataclass(frozen=True)
 class ConcentrationCurve:
     """alpha values on an increasing eps grid spanning [0, 1]."""
 
     grid: np.ndarray
     alpha: np.ndarray
-    provenance: Provenance
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=np.float64)
@@ -94,37 +78,44 @@ def select_witnesses(ds: Dataset, k: int, seed: int) -> WitnessFamily:
     return WitnessFamily(rng.distinct_indices(seed, k, ds.n))
 
 
-def _check_normalized(ds: Dataset) -> None:
-    if ds.n >= 2 and diameter_upper_bound(ds) > 1.0 + _NORMALIZATION_TOLERANCE:
+def _check_length(ds: Dataset, length: float) -> None:
+    if not (length > 0 and math.isfinite(length)):
+        raise InvalidInputError(f"the normalizing length must be a positive finite real, got {length}")
+    if ds.n >= 2 and diameter_upper_bound(ds) / length > 1.0 + _NORMALIZATION_TOLERANCE:
         raise InvalidInputError(
-            "dataset is not diameter-normalized; rescale the metric so the diameter bound is <= 1"
+            "the normalizing length is below the diameter bound; the distances divided by it must lie in [0, 1]"
         )
 
 
-def witness_curve(ds: Dataset, family: WitnessFamily, grid_size: int, provenance: Provenance) -> ConcentrationCurve:
+def witness_curve(ds: Dataset, family: WitnessFamily, grid_size: int, length: float = 1.0) -> ConcentrationCurve:
     """Evaluate max-over-anchors deviation fractions on a uniform eps grid.
 
-    For anchor a with values f_a = d(a, .) over all points and interpolated
-    median m_a, the curve at eps is the largest fraction of points with
-    |f_a - m_a| strictly greater than eps.
+    For anchor a with values f_a = d(a, .) / length over all points and
+    interpolated median m_a, the curve at eps is the largest fraction of
+    points with |f_a - m_a| strictly greater than eps. ``length`` is the
+    normalizing length, at least the diameter bound, so every f_a lies in
+    [0, 1]; normalized Hamming distances already do, at the default 1.
     """
     if grid_size < 2:
         raise InvalidInputError("grid size must be >= 2")
-    _check_normalized(ds)
+    _check_length(ds, length)
     grid = np.linspace(0.0, 1.0, grid_size)
     alpha = np.zeros(grid_size)
     for anchor in family.anchors:
         f = ds.distances(ds.kernel_rows[anchor], ds.kernel_rows)
+        f /= length
         median = float(np.quantile(f, 0.5))
         deviations = np.sort(np.abs(f - median))
         exceed = ds.n - np.searchsorted(deviations, grid, side="right")
         np.maximum(alpha, exceed / ds.n, out=alpha)
-    return ConcentrationCurve(grid, alpha, provenance)
+    return ConcentrationCurve(grid, alpha)
 
 
-def empirical_concentration(ds: Dataset, k: int, grid_size: int = DEFAULT_GRID_SIZE, seed: int = 0) -> ConcentrationCurve:
-    family = select_witnesses(ds, k, seed)
-    return witness_curve(ds, family, grid_size, Empirical(witnesses=k, seed=seed))
+def empirical_concentration(
+    ds: Dataset, k: int, grid_size: int = DEFAULT_GRID_SIZE, seed: int = 0, length: float = 1.0
+) -> ConcentrationCurve:
+    """``witness_curve`` of ``k`` seeded anchors, distances divided by ``length``."""
+    return witness_curve(ds, select_witnesses(ds, k, seed), grid_size, length)
 
 
 def chernoff_alpha(d: int, eps: float) -> float:
@@ -137,7 +128,7 @@ def chernoff_alpha(d: int, eps: float) -> float:
 def chernoff_curve(d: int, grid_size: int = DEFAULT_GRID_SIZE) -> ConcentrationCurve:
     grid = np.linspace(0.0, 1.0, grid_size)
     alpha = np.minimum(1.0, np.exp(-2.0 * d * grid * grid))
-    return ConcentrationCurve(grid, alpha, ChernoffBound(dim=d))
+    return ConcentrationCurve(grid, alpha)
 
 
 def union_bound_slack(n: int, k: int, grid_size: int) -> float:

@@ -1,6 +1,6 @@
 """Points, metrics, datasets, the distance kernel and an evaluation-counting oracle.
 
-A dataset is a homogeneous point matrix plus a metric descriptor. Real
+A dataset is a homogeneous point matrix plus a metric. Real
 vectors are float64 rows; bit vectors are uint8 rows of 0/1 and are the
 only representation the normalized Hamming metric accepts. Every search
 structure in this package measures its cost in metric evaluations, so the
@@ -40,12 +40,12 @@ outside point validates it once, at entry (``Dataset.check_query``);
 internal loops over dataset rows call the kernel directly, through
 ``Dataset.distances``.
 
-Each quantity that does not depend on the scale is computed once per
-dataset, at scale 1, cached on the ``Dataset`` and shared with every
-rescaled copy: the band pass's extremes, the diameter bound (the pass's
+Every distance is in the data's own units; a statistic that wants
+normalized distances divides by its chosen length itself. Quantities that
+many readers share are computed once per dataset and cached on the
+``Dataset``: the band pass's extremes, the diameter bound (the pass's
 maximum up to ``EXACT_DIAMETER_LIMIT`` rows, a triangle bound above, which
-never starts the pass) and the distinct rows. A rescaled copy gives the
-same bits as a fresh computation at the new scale.
+never starts the pass) and the distinct rows.
 
 Precision: distances are computed in double precision; the Euclidean
 metric is the square root of the sum of squared differences, so
@@ -61,10 +61,9 @@ centred, so a translation does not cancel them.
 
 from __future__ import annotations
 
-import copy
 import math
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -105,6 +104,8 @@ EXACT_DIAMETER_LIMIT = 2048
 
 
 class MetricKind(Enum):
+    """A metric. Its distances are in the data's own units."""
+
     EUCLIDEAN = "euclidean"
     MANHATTAN = "manhattan"
     CHEBYSHEV = "chebyshev"
@@ -115,37 +116,18 @@ class MetricKind(Enum):
         return self is MetricKind.HAMMING
 
 
-@dataclass(frozen=True)
-class MetricDescriptor:
-    """A metric kind plus a positive divisor applied to raw distances.
-
-    ``scale`` exists so any dataset can be diameter-normalized into [0, 1]
-    before concentration analysis.
-    """
-
-    kind: MetricKind
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise InvalidInputError(f"metric scale must be a positive finite real, got {self.scale}")
-
-    def rescaled(self, scale: float) -> "MetricDescriptor":
-        return replace(self, scale=scale)
-
-
-def _check_point(metric: MetricDescriptor, x, dim: int | None = None) -> np.ndarray:
+def _check_point(metric: MetricKind, x, dim: int | None = None) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1 or arr.shape[0] < 1:
         raise InvalidInputError(f"a point must be a 1-d sequence of length >= 1, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise InvalidInputError(f"point length mismatch: {arr.shape[0]} vs {dim}")
-    if metric.kind.uses_bits:
+    if metric.uses_bits:
         if arr.dtype.kind == "f":
             raise InvalidInputError("normalized Hamming metric requires a bit vector, got real coordinates")
         return _as_bits(arr, "bit vectors")
     if arr.dtype == np.uint8 or arr.dtype.kind == "b":
-        raise InvalidInputError(f"{metric.kind.value} metric requires real coordinates, got a bit vector")
+        raise InvalidInputError(f"{metric.value} metric requires real coordinates, got a bit vector")
     arr = arr.astype(np.float64)
     if not np.isfinite(arr).all():
         raise InvalidInputError("coordinates must be finite (no NaN or infinity)")
@@ -170,17 +152,17 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64)
 
 
-def _kernel_form(metric: MetricDescriptor, rows: np.ndarray) -> np.ndarray:
+def _kernel_form(metric: MetricKind, rows: np.ndarray) -> np.ndarray:
     """Checked rows as ``_kernel`` reads them: packed words for Hamming."""
-    return _pack_bits(rows) if metric.kind.uses_bits else rows
+    return _pack_bits(rows) if metric.uses_bits else rows
 
 
 def _kernel(
-    metric: MetricDescriptor, a: np.ndarray, b: np.ndarray, dim: int, out: np.ndarray | None = None
+    metric: MetricKind, a: np.ndarray, b: np.ndarray, dim: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Distances between matching kernel-form rows of ``a`` and ``b``
-    (raw value / scale); ``dim`` is the bit length of Hamming rows, which
-    their packed words do not show. Rows broadcast.
+    """Distances between matching kernel-form rows of ``a`` and ``b``;
+    ``dim`` is the bit length of Hamming rows, which their packed words do
+    not show. Rows broadcast.
 
     With ``out``, a float64 array of the result's shape, the distances are
     written there and ``a``, which must then be a writeable array of the
@@ -195,27 +177,24 @@ def _kernel(
     through, so the order of the additions changes no bit. Each word
     costs one pass per call, so from about 64 words a row the loop is the
     slower of the two."""
-    kind = metric.kind
     work = None if out is None else a
-    if kind is MetricKind.EUCLIDEAN:
+    if metric is MetricKind.EUCLIDEAN:
         diff = np.subtract(a, b, out=work)
-        raw = np.sqrt(np.einsum("...i,...i->...", diff, diff, out=out), out=out)
-    elif kind is MetricKind.MANHATTAN:
-        raw = np.abs(np.subtract(a, b, out=work), out=work).sum(axis=-1, out=out)
-    elif kind is MetricKind.CHEBYSHEV:
-        raw = np.abs(np.subtract(a, b, out=work), out=work).max(axis=-1, out=out)
-    else:
-        counts = np.bitwise_count(np.bitwise_xor(a, b, out=work), out=work)
-        raw = np.empty(counts.shape[:-1]) if out is None else out
-        raw.fill(0.0)
-        for word in range(counts.shape[-1]):
-            raw += counts[..., word]
-        raw /= dim
-    return np.divide(raw, metric.scale, out=out)
+        return np.sqrt(np.einsum("...i,...i->...", diff, diff, out=out), out=out)
+    if metric is MetricKind.MANHATTAN:
+        return np.abs(np.subtract(a, b, out=work), out=work).sum(axis=-1, out=out)
+    if metric is MetricKind.CHEBYSHEV:
+        return np.abs(np.subtract(a, b, out=work), out=work).max(axis=-1, out=out)
+    counts = np.bitwise_count(np.bitwise_xor(a, b, out=work), out=work)
+    total = np.empty(counts.shape[:-1]) if out is None else out
+    total.fill(0.0)
+    for word in range(counts.shape[-1]):
+        total += counts[..., word]
+    return np.divide(total, dim, out=out)
 
 
-def pair_distances(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances between matching rows of ``a`` and ``b`` (raw value / scale).
+def pair_distances(metric: MetricKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances between matching rows of ``a`` and ``b``.
 
     Rows broadcast, so one point against a matrix gives its distance to
     every row. Nothing is validated: callers pass checked points. Hamming
@@ -242,9 +221,9 @@ def _chunked_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-# The Euclidean screen decides a pair only while the radius, the raw radius
-# (radius * scale) and the reach R lie in this range: no square overflows,
-# and underflowed products stay far below the band.
+# The Euclidean screen decides a pair only while the radius and the reach R
+# lie in this range: no square overflows, and underflowed products stay far
+# below the band.
 _SCREEN_RANGE = (2.0**-256, 2.0**256)
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -275,11 +254,11 @@ class _BallScreen:
     leaves open are measured again by the kernel in ``_remeasure``.
     """
 
-    def __init__(self, metric: MetricDescriptor, rows: np.ndarray, dim: int):
+    def __init__(self, metric: MetricKind, rows: np.ndarray, dim: int):
         self.metric = metric
         self.rows = rows
         self.dim = dim
-        if metric.kind is MetricKind.EUCLIDEAN:
+        if metric is MetricKind.EUCLIDEAN:
             with np.errstate(over="ignore", invalid="ignore"):
                 self._form = np.subtract(rows, rows[0], dtype=np.float64)
                 self._norms = np.einsum("ij,ij->i", self._form, self._form)
@@ -292,16 +271,16 @@ class _BallScreen:
         Hamming, Manhattan, Chebyshev and a Euclidean block outside
         ``_SCREEN_RANGE`` the kernel's values, in row chunks of at most
         ``_SCAN_BYTES`` of temporaries. Otherwise ``values`` hold the
-        centred Gram gap g - t^2 of each pair, t = radius * scale, and a
+        centred Gram gap g - t^2 of each pair, t = radius, and a
         pair with |g - t^2| > band lies on the same side of t as the
         kernel's distance (see ``within_radius``). Radius 0 screens the
         squared distances g."""
-        if self.metric.kind is MetricKind.EUCLIDEAN:
-            t = float(radius) * self.metric.scale
+        if self.metric is MetricKind.EUCLIDEAN:
+            t = float(radius)
             na, nb = self._norms[ia], self._norms[ib]
             reach = math.sqrt(na.max()) + math.sqrt(nb.max())
             lo, hi = _SCREEN_RANGE
-            if all(lo <= x <= hi for x in ((reach,) if radius == 0.0 else (radius, t, reach))):
+            if all(lo <= x <= hi for x in ((reach,) if t == 0.0 else (t, reach))):
                 # |x - y|^2 = |x|^2 + |y|^2 - 2 x.y
                 ac = self._form[ia]
                 ac *= -2.0
@@ -393,7 +372,7 @@ class _BallScreen:
         return top, nearest
 
 
-def within_radius(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
+def within_radius(metric: MetricKind, a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
     """The boolean matrix ``pair_distances(metric, a[:, None], b[None]) <= radius``.
 
     The result equals that expression element by element, in bounded
@@ -405,13 +384,13 @@ def within_radius(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray, radius
 
     Euclidean screens with a Gram product on coordinates centred on a
     shared centre c, one of the screen's rows: with a' = a - c and
-    b' = b - c, g = |a'|^2 + |b'|^2 - 2 a'.b' against t^2, t = radius * scale.
+    b' = b - c, g = |a'|^2 + |b'|^2 - 2 a'.b' against t^2, t = radius.
     With u = 2**-53 and the reach R = max |a'| + max |b'| over the two
     blocks (no distance between them exceeds it, wherever c lies), the
     squared-distance error of the centring is at most 3 u R^2, of the Gram
     product and its three additions gamma_d R^2 + 3 u (R^2 + t^2), of t^2
-    3 u t^2, and of the kernel (its differences, squares and sum, the
-    square root and the division by scale) gamma_{d+6} max(R^2, t^2). They
+    3 u t^2, and of the kernel (its differences, squares and sum and the
+    square root) gamma_{d+6} max(R^2, t^2). They
     sum to at most (2 d + 12) u (R^2 + t^2) to first order, and the band
     keeps more than twice that: a pair with |g - t^2| <= 4 (d + 8) u
     (R^2 + t^2) is decided by ``pair_distances`` itself, and every other
@@ -425,12 +404,12 @@ def within_radius(metric: MetricDescriptor, a: np.ndarray, b: np.ndarray, radius
     return screen.within(np.arange(len(a)), np.arange(len(a), len(a) + len(b)), radius)
 
 
-def all_pair_distances(metric: MetricDescriptor, points: np.ndarray) -> np.ndarray:
+def all_pair_distances(metric: MetricKind, points: np.ndarray) -> np.ndarray:
     """Distances of every unordered pair (i, j > i) of rows, in that order:
     the upper triangle of each of the ball screen's row bands in turn.
 
     Hamming, Manhattan and Chebyshev values are the kernel's own, bit for
-    bit. A Euclidean value is sqrt(g) / scale from the centred Gram value g
+    bit. A Euclidean value is sqrt(g) from the centred Gram value g
     and is within 1e-9 relative of the kernel's: g errs by at most a
     quarter of the band at t = 0, so where g is at least band / 2e-9 the
     square root errs by less than 3e-10 relative, and every smaller g (near
@@ -444,19 +423,18 @@ def all_pair_distances(metric: MetricDescriptor, points: np.ndarray) -> np.ndarr
         if band is not None:
             ii, jj, measured = screen._remeasure(ia, ib, upper & (values < band / 2e-9))
             np.sqrt(np.maximum(values, 0.0, out=values), out=values)
-            values /= metric.scale
             values[ii, jj] = measured
         out.append(values[upper])
     return np.concatenate(out)
 
 
-def distance(metric: MetricDescriptor, x, y) -> float:
-    """Distance between two points under ``metric`` (raw value / scale)."""
+def distance(metric: MetricKind, x, y) -> float:
+    """Distance between two points under ``metric``."""
     a = _check_point(metric, x)
     return float(pair_distances(metric, a, _check_point(metric, y, a.shape[0])))
 
 
-def distances_to(metric: MetricDescriptor, x, points: np.ndarray) -> np.ndarray:
+def distances_to(metric: MetricKind, x, points: np.ndarray) -> np.ndarray:
     """Distances from one point to every row of a point matrix."""
     if points.ndim != 2:
         raise InvalidInputError("point matrix incompatible with the query point")
@@ -470,29 +448,26 @@ class Dataset:
     The points are a private read-only copy of the caller's array.
     ``kernel_rows`` holds them in the kernel's form, made once: for Hamming
     the 0/1 rows packed into read-only uint64 words, for real metrics the
-    points themselves. Quantities that do not depend on the scale (the
-    band scan's extremes, the diameter bound, the distinct rows) are
-    computed once, on first use, and cached. Rescaled copies share the
-    points, the kernel rows and that cache (see ``diameter_upper_bound``).
+    points themselves. The band scan's extremes, the diameter bound and
+    the distinct rows are computed once, on first use, and cached.
     """
 
     points: np.ndarray
-    metric: MetricDescriptor
+    metric: MetricKind
     seed: int | None = None
     kernel_rows: np.ndarray = field(init=False, repr=False, compare=False)
-    # Scale-free quantities computed on first use (see ``_cached``).
-    # Rescaled copies hold this same dict, so one scan serves every scale.
+    # Quantities computed on first use (see ``_cached``).
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise InvalidInputError(f"dataset needs an (n, d) matrix with n, d >= 1, got shape {pts.shape}")
-        bits = self.metric.kind.uses_bits
+        bits = self.metric.uses_bits
         if bits:
             pts = _as_bits(pts, "bit datasets")
         elif pts.dtype == np.uint8 or pts.dtype.kind == "b":
-            raise InvalidInputError(f"{self.metric.kind.value} metric requires real coordinates")
+            raise InvalidInputError(f"{self.metric.value} metric requires real coordinates")
         # A copy, so the caller's array stays writeable and cannot stale the cached bound.
         pts = np.array(pts, dtype=np.uint8 if bits else np.float64, order="C")
         if not bits and not np.isfinite(pts).all():
@@ -526,14 +501,6 @@ class Dataset:
         written there and ``a`` is overwritten as scratch (see ``_kernel``)."""
         return _kernel(self.metric, a, b, self.dim, out)
 
-    def rescaled(self, scale: float) -> "Dataset":
-        """This dataset under the metric divided by ``scale``. The copy shares
-        the checked point matrix, its kernel rows and the cached scale-free
-        quantities."""
-        out = copy.copy(self)
-        object.__setattr__(out, "metric", self.metric.rescaled(scale))
-        return out
-
 
 class CountingOracle:
     """Counts every distance evaluation routed through it.
@@ -542,7 +509,7 @@ class CountingOracle:
     per-worker batches from concurrent queries accumulate exactly.
     """
 
-    def __init__(self, metric: MetricDescriptor):
+    def __init__(self, metric: MetricKind):
         self.metric = metric
         self._count = 0
         self._lock = threading.Lock()
@@ -573,29 +540,26 @@ def counted_distances_to(oracle: CountingOracle, x, points: np.ndarray) -> np.nd
 
 
 def _cached(ds: Dataset, key: str, make):
-    """``make(ds)``, computed once per dataset and shared with its rescaled
-    copies. ``make`` must not depend on the scale; callers read the value
-    and never write it."""
+    """``make(ds)``, computed once per dataset; callers read the value and
+    never write it."""
     return ds._cache[key] if key in ds._cache else ds._cache.setdefault(key, make(ds))
 
 
 def _extremes(ds: Dataset) -> tuple[float, np.ndarray]:
-    """``_BallScreen.extremes`` of the points of ``ds`` at scale 1: the
-    exact diameter and each row's nearest distance (0 for a duplicate row),
-    from one band scan. Dividing by a positive scale is monotone, so the
-    minima divided by the scale equal the kernel's at that scale."""
-    return _cached(ds, "extremes", lambda ds: _BallScreen(MetricDescriptor(ds.metric.kind), ds.kernel_rows, ds.dim).extremes())
+    """``_BallScreen.extremes`` of the points of ``ds``: the exact diameter
+    and each row's nearest distance (0 for a duplicate row), from one band
+    scan."""
+    return _cached(ds, "extremes", lambda ds: _BallScreen(ds.metric, ds.kernel_rows, ds.dim).extremes())
 
 
-def _raw_diameter(ds: Dataset) -> float:
-    """The diameter bound of ``ds`` at scale 1: the band scan's exact
-    maximum when ``diameter_is_exact``, else 2 max_i d(points[0],
-    points[i]), capped at 1 for the normalized Hamming metric, which never
-    exceeds it."""
+def _diameter(ds: Dataset) -> float:
+    """The diameter bound of ``ds``: the band scan's exact maximum when
+    ``diameter_is_exact``, else 2 max_i d(points[0], points[i]), capped at 1
+    for the normalized Hamming metric, which never exceeds it."""
     if diameter_is_exact(ds.n):
         return _extremes(ds)[0]
-    bound = 2.0 * float(_kernel(MetricDescriptor(ds.metric.kind), ds.kernel_rows[0], ds.kernel_rows, ds.dim).max())
-    return min(bound, 1.0) if ds.metric.kind.uses_bits else bound
+    bound = 2.0 * float(_kernel(ds.metric, ds.kernel_rows[0], ds.kernel_rows, ds.dim).max())
+    return min(bound, 1.0) if ds.metric.uses_bits else bound
 
 
 def _distinct_rows(ds: Dataset) -> np.ndarray:
@@ -609,20 +573,14 @@ def diameter_upper_bound(ds: Dataset) -> float:
     Up to EXACT_DIAMETER_LIMIT points the full pairwise scan is performed
     and the true maximum returned. Above that, the triangle-inequality
     bound 2 * max_i d(points[0], points[i]) is used, capped by the
-    normalized Hamming metric's own bound 1 / scale. Use
-    ``diameter_is_exact`` to report which branch applied. A bound that
-    overflows the doubles (coordinates near 1e300) raises
-    ``InvalidInputError``.
-
-    The scan runs once per dataset, at scale 1, and is shared with its
-    rescaled copies; this divides it by the scale. Division by a positive
-    scale is monotone under correct rounding and doubling is exact, so the
-    result equals a fresh scan at that scale bit for bit (outside the
-    overflow and subnormal ranges).
+    normalized Hamming metric's own bound 1. Use ``diameter_is_exact`` to
+    report which branch applied. A bound that overflows the doubles
+    (coordinates near 1e300) raises ``InvalidInputError``. The scan runs
+    once per dataset and is cached on it.
     """
     if ds.n < 2:
         raise InvalidInputError("diameter bound needs at least 2 points")
-    bound = _cached(ds, "diameter", _raw_diameter) / ds.metric.scale
+    bound = _cached(ds, "diameter", _diameter)
     if not math.isfinite(bound):
         raise InvalidInputError(f"the diameter bound overflows to {bound}; the coordinates are too large")
     return bound
@@ -665,7 +623,7 @@ def _parse_bit_row(line: str, lineno: int) -> np.ndarray:
     return bits
 
 
-def load_dataset(path, metric: MetricDescriptor, seed: int | None = None) -> Dataset:
+def load_dataset(path, metric: MetricKind, seed: int | None = None) -> Dataset:
     """Read a dataset file. The metric is supplied by the caller, never inferred."""
     text = Path(path).read_text()
     rows = []
@@ -674,7 +632,7 @@ def load_dataset(path, metric: MetricDescriptor, seed: int | None = None) -> Dat
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        row = _parse_bit_row(stripped, lineno) if metric.kind.uses_bits else _parse_real_row(stripped, lineno)
+        row = _parse_bit_row(stripped, lineno) if metric.uses_bits else _parse_real_row(stripped, lineno)
         if width is None:
             width = len(row)
         elif len(row) != width:
@@ -682,14 +640,14 @@ def load_dataset(path, metric: MetricDescriptor, seed: int | None = None) -> Dat
         rows.append(row)
     if not rows:
         raise InvalidInputError(f"{path}: no data rows found")
-    dtype = np.uint8 if metric.kind.uses_bits else np.float64
+    dtype = np.uint8 if metric.uses_bits else np.float64
     return Dataset(np.asarray(rows, dtype=dtype), metric, seed)
 
 
 def format_points(ds: Dataset) -> str:
     """Render points in the ingestion format (no header)."""
     lines = []
-    if ds.metric.kind.uses_bits:
+    if ds.metric.uses_bits:
         for row in ds.points:
             lines.append("".join("1" if b else "0" for b in row))
     else:

@@ -294,7 +294,7 @@ def nn_statistics(
     """
     if ds.n < 1 or queries.n < 1:
         raise InvalidInputError("nn statistics need nonempty data and queries")
-    if queries.dim != ds.dim or queries.metric.kind is not ds.metric.kind:
+    if queries.dim != ds.dim or queries.metric is not ds.metric:
         raise InvalidInputError("queries do not match the dataset's dimension and metric")
     if sample is not None and sample.n != ds.n:
         raise InvalidInputError("the pair sample was not drawn from this dataset")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import rng
-from .core import Dataset, InvalidInputError, MetricDescriptor, MetricKind
+from .core import Dataset, InvalidInputError, MetricKind
 
 
 class Family(Enum):
@@ -39,11 +39,11 @@ def generate(spec: GeneratorSpec) -> Dataset:
     """Materialize the dataset described by ``spec``."""
     if spec.family is Family.UNIFORM_CUBE:
         points = rng.matrix_uniform01(spec.seed, spec.count, spec.dim)
-        metric = MetricDescriptor(MetricKind.EUCLIDEAN)
+        metric = MetricKind.EUCLIDEAN
     elif spec.family is Family.GAUSSIAN:
         points = rng.matrix_normals(spec.seed, spec.count, spec.dim)
-        metric = MetricDescriptor(MetricKind.EUCLIDEAN)
+        metric = MetricKind.EUCLIDEAN
     else:
         points = rng.matrix_bits(spec.seed, spec.count, spec.dim)
-        metric = MetricDescriptor(MetricKind.HAMMING)
+        metric = MetricKind.HAMMING
     return Dataset(points, metric, seed=spec.seed)

@@ -16,7 +16,7 @@ the bottom node that answers for it. The tree stores only these
 labels: a node's children are the nodes of the level below whose parent it
 is, and a bottom node's members are the points it owns. The root is point
 0: the top radius (the exact diameter, 2 * max d(p0, .), or the Hamming
-cap 1 / scale) is at least max d(p0, .), also when it is 0.
+cap 1) is at least max d(p0, .), also when it is 0.
 
 With degree bounded by the doubling character of the data, the descent
 visits few nodes per level: a range query keeps the nodes v at level i
@@ -79,15 +79,14 @@ def build_net_tree(ds: Dataset) -> tuple[NetTree, TreeStats]:
     reach, so each of those points keeps its lowest-index center in reach
     as its owner, and an isolated point owns itself. The level is the two
     sets of centers merged by point index. The nearest distances come from
-    the band pass cached on the dataset, divided by its scale, and equal
-    the kernel's, so the comparison with the radius agrees with the cover's
-    own."""
+    the band pass cached on the dataset and equal the kernel's, so the
+    comparison with the radius agrees with the cover's own."""
     n_distinct = _distinct_rows(ds).size
-    # Bit metrics have an intrinsic diameter bound (1 / scale); anchoring
-    # the halving ladder there keeps the level scales independent of the
+    # Bit metrics have an intrinsic diameter bound (1); anchoring the
+    # halving ladder there keeps the level scales independent of the
     # sample. Real metrics anchor at the sample's diameter bound.
-    if ds.metric.kind.uses_bits:
-        top_radius = 1.0 / ds.metric.scale
+    if ds.metric.uses_bits:
+        top_radius = 1.0
     else:
         top_radius = diameter_upper_bound(ds) if ds.n >= 2 else 0.0
     # At least the smallest positive double, so a halved radius stays > 0.
@@ -95,7 +94,7 @@ def build_net_tree(ds: Dataset) -> tuple[NetTree, TreeStats]:
 
     levels = [NetLevel(top_radius, np.array([0], dtype=np.int64), np.array([-1], dtype=np.int64))]
     owners = np.zeros(ds.n, dtype=np.int64)
-    nearest = _extremes(ds)[1] / ds.metric.scale
+    nearest = _extremes(ds)[1]
     radius = top_radius
     while levels[-1].nodes.size < n_distinct and radius > floor:
         radius /= 2.0

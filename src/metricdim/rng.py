@@ -61,12 +61,6 @@ def derive_seed(seed, *tags) -> int:
     return int(key)
 
 
-def _raw(key: np.uint64, indices) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return mix64(key + _GOLDEN * (idx + np.uint64(1)))
-
-
 def uniform01(seed, n, stream=0) -> np.ndarray:
     """n uniforms in [0, 1) with 53-bit resolution."""
     return _draw_range(stream_key(seed, stream), 0, n, None)
@@ -117,7 +111,7 @@ def _draw_range(key, start, stop, bound, out=None, scratch=None, steps=None) -> 
     counters = out.view(np.uint64)
     # errstate is per thread, so it is entered here, in the drawing thread.
     with np.errstate(over="ignore"):
-        # Counter k is key + (k + 1) * GOLDEN modulo 2**64, as in ``_raw``.
+        # Counter k is key + (k + 1) * GOLDEN modulo 2**64.
         np.add(steps, key + _GOLDEN * np.uint64(start), out=counters)
         _mix64_into(counters, words)
     words >>= np.uint64(11)

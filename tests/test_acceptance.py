@@ -19,7 +19,7 @@ from metricdim.concentration import (
     empirical_concentration,
     union_bound_slack,
 )
-from metricdim.core import Dataset, MetricDescriptor, MetricKind
+from metricdim.core import Dataset, MetricKind
 from metricdim.diststats import (
     SampledPairs,
     cnbym_dimension,
@@ -41,7 +41,7 @@ from metricdim.pivot import (
     sequential_scan,
 )
 
-EUCLID = MetricDescriptor(MetricKind.EUCLIDEAN)
+EUCLID = MetricKind.EUCLIDEAN
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from metricdim import cli, core, diststats, rng
-from metricdim.core import EXACT_DIAMETER_LIMIT, InvariantViolation, MetricDescriptor, MetricKind, load_dataset
+from metricdim.core import EXACT_DIAMETER_LIMIT, InvariantViolation, MetricKind, load_dataset
 from metricdim.doubling import probe_rows
 
 
@@ -184,7 +184,7 @@ class TestEstimate:
         _, rows = parse_csv(out)
         stats = {r["statistic"]: r["value"] for r in rows}
         assert stats["diameter_method"] == "triangle-bound"
-        ds = load_dataset(data, MetricDescriptor(MetricKind.EUCLIDEAN))
+        ds = load_dataset(data, MetricKind.EUCLIDEAN)
         first = probe_rows(ds, 2, seed=rng.derive_seed(cli.DEFAULT_SEED, 13))[0]
         assert first.radius == float(stats["diameter_bound"])
 
@@ -393,10 +393,10 @@ class TestGenerateCommand:
 
     def test_real_output_full_precision(self, tmp_path):
         assert cli.main(["generate", "--family", "gaussian", "--d", "1", "--n", "3", "--out", str(tmp_path / "g.txt")]) == 0
-        from metricdim.core import MetricDescriptor, MetricKind, load_dataset
+        from metricdim.core import MetricKind, load_dataset
         from metricdim.generate import Family, GeneratorSpec, generate
 
-        loaded = load_dataset(tmp_path / "g.txt", MetricDescriptor(MetricKind.EUCLIDEAN))
+        loaded = load_dataset(tmp_path / "g.txt", MetricKind.EUCLIDEAN)
         direct = generate(GeneratorSpec(Family.GAUSSIAN, 1, 3, 42))
         np.testing.assert_array_equal(loaded.points, direct.points)
 
@@ -416,6 +416,27 @@ class TestExitCodes:
 
     def test_bad_workload_spec(self, capsys):
         assert run_cli(["nettree-stats", "--workloads", "nope:zz"], capsys)[0] == 1
+
+    # Each of these once printed a header and no rows (or, for fig-b --d,
+    # the whole --d-max range) and exited 0.
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["fig-a", "--d", ""], "non-empty"),
+            (["fig-a", "--seeds", ","], "non-empty"),
+            (["fig-b", "--d", ""], "non-empty"),
+            (["fig-b", "--seeds", ""], "non-empty"),
+            (["fig-b", "--d-max", "0"], "--d-max must be >= 1"),
+            (["fig-b", "--d-max", "-3"], "--d-max must be >= 1"),
+            (["fig-c", "--d", ""], "non-empty"),
+            (["pivot-sweep", "--family", "uniform-cube", "--d", ""], "non-empty"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+    )
+    def test_empty_integer_lists_are_refused(self, args, message, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err
 
     def test_invariant_violation_maps_to_two(self, capsys, monkeypatch):
         def boom(*args, **kwargs):

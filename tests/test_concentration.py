@@ -2,13 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metricdim.concentration import (
-    ChernoffBound,
     ConcentrationCurve,
-    Empirical,
     chernoff_alpha,
     chernoff_curve,
     concentration_dimension,
@@ -18,10 +16,10 @@ from metricdim.concentration import (
     witness_curve,
     WitnessFamily,
 )
-from metricdim.core import DEGENERATE, Dataset, InvalidInputError, MetricDescriptor, MetricKind
+from metricdim.core import DEGENERATE, Dataset, InvalidInputError, MetricKind, diameter_upper_bound
 from metricdim.generate import Family, GeneratorSpec, generate
 
-EUCLID = MetricDescriptor(MetricKind.EUCLIDEAN)
+EUCLID = MetricKind.EUCLIDEAN
 
 
 def line_dataset(xs):
@@ -37,7 +35,7 @@ class TestEmpiricalCurve:
         # anchor values {0, 1}, interpolated median 0.5; both deviations are
         # exactly 0.5, so alpha is 1 below 0.5 and 0 above it
         ds = line_dataset([0.0, 1.0])
-        curve = witness_curve(ds, WitnessFamily(np.array([0])), 11, Empirical(1, 0))
+        curve = witness_curve(ds, WitnessFamily(np.array([0])), 11)
         assert curve.alpha[6] == 0.0  # eps ~ 0.6
         assert curve.alpha[4] == 1.0  # eps ~ 0.4
         assert curve.alpha[5] == 0.0  # eps = 0.5 exactly; deviation test is strict
@@ -61,8 +59,8 @@ class TestEmpiricalCurve:
         small = select_witnesses(ds, 4, seed=5)
         large = select_witnesses(ds, 12, seed=5)  # prefix-extending anchor draw
         assert set(small.anchors.tolist()) <= set(large.anchors.tolist())
-        a = witness_curve(ds, small, 41, Empirical(4, 5)).alpha
-        b = witness_curve(ds, large, 41, Empirical(12, 5)).alpha
+        a = witness_curve(ds, small, 41).alpha
+        b = witness_curve(ds, large, 41).alpha
         assert (b >= a).all()
 
     def test_bit_cube_curve_below_closed_form_bound(self):
@@ -73,6 +71,51 @@ class TestEmpiricalCurve:
         for eps, alpha in zip(curve.grid, curve.alpha):
             if eps >= 0.05:
                 assert alpha <= chernoff_alpha(d, eps) + slack
+
+
+class TestLength:
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"])
+    def test_nonpositive_or_nonfinite_length_rejected(self, length):
+        with pytest.raises(InvalidInputError, match="positive finite"):
+            empirical_concentration(line_dataset([0.0, 0.5]), k=1, grid_size=11, length=length)
+
+    @given(fraction=st.floats(1e-6, 1.0 - 1e-8), xs=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_length_below_the_diameter_bound_rejected(self, fraction, xs):
+        ds = line_dataset(xs)
+        bound = diameter_upper_bound(ds)
+        # Far above the subnormals, where fraction * bound keeps its ratio to the bound.
+        assume(bound > 1e-100)
+        with pytest.raises(InvalidInputError, match="below the diameter bound"):
+            empirical_concentration(ds, k=1, grid_size=11, length=fraction * bound)
+        empirical_concentration(ds, k=1, grid_size=11, length=bound)
+
+    def test_dividing_by_the_length_equals_dividing_the_points(self):
+        pts = generate(GeneratorSpec(Family.GAUSSIAN, 3, 300, seed=2)).points
+        ds = Dataset(pts, EUCLID)
+        bound = diameter_upper_bound(ds)
+        by_length = empirical_concentration(ds, 8, 41, seed=4, length=bound).alpha
+        unit = empirical_concentration(Dataset(pts / bound, EUCLID), 8, 41, seed=4).alpha
+        np.testing.assert_allclose(by_length, unit, rtol=0, atol=1.0 / 300)
+
+    # Multiplying by 2**-k is exact for doubles in the normal range, and every
+    # step of the real kernels commutes with it, so the distances divided by
+    # the length keep their bits.
+    @pytest.mark.parametrize("kind", [MetricKind.EUCLIDEAN, MetricKind.MANHATTAN, MetricKind.CHEBYSHEV], ids=lambda k: k.value)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_power_of_two_rescaling_keeps_alpha_bits(self, kind, data):
+        g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n, dim = data.draw(st.integers(2, 60)), data.draw(st.integers(1, 6))
+        x = g.standard_normal((n, dim)) * 10.0 ** data.draw(st.integers(-3, 3))
+        k = data.draw(st.integers(-200, 200))
+        ds = Dataset(x, kind)
+        bound = diameter_upper_bound(ds)
+        length = data.draw(st.sampled_from([bound, 2.0 * bound, 2.0 ** math.ceil(math.log2(bound))]))
+        grid, witnesses, seed = data.draw(st.integers(2, 60)), data.draw(st.integers(1, n)), data.draw(st.integers(0, 99))
+        base = empirical_concentration(ds, witnesses, grid, seed, length=length)
+        shifted = empirical_concentration(Dataset(np.ldexp(x, -k), kind), witnesses, grid, seed, length=math.ldexp(length, -k))
+        assert shifted.alpha.tobytes() == base.alpha.tobytes()
 
 
 class TestChernoff:
@@ -93,7 +136,7 @@ class TestChernoff:
 class TestConcentrationDimension:
     def test_constant_half_curve(self):
         grid = np.linspace(0.0, 1.0, 21)
-        curve = ConcentrationCurve(grid, np.full(21, 0.5), ChernoffBound(1))
+        curve = ConcentrationCurve(grid, np.full(21, 0.5))
         assert concentration_dimension(curve) == pytest.approx(1.0)
 
     def test_zero_curve_degenerate(self):
@@ -118,8 +161,8 @@ class TestConcentrationDimension:
 
     def test_antitone_in_the_curve(self):
         grid = np.linspace(0.0, 1.0, 201)
-        low = ConcentrationCurve(grid, np.minimum(1.0, np.exp(-8 * grid**2)), ChernoffBound(4))
-        high = ConcentrationCurve(grid, np.minimum(1.0, np.exp(-200 * grid**2)), ChernoffBound(100))
+        low = ConcentrationCurve(grid, np.minimum(1.0, np.exp(-8 * grid**2)))
+        high = ConcentrationCurve(grid, np.minimum(1.0, np.exp(-200 * grid**2)))
         assert (high.alpha <= low.alpha).all()
         assert concentration_dimension(high) > concentration_dimension(low)
 
@@ -134,12 +177,12 @@ class TestConcentrationDimension:
 class TestCurveValidation:
     def test_grid_must_span_unit_interval(self):
         with pytest.raises(InvalidInputError):
-            ConcentrationCurve(np.array([0.0, 0.5]), np.array([1.0, 0.5]), ChernoffBound(1))
+            ConcentrationCurve(np.array([0.0, 0.5]), np.array([1.0, 0.5]))
 
     def test_alpha_must_be_nonincreasing(self):
         with pytest.raises(InvalidInputError):
-            ConcentrationCurve(np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.9, 0.1]), ChernoffBound(1))
+            ConcentrationCurve(np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.9, 0.1]))
 
     def test_alpha_range_checked(self):
         with pytest.raises(InvalidInputError):
-            ConcentrationCurve(np.array([0.0, 1.0]), np.array([1.5, 0.0]), ChernoffBound(1))
+            ConcentrationCurve(np.array([0.0, 1.0]), np.array([1.5, 0.0]))

@@ -11,7 +11,6 @@ from metricdim.core import (
     DEGENERATE,
     Dataset,
     InvalidInputError,
-    MetricDescriptor,
     MetricKind,
     distance,
     pair_distances,
@@ -31,7 +30,7 @@ from metricdim.diststats import (
 from metricdim.generate import Family, GeneratorSpec, generate
 from metricdim import rng
 
-EUCLID = MetricDescriptor(MetricKind.EUCLIDEAN)
+EUCLID = MetricKind.EUCLIDEAN
 
 
 def line_dataset(xs, seed=None):
@@ -89,7 +88,7 @@ class TestPairwise:
     def test_row_path_metrics_match_brute_force(self, kind):
         rng_np = np.random.default_rng(0)
         pts = rng_np.uniform(size=(30, 3))
-        ds = Dataset(pts, MetricDescriptor(kind))
+        ds = Dataset(pts, kind)
         values = pairwise_distances(ds, ALL_PAIRS).values
         from metricdim.core import distance
 
@@ -109,19 +108,19 @@ def test_cnbym_dimension_is_translation_invariant():
     assert abs(dims[1] - dims[0]) < 1e-9 * dims[0]
 
 
-ALL_METRICS = [MetricDescriptor(kind) for kind in MetricKind]
+ALL_METRICS = [kind for kind in MetricKind]
 
 
 @st.composite
 def unit_scale_dataset(draw, metric):
     """2-12 rows of one random length with coordinates in [0, 1] (bits for Hamming)."""
-    elements, dtype = (st.integers(0, 1), np.uint8) if metric.kind.uses_bits else (st.floats(0.0, 1.0), np.float64)
+    elements, dtype = (st.integers(0, 1), np.uint8) if metric.uses_bits else (st.floats(0.0, 1.0), np.float64)
     dim = draw(st.integers(1, 16))
     rows = draw(st.lists(st.lists(elements, min_size=dim, max_size=dim), min_size=2, max_size=12))
     return Dataset(np.array(rows, dtype=dtype), metric)
 
 
-@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.kind.value)
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.value)
 @given(data=st.data(), m=st.integers(1, 50), seed=st.integers(0, 2**32))
 @settings(max_examples=40, deadline=None)
 def test_pairwise_matches_distance_on_the_same_pairs(metric, data, m, seed):
@@ -136,7 +135,7 @@ def test_pairwise_matches_distance_on_the_same_pairs(metric, data, m, seed):
     iu, ju = np.triu_indices(ds.n, k=1)
     exact = np.array([distance(metric, ds.points[i], ds.points[j]) for i, j in zip(iu, ju)])
     enumerated = pairwise_distances(ds, ALL_PAIRS).values
-    if metric.kind is MetricKind.EUCLIDEAN:
+    if metric is MetricKind.EUCLIDEAN:
         # Centred Gram values are within 1e-9 relative of the kernel's; the
         # kernel measures the pairs too close for that.
         np.testing.assert_allclose(enumerated, exact, rtol=1e-9, atol=0.0)
@@ -144,10 +143,10 @@ def test_pairwise_matches_distance_on_the_same_pairs(metric, data, m, seed):
         np.testing.assert_array_equal(enumerated, exact)
 
 
-@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.kind.value)
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.value)
 def test_sample_is_independent_of_the_chunking(metric, monkeypatch):
     dim, n, m, seed = 6, 40, 1003, 11
-    pts = rng.matrix_bits(3, n, dim) if metric.kind.uses_bits else rng.matrix_normals(3, n, dim)
+    pts = rng.matrix_bits(3, n, dim) if metric.uses_bits else rng.matrix_normals(3, n, dim)
     ds = Dataset(pts, metric)
     per_chunk = 7
     # Seven pairs per chunk: 143 whole chunks and a ragged tail of two.
@@ -160,10 +159,10 @@ def test_sample_is_independent_of_the_chunking(metric, monkeypatch):
     assert chunked.tobytes() == whole.tobytes()
 
 
-@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.kind.value)
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.value)
 def test_sample_is_independent_of_the_worker_count(metric, monkeypatch):
     dim, n, m, seed = 6, 40, 1003, 11
-    pts = rng.matrix_bits(3, n, dim) if metric.kind.uses_bits else rng.matrix_normals(3, n, dim)
+    pts = rng.matrix_bits(3, n, dim) if metric.uses_bits else rng.matrix_normals(3, n, dim)
     ds = Dataset(pts, metric)
     # Seven pairs per chunk: 143 whole chunks and a ragged tail of two.
     monkeypatch.setattr(diststats, "_CHUNK_BYTES", 7 * ds.kernel_rows[0].nbytes)
@@ -327,7 +326,7 @@ class TestNNStatistics:
     def test_leave_one_out_drops_every_duplicate_bit_row(self):
         g = np.random.default_rng(3)
         bits = g.integers(0, 2, (10, 9)).astype(np.uint8)[g.integers(0, 10, 60)]
-        metric = MetricDescriptor(MetricKind.HAMMING)
+        metric = MetricKind.HAMMING
         ds, queries = Dataset(bits, metric), Dataset(bits[:12], metric)
         expected = sum(
             float(pair_distances(metric, q, bits[~(bits == q).all(axis=1)]).min()) for q in bits[:12]

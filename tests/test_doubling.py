@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricdim import core, doubling
-from metricdim.core import Dataset, InvalidInputError, MetricDescriptor, MetricKind, distance, pair_distances
+from metricdim.core import Dataset, InvalidInputError, MetricKind, distance, pair_distances
 from metricdim.diststats import dataset_cnbym
 from metricdim.doubling import CoverResult, doubling_estimate, greedy_cover, probe_rows
 from metricdim.generate import Family, GeneratorSpec, generate
 from metricdim import rng
 
-EUCLID = MetricDescriptor(MetricKind.EUCLIDEAN)
+EUCLID = MetricKind.EUCLIDEAN
 
 
 def line_dataset(xs, seed=None):
@@ -86,7 +86,7 @@ def cover_inputs(draw, kind):
     else:
         layout = draw(st.sampled_from(sorted(COVER_LAYOUTS)))
         points = COVER_LAYOUTS[layout](g, (n, dim))
-    ds = Dataset(points, MetricDescriptor(kind))
+    ds = Dataset(points, kind)
     subset = g.integers(0, n, draw(st.integers(1, 2 * n)))
     if draw(st.booleans()):
         subset = np.unique(subset)
@@ -129,7 +129,7 @@ GRID_COVERS = {
 def test_grid_cover_with_wide_blocks_picks_the_reference_centers(kind, monkeypatch):
     values, dim, radius = GRID_COVERS[kind]
     points = np.random.default_rng(7).integers(0, values, (1200, dim))
-    ds = Dataset(points.astype(np.uint8 if kind.uses_bits else np.float64), MetricDescriptor(kind))
+    ds = Dataset(points.astype(np.uint8 if kind.uses_bits else np.float64), kind)
     blocks, kernel_pairs = [], []
     screen_within, kernel = core._BallScreen.within, core._kernel
 

@@ -27,9 +27,9 @@ def test_point_substreams_extend_prefix():
 
 
 def test_metrics_match_family():
-    assert generate(GeneratorSpec(Family.UNIFORM_CUBE, 2, 5, 0)).metric.kind is MetricKind.EUCLIDEAN
-    assert generate(GeneratorSpec(Family.GAUSSIAN, 2, 5, 0)).metric.kind is MetricKind.EUCLIDEAN
-    assert generate(GeneratorSpec(Family.HAMMING_UNIFORM, 2, 5, 0)).metric.kind is MetricKind.HAMMING
+    assert generate(GeneratorSpec(Family.UNIFORM_CUBE, 2, 5, 0)).metric is MetricKind.EUCLIDEAN
+    assert generate(GeneratorSpec(Family.GAUSSIAN, 2, 5, 0)).metric is MetricKind.EUCLIDEAN
+    assert generate(GeneratorSpec(Family.HAMMING_UNIFORM, 2, 5, 0)).metric is MetricKind.HAMMING
 
 
 @pytest.mark.parametrize("dim,count", [(0, 5), (3, 0)])
@@ -76,15 +76,17 @@ def _splitmix64_reference(state):
 
 
 class TestRngPlumbing:
-    def test_raw_stream_matches_published_algorithm(self):
-        # draw k of a stream must equal the k-th output of SplitMix64
-        # seeded at the stream key; this pins cross-machine portability
-        key = int(rng.stream_key(9, stream=4))
-        state = key
-        for k in range(20):
-            state, expected = _splitmix64_reference(state)
-            got = int(rng._raw(rng.stream_key(9, 4), [k])[0])
-            assert got == expected
+    def test_uniform_draws_match_published_algorithm(self):
+        # draw k of a stream must be the top 53 bits of the k-th output of
+        # SplitMix64 seeded at the stream key, whether drawn as a stream or
+        # as a matrix row; this pins cross-machine portability
+        state = int(rng.stream_key(9, stream=4))
+        expected = []
+        for _ in range(20):
+            state, z = _splitmix64_reference(state)
+            expected.append((z >> 11) * 2.0**-53)
+        assert rng.uniform01(9, 20, stream=4).tolist() == expected
+        assert rng.matrix_uniform01(9, 5, 20)[4].tolist() == expected
 
     def test_frozen_uniform_values(self):
         # regression freeze: changing these silently would break every

@@ -8,7 +8,6 @@ from metricdim.core import (
     Dataset,
     InvalidInputError,
     InvariantViolation,
-    MetricDescriptor,
     MetricKind,
     diameter_upper_bound,
     first_occurrence_indices,
@@ -28,7 +27,7 @@ from metricdim.nettree import (
 from metricdim.pivot import QueryStats, calibrate_eps, sequential_scan
 from metricdim import rng
 
-EUCLID = MetricDescriptor(MetricKind.EUCLIDEAN)
+EUCLID = MetricKind.EUCLIDEAN
 
 
 def line_dataset(xs, seed=None):
@@ -57,8 +56,8 @@ def reference_net_tree(ds):
         return parents
 
     n_distinct = first_occurrence_indices(ds.points).size
-    if ds.metric.kind.uses_bits:
-        top_radius = 1.0 / ds.metric.scale
+    if ds.metric.uses_bits:
+        top_radius = 1.0
     else:
         top_radius = diameter_upper_bound(ds) if ds.n >= 2 else 0.0
     floor = top_radius * RADIUS_FLOOR_FACTOR
@@ -126,8 +125,8 @@ def tree_datasets(draw, kind):
         if layout == "offset":
             layout = "random"
         points = TREE_LAYOUTS[layout](g, n, 2 ** draw(st.integers(2, 5))) < 0.5
-        return Dataset(points.astype(np.uint8), MetricDescriptor(kind))
-    return Dataset(TREE_LAYOUTS[layout](g, n, dim), MetricDescriptor(kind))
+        return Dataset(points.astype(np.uint8), kind)
+    return Dataset(TREE_LAYOUTS[layout](g, n, dim), kind)
 
 
 @pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
@@ -157,7 +156,7 @@ SPLIT_LEVEL_INPUTS = {
     "pool": lambda: Dataset(TREE_LAYOUTS["pool"](np.random.default_rng(7), 300, 3), EUCLID),
     "grid": lambda: Dataset(
         np.stack(np.divmod(np.random.default_rng(7).permutation(25)[:10], 5), axis=1).astype(np.float64),
-        MetricDescriptor(MetricKind.MANHATTAN),
+        MetricKind.MANHATTAN,
     ),
 }
 
@@ -380,7 +379,7 @@ class TestVerify:
 def test_subnormal_distances_build_and_query_exactly(kind):
     # The top radius is 2 * 5e-324 and halves to the smallest positive
     # double; halving once more would give a radius of 0, which no cover takes.
-    ds = Dataset(np.array([[0.0], [5e-324], [1e-323]]), MetricDescriptor(kind))
+    ds = Dataset(np.array([[0.0], [5e-324], [1e-323]]), kind)
     tree, _ = build_net_tree(ds)
     verify_net_invariants(tree, ds)
     assert min(level.radius for level in tree.levels) > 0

@@ -7,7 +7,6 @@ from metricdim.core import (
     CountingOracle,
     Dataset,
     InvalidInputError,
-    MetricDescriptor,
     MetricKind,
     diameter_upper_bound,
     pair_distances,
@@ -26,7 +25,7 @@ from metricdim.pivot import (
 )
 from metricdim import rng
 
-EUCLID = MetricDescriptor(MetricKind.EUCLIDEAN)
+EUCLID = MetricKind.EUCLIDEAN
 
 
 def line_dataset(xs, seed=None):
@@ -200,7 +199,7 @@ def pivot_queries(draw, kind):
         # absorbs PRUNE_WIDENING, so eps + PRUNE_WIDENING can equal a gap
         scale = draw(st.sampled_from([0.1, 1.0, 1e5]))
         points = g.integers(-3, 4, (n, draw(st.integers(1, 4)))) * scale
-    ds = Dataset(points, MetricDescriptor(kind))
+    ds = Dataset(points, kind)
     k = draw(st.integers(1, n))
     policy = draw(st.sampled_from([RandomPivots, FarthestFirst]))(draw(st.integers(0, 2**16)))
     index = build_pivot_index(ds, k, policy)
