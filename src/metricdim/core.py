@@ -116,13 +116,20 @@ class MetricKind(Enum):
         return self is MetricKind.HAMMING
 
 
+def _check_metric(metric) -> MetricKind:
+    """``metric`` itself, refused unless it is a ``MetricKind``."""
+    if not isinstance(metric, MetricKind):
+        raise InvalidInputError(f"the metric must be a MetricKind, got {type(metric).__name__}")
+    return metric
+
+
 def _check_point(metric: MetricKind, x, dim: int | None = None) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1 or arr.shape[0] < 1:
         raise InvalidInputError(f"a point must be a 1-d sequence of length >= 1, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise InvalidInputError(f"point length mismatch: {arr.shape[0]} vs {dim}")
-    if metric.uses_bits:
+    if _check_metric(metric).uses_bits:
         if arr.dtype.kind == "f":
             raise InvalidInputError("normalized Hamming metric requires a bit vector, got real coordinates")
         return _as_bits(arr, "bit vectors")
@@ -415,17 +422,26 @@ def all_pair_distances(metric: MetricKind, points: np.ndarray) -> np.ndarray:
     square root errs by less than 3e-10 relative, and every smaller g (near
     duplicates, and a whole band outside ``_SCREEN_RANGE``) is measured by
     the kernel.
+
+    The output is one float64 vector of n(n-1)/2 values, allocated first;
+    each band's triangle is copied into its place as soon as the band is
+    measured. So the call holds one copy of the distances plus one band
+    (at most ``_SCAN_BYTES`` of values and mask, and its triangle).
     """
+    n = points.shape[0]
     screen = _BallScreen(metric, _kernel_form(metric, points), points.shape[1])
-    out = [np.empty(0)]
+    out = np.empty(n * (n - 1) // 2)
+    stop = 0
     for ia, ib, values, band in screen._bands():
         upper = ib > ia[:, None]
         if band is not None:
             ii, jj, measured = screen._remeasure(ia, ib, upper & (values < band / 2e-9))
             np.sqrt(np.maximum(values, 0.0, out=values), out=values)
             values[ii, jj] = measured
-        out.append(values[upper])
-    return np.concatenate(out)
+        triangle = values[upper]
+        out[stop : stop + triangle.size] = triangle
+        stop += triangle.size
+    return out
 
 
 def distance(metric: MetricKind, x, y) -> float:
@@ -463,7 +479,7 @@ class Dataset:
         pts = np.asarray(self.points)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise InvalidInputError(f"dataset needs an (n, d) matrix with n, d >= 1, got shape {pts.shape}")
-        bits = self.metric.uses_bits
+        bits = _check_metric(self.metric).uses_bits
         if bits:
             pts = _as_bits(pts, "bit datasets")
         elif pts.dtype == np.uint8 or pts.dtype.kind == "b":
@@ -625,6 +641,7 @@ def _parse_bit_row(line: str, lineno: int) -> np.ndarray:
 
 def load_dataset(path, metric: MetricKind, seed: int | None = None) -> Dataset:
     """Read a dataset file. The metric is supplied by the caller, never inferred."""
+    bits = _check_metric(metric).uses_bits
     text = Path(path).read_text()
     rows = []
     width = None
@@ -632,7 +649,7 @@ def load_dataset(path, metric: MetricKind, seed: int | None = None) -> Dataset:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        row = _parse_bit_row(stripped, lineno) if metric.uses_bits else _parse_real_row(stripped, lineno)
+        row = _parse_bit_row(stripped, lineno) if bits else _parse_real_row(stripped, lineno)
         if width is None:
             width = len(row)
         elif len(row) != width:
@@ -640,8 +657,7 @@ def load_dataset(path, metric: MetricKind, seed: int | None = None) -> Dataset:
         rows.append(row)
     if not rows:
         raise InvalidInputError(f"{path}: no data rows found")
-    dtype = np.uint8 if metric.uses_bits else np.float64
-    return Dataset(np.asarray(rows, dtype=dtype), metric, seed)
+    return Dataset(np.asarray(rows, dtype=np.uint8 if bits else np.float64), metric, seed)
 
 
 def format_points(ds: Dataset) -> str:

@@ -19,6 +19,11 @@ made once per call and shared round-robin over a few threads (see
 ``pairwise_distances``); only its distance vector is held whole. Neither
 the chunking nor the thread count changes a value: each draw is a pure
 function of its index, and the kernel measures each pair on its own.
+
+Either way the distances are held in one copy: full enumeration writes
+each band's triangle into the one output vector, and ``moments`` takes
+the variance's second pass in leaf-sized pieces, with numpy's own
+summation tree, so its value is ``values.var(ddof=1)`` to the bit.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import numpy as np
 from . import rng
 from .core import (
     DEGENERATE,
+    _SCAN_BYTES,
     CountingOracle,
     Dataset,
     InvalidInputError,
@@ -244,12 +250,43 @@ class MomentSummary:
 def moments(sample) -> MomentSummary:
     """Arithmetic mean and unbiased (count - 1) variance of the distances.
 
-    Accepts a DistanceSample or any array of values.
+    Accepts a DistanceSample or any array of values. The results equal
+    ``float(values.mean())`` and ``float(values.var(ddof=1))`` bit for bit,
+    but the variance's second pass holds no full-size temporary:
+    ``values.var`` squares ``values - mean`` into a new array as large as
+    the sample before summing it.
+
+    Here the squared deviations are summed by ``_squared_deviations``, which
+    splits the vector as numpy's ``pairwise_sum`` splits a contiguous one
+    (halves, the first rounded down to a multiple of 8) until a piece
+    fits one leaf-sized buffer of ``core._SCAN_BYTES // 8`` values. Each
+    leaf's deviations are squared into that buffer and summed by
+    ``np.add.reduce``, which runs ``pairwise_sum`` on the leaf, and the
+    partial sums are added back up the same tree. Any leaf of at least
+    numpy's 128-value pairwise block gives numpy's own tree, so the sum
+    is numpy's to the last bit. ``test_moments_equal_numpy_bit_for_bit``
+    pins this on the installed numpy, for sizes around the leaf and
+    numpy's block and up to 5,000,000 values.
     """
     values = _sample_values(sample)
     if values.size < 2:
         raise InvalidInputError("moments need at least 2 distance values")
-    return MomentSummary(float(values.mean()), float(values.var(ddof=1)), int(values.size))
+    mean = values.mean()
+    buffer = np.empty(min(values.size, _SCAN_BYTES // 8))
+    variance = _squared_deviations(values, mean, buffer) / (values.size - 1)
+    return MomentSummary(float(mean), float(variance), int(values.size))
+
+
+def _squared_deviations(values: np.ndarray, mean, buffer: np.ndarray):
+    """The sum of ``(values - mean) ** 2`` in numpy's pairwise order (see
+    ``moments``), with ``buffer`` as the only scratch array."""
+    n = values.size
+    if n <= buffer.size:
+        leaf = np.subtract(values, mean, out=buffer[:n])
+        return np.add.reduce(np.multiply(leaf, leaf, out=leaf))
+    half = n // 2
+    half -= half % 8
+    return _squared_deviations(values[:half], mean, buffer) + _squared_deviations(values[half:], mean, buffer)
 
 
 def cnbym_dimension(summary: MomentSummary):

@@ -320,6 +320,32 @@ def test_all_pair_distances_match_the_kernel_pair_by_pair(kind, data):
         np.testing.assert_array_equal(got, expected)
 
 
+def concatenated_band_triangles(kind, points):
+    """The pairs of ``all_pair_distances`` as the band triangles collected
+    in a list and joined at the end: the reference for the preallocated
+    output."""
+    screen = core._BallScreen(kind, core._kernel_form(kind, points), points.shape[1])
+    out = [np.empty(0)]
+    for ia, ib, values, band in screen._bands():
+        upper = ib > ia[:, None]
+        if band is not None:
+            ii, jj, measured = screen._remeasure(ia, ib, upper & (values < band / 2e-9))
+            np.sqrt(np.maximum(values, 0.0, out=values), out=values)
+            values[ii, jj] = measured
+        out.append(values[upper])
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 300])
+@pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
+def test_all_pair_distances_equal_the_joined_band_triangles(kind, n):
+    g = np.random.default_rng(n)
+    points = g.integers(0, 2, (n, 70)).astype(np.uint8) if kind.uses_bits else 1e8 + g.standard_normal((n, 5))
+    got = core.all_pair_distances(kind, points)
+    assert got.dtype == np.float64 and got.shape == (n * (n - 1) // 2,)
+    assert got.tobytes() == concatenated_band_triangles(kind, points).tobytes()
+
+
 def test_pair_engine_reads_integer_rows_as_reals():
     ints = np.array([[0, 0], [3, 4], [1, 1]])
     for metric in REAL_METRICS:
@@ -715,6 +741,24 @@ def test_entry_points_reject_invalid_outside_points(entry, bad):
         ds = Dataset(np.array([[0.0, 0.5, 1.0, 0.0], [1.0, 1.0, 0.0, 0.5], [0.5, 0.0, 0.5, 1.0]]), metric)
     with pytest.raises(InvalidInputError):
         QUERY_ENTRY_POINTS[entry](ds, q)
+
+
+# Each public entry point that takes a metric refuses anything but a
+# MetricKind, here its value string, with a message naming both types.
+METRIC_ENTRY_POINTS = {
+    "Dataset": lambda metric, path: Dataset(np.eye(2), metric),
+    "load_dataset": lambda metric, path: load_dataset(path, metric),
+    "distance": lambda metric, path: distance(metric, [0.0], [1.0]),
+    "distances_to": lambda metric, path: distances_to(metric, [0.0], np.eye(1)),
+}
+
+
+@pytest.mark.parametrize("entry", METRIC_ENTRY_POINTS)
+def test_entry_points_refuse_a_metric_that_is_not_a_metric_kind(entry, tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_text("1.0 0.0\n0.0 1.0\n")
+    with pytest.raises(InvalidInputError, match="must be a MetricKind, got str"):
+        METRIC_ENTRY_POINTS[entry]("euclidean", path)
 
 
 def test_nonpositive_dataset_rejected():

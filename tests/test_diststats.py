@@ -1,12 +1,13 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metricdim import diststats
+from metricdim import core, diststats
 from metricdim.core import (
     DEGENERATE,
     Dataset,
@@ -268,6 +269,60 @@ class TestMoments:
         m = moments(pairwise_distances(ds))
         assert 0.330 < m.mean < 0.337
         assert 0.0545 < m.variance < 0.0566
+
+
+# moments' leaf and numpy's pairwise block (128 values), each with its
+# neighbours, and the sizes the CLI reads: fig-b's 4,498,500 pairs and
+# estimate's 5,000,000.
+LEAF = core._SCAN_BYTES // 8
+MOMENT_SIZES = [2, 3, 7, 8, 9, 127, 128, 129, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 3, 200_003, 4_498_500, 5_000_000]
+
+
+def moment_samples(n):
+    base = np.random.default_rng(n).random(n)
+    yield "random", base
+    yield "offset", base + 1e8
+    yield "huge", base * 1e150
+    yield "tiny", base * 1e-150
+    yield "constant", np.full(n, 0.7)
+    yield "two-valued", np.where(base < 0.5, 1.0, 3.0)
+    yield "strided", np.random.default_rng(n + 1).random(2 * n)[::2]
+
+
+@pytest.mark.parametrize("n", MOMENT_SIZES)
+def test_moments_equal_numpy_bit_for_bit(n):
+    for name, values in moment_samples(n):
+        m = moments(values)
+        assert m.mean.hex() == float(values.mean()).hex(), name
+        assert m.variance.hex() == float(values.var(ddof=1)).hex(), name
+        assert m.count == n
+
+
+def traced_peak(call):
+    """Bytes that numpy and Python hold at most during ``call()``, beyond
+    what was held before it, as ``tracemalloc`` counts them."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestOneCopyOfTheDistances:
+    def test_moments_allocate_one_leaf(self):
+        values = np.random.default_rng(3).random(2_000_000)
+        assert traced_peak(lambda: moments(values)) < 2 * 2**20
+
+    def test_all_pairs_allocate_the_output_and_one_band(self):
+        points = np.random.default_rng(4).standard_normal((2000, 16))
+        output = 2000 * 1999 // 2 * 8
+        assert traced_peak(lambda: core.all_pair_distances(EUCLID, points)) < output + 4 * 2**20
 
 
 class TestCnbym:
