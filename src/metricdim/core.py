@@ -34,11 +34,18 @@ same bands takes both extremes, the exact diameter and each row's
 nearest distance, equal to the kernel's bit for bit (the kernel
 re-measures, in one call per band, the Euclidean pairs near either). A
 greedy cover, which screens many blocks of the same rows, pays the
-preparation once. Rows are validated when a ``Dataset`` is built
-(``load_dataset`` builds one); each public entry point that takes an
-outside point validates it once, at entry (``Dataset.check_query``);
-internal loops over dataset rows call the kernel directly, through
-``Dataset.distances``.
+preparation once.
+
+Outside rows are checked by one rule, ``_check_rows`` (0/1 values for
+Hamming, checked before the cast; finite float64 coordinates otherwise),
+once, at entry: when a ``Dataset`` is built (``load_dataset`` and
+``distances_to`` build one), and for each outside point
+(``Dataset.check_query``, ``distance``), which must in addition not be
+float-typed under Hamming. Internal loops over dataset rows call the kernel
+directly, through ``Dataset.distances``. The kernel-level trio
+``pair_distances``, ``within_radius`` and ``all_pair_distances`` checks
+only the metric: every path into the kernel form refuses one that is not a
+``MetricKind``.
 
 Every distance is in the data's own units; a statistic that wants
 normalized distances divides by its chosen length itself. Quantities that
@@ -123,30 +130,35 @@ def _check_metric(metric) -> MetricKind:
     return metric
 
 
+def _check_rows(metric: MetricKind, arr: np.ndarray, what: str) -> np.ndarray:
+    """The row rule of ``metric``, a checked ``MetricKind``: ``arr`` as a
+    new C-ordered array of uint8 0/1 values for Hamming and of finite
+    float64 coordinates for the real metrics, or ``InvalidInputError``
+    (``what`` names rows that are not 0/1). Bit values are checked as
+    given, before the cast, which would wrap 256 to 0 and truncate 0.5 to
+    0. The copy keeps the caller's array writeable, and no later write to
+    it can stale what was checked."""
+    if metric.uses_bits:
+        if not ((arr == 0) | (arr == 1)).all():
+            raise InvalidInputError(f"{what} may only contain 0 and 1")
+        return np.array(arr, dtype=np.uint8, order="C")
+    if arr.dtype == np.uint8 or arr.dtype.kind == "b":
+        raise InvalidInputError(f"{metric.value} metric requires real coordinates, got {arr.dtype} values")
+    arr = np.array(arr, dtype=np.float64, order="C")
+    if not np.isfinite(arr).all():
+        raise InvalidInputError("coordinates must be finite (no NaN or infinity)")
+    return arr
+
+
 def _check_point(metric: MetricKind, x, dim: int | None = None) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1 or arr.shape[0] < 1:
         raise InvalidInputError(f"a point must be a 1-d sequence of length >= 1, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise InvalidInputError(f"point length mismatch: {arr.shape[0]} vs {dim}")
-    if _check_metric(metric).uses_bits:
-        if arr.dtype.kind == "f":
-            raise InvalidInputError("normalized Hamming metric requires a bit vector, got real coordinates")
-        return _as_bits(arr, "bit vectors")
-    if arr.dtype == np.uint8 or arr.dtype.kind == "b":
-        raise InvalidInputError(f"{metric.value} metric requires real coordinates, got a bit vector")
-    arr = arr.astype(np.float64)
-    if not np.isfinite(arr).all():
-        raise InvalidInputError("coordinates must be finite (no NaN or infinity)")
-    return arr
-
-
-def _as_bits(arr: np.ndarray, what: str) -> np.ndarray:
-    """``arr`` as uint8 0/1 values. The values are checked as given, before
-    the cast, which would wrap 256 to 0 and truncate 0.5 to 0."""
-    if not ((arr == 0) | (arr == 1)).all():
-        raise InvalidInputError(f"{what} may only contain 0 and 1")
-    return arr.astype(np.uint8, copy=False)
+    if _check_metric(metric).uses_bits and arr.dtype.kind == "f":
+        raise InvalidInputError("normalized Hamming metric requires a bit vector, got real coordinates")
+    return _check_rows(metric, arr, "bit vectors")
 
 
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -160,8 +172,10 @@ def _pack_bits(bits: np.ndarray) -> np.ndarray:
 
 
 def _kernel_form(metric: MetricKind, rows: np.ndarray) -> np.ndarray:
-    """Checked rows as ``_kernel`` reads them: packed words for Hamming."""
-    return _pack_bits(rows) if metric.uses_bits else rows
+    """Checked rows as ``_kernel`` reads them: packed words for Hamming.
+    The metric is checked here, so every entry point that reaches the
+    kernel refuses one that is not a ``MetricKind``."""
+    return _pack_bits(rows) if _check_metric(metric).uses_bits else rows
 
 
 def _kernel(
@@ -204,9 +218,10 @@ def pair_distances(metric: MetricKind, a: np.ndarray, b: np.ndarray) -> np.ndarr
     """Distances between matching rows of ``a`` and ``b``.
 
     Rows broadcast, so one point against a matrix gives its distance to
-    every row. Nothing is validated: callers pass checked points. Hamming
-    rows are 0/1 here; they are packed into words for the kernel, which
-    counts differing bits with one popcount. Code that holds a ``Dataset``
+    every row. Only the metric is checked (``_kernel_form``), not the rows:
+    callers pass checked points. Hamming rows are 0/1 here; they are
+    packed into words for the kernel, which counts differing bits with one
+    popcount. Code that holds a ``Dataset``
     calls ``Dataset.distances`` on its packed rows instead.
     """
     return _kernel(metric, _kernel_form(metric, a), _kernel_form(metric, b), a.shape[-1])
@@ -387,7 +402,8 @@ def within_radius(metric: MetricKind, a: np.ndarray, b: np.ndarray, radius: floa
     are non-empty row blocks. This is the one-shot use of ``_BallScreen``
     on the rows of ``a`` and ``b``, centred on ``a[0]``; Hamming rows are
     packed into words once, here. Hamming, Manhattan and Chebyshev take
-    the kernel's values in row chunks.
+    the kernel's values in row chunks. As in ``pair_distances``, only the
+    metric is checked, not the rows.
 
     Euclidean screens with a Gram product on coordinates centred on a
     shared centre c, one of the screen's rows: with a' = a - c and
@@ -426,7 +442,8 @@ def all_pair_distances(metric: MetricKind, points: np.ndarray) -> np.ndarray:
     The output is one float64 vector of n(n-1)/2 values, allocated first;
     each band's triangle is copied into its place as soon as the band is
     measured. So the call holds one copy of the distances plus one band
-    (at most ``_SCAN_BYTES`` of values and mask, and its triangle).
+    (at most ``_SCAN_BYTES`` of values and mask, and its triangle). As in
+    ``pair_distances``, only the metric is checked, not the rows.
     """
     n = points.shape[0]
     screen = _BallScreen(metric, _kernel_form(metric, points), points.shape[1])
@@ -451,10 +468,11 @@ def distance(metric: MetricKind, x, y) -> float:
 
 
 def distances_to(metric: MetricKind, x, points: np.ndarray) -> np.ndarray:
-    """Distances from one point to every row of a point matrix."""
-    if points.ndim != 2:
-        raise InvalidInputError("point matrix incompatible with the query point")
-    return pair_distances(metric, _check_point(metric, x, points.shape[1]), points)
+    """Distances from one point to every row of a point matrix. The matrix
+    is checked as a ``Dataset``'s points are, and the point as that
+    dataset's query."""
+    ds = Dataset(points, metric)
+    return ds.distances(ds.check_query(x), ds.kernel_rows)
 
 
 @dataclass(frozen=True)
@@ -479,15 +497,7 @@ class Dataset:
         pts = np.asarray(self.points)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
             raise InvalidInputError(f"dataset needs an (n, d) matrix with n, d >= 1, got shape {pts.shape}")
-        bits = _check_metric(self.metric).uses_bits
-        if bits:
-            pts = _as_bits(pts, "bit datasets")
-        elif pts.dtype == np.uint8 or pts.dtype.kind == "b":
-            raise InvalidInputError(f"{self.metric.value} metric requires real coordinates")
-        # A copy, so the caller's array stays writeable and cannot stale the cached bound.
-        pts = np.array(pts, dtype=np.uint8 if bits else np.float64, order="C")
-        if not bits and not np.isfinite(pts).all():
-            raise InvalidInputError("coordinates must be finite (no NaN or infinity)")
+        pts = _check_rows(_check_metric(self.metric), pts, "bit datasets")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         rows = _kernel_form(self.metric, pts)
@@ -639,7 +649,7 @@ def _parse_bit_row(line: str, lineno: int) -> np.ndarray:
     return bits
 
 
-def load_dataset(path, metric: MetricKind, seed: int | None = None) -> Dataset:
+def load_dataset(path, metric: MetricKind) -> Dataset:
     """Read a dataset file. The metric is supplied by the caller, never inferred."""
     bits = _check_metric(metric).uses_bits
     text = Path(path).read_text()
@@ -657,7 +667,7 @@ def load_dataset(path, metric: MetricKind, seed: int | None = None) -> Dataset:
         rows.append(row)
     if not rows:
         raise InvalidInputError(f"{path}: no data rows found")
-    return Dataset(np.asarray(rows, dtype=np.uint8 if bits else np.float64), metric, seed)
+    return Dataset(np.asarray(rows, dtype=np.uint8 if bits else np.float64), metric)
 
 
 def format_points(ds: Dataset) -> str:

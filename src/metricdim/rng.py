@@ -8,6 +8,14 @@ evaluation order, because there is no shared generator state to race on.
 
 Dataset generators assign one stream per point index, so a dataset is
 well-defined even if rows are filled out of order.
+
+Each rule has one implementation. ``stream_key`` is the one place the
+key is derived from (seed, stream), for one stream or an array of them,
+and ``_draw_range`` the one place counters are mixed and turned into
+uniforms or integers. ``uniform01``, ``integers`` and ``distinct_indices``
+draw a range of one stream; ``matrix_uniform01`` draws a column of stream
+keys side by side, and ``matrix_normals`` and ``matrix_bits`` transform
+its uniforms.
 """
 
 from __future__ import annotations
@@ -46,10 +54,12 @@ def _as_u64(value) -> np.uint64:
     return np.uint64(int(value) & _MASK64)
 
 
-def stream_key(seed, stream=0) -> np.uint64:
-    """Key of a named substream of ``seed``."""
+def stream_key(seed, stream=0):
+    """Key of a named substream of ``seed``: a uint64 for an int
+    ``stream``, and for a uint64 array of streams the array of their keys."""
+    streams = stream if isinstance(stream, np.ndarray) else _as_u64(stream)
     with np.errstate(over="ignore"):
-        return np.uint64(mix64(mix64(_as_u64(seed)) + _GOLDEN * _as_u64(stream)))
+        return mix64(mix64(_as_u64(seed)) + _GOLDEN * streams)
 
 
 def derive_seed(seed, *tags) -> int:
@@ -91,22 +101,24 @@ def _draw_range(key, start, stop, bound, out=None, scratch=None, steps=None) -> 
     Each draw is a pure function of its index, so this equals
     ``uniform01(seed, stop, stream)[start:]`` (or the ``integers`` slice)
     without drawing the prefix; chunked samplers call it directly, with
-    the key computed once.
+    the key computed once. ``key`` may also be an (R, 1) array of keys:
+    the result is then (R, stop - start), row r the draws of stream key
+    ``key[r, 0]``, so a matrix of streams is drawn in one pass.
 
     ``out`` (float64 for uniforms, int64 for integers) receives the draws
-    and ``scratch`` (any 8-byte dtype) the intermediate words; both hold
-    ``stop - start`` entries, and their old contents are ignored.
-    ``steps`` is ``_counter_steps(n)`` for any n >= stop - start, read
-    only. A caller that passes all three allocates nothing per draw;
-    without them, they are made here. The values are the same bits either
-    way.
+    and ``scratch`` (any 8-byte dtype) the intermediate words; both have
+    the result's shape, and their old contents are ignored. ``steps`` is
+    ``_counter_steps(n)`` for any n >= stop - start, read only. A caller
+    that passes all three allocates nothing per draw; without them, they
+    are made here. The values are the same bits either way.
     """
     if bound is not None and bound <= 0:
         raise ValueError("bound must be positive")
     size = stop - start
+    shape = np.shape(key)[:-1] + (size,)
     if out is None:
-        out = np.empty(size, dtype=np.float64 if bound is None else np.int64)
-    words = np.empty(size, dtype=np.uint64) if scratch is None else scratch.view(np.uint64)
+        out = np.empty(shape, dtype=np.float64 if bound is None else np.int64)
+    words = np.empty(shape, dtype=np.uint64) if scratch is None else scratch.view(np.uint64)
     steps = _counter_steps(size) if steps is None else steps[:size]
     counters = out.view(np.uint64)
     # errstate is per thread, so it is entered here, in the drawing thread.
@@ -131,11 +143,12 @@ def distinct_indices(seed, k, n, stream=0) -> np.ndarray:
     """
     if k > n:
         raise ValueError("cannot draw more distinct indices than the range size")
+    key = stream_key(seed, stream)
     chosen: list[int] = []
     seen: set[int] = set()
     offset = 0
     while len(chosen) < k:
-        batch = integers(seed, offset + 2 * k + 16, n, stream)[offset:]
+        batch = _draw_range(key, offset, offset + 2 * k + 16, n)
         offset += len(batch)
         for value in batch.tolist():
             if value not in seen:
@@ -148,11 +161,8 @@ def distinct_indices(seed, k, n, stream=0) -> np.ndarray:
 
 def matrix_uniform01(seed, n_rows, n_cols) -> np.ndarray:
     """(n_rows, n_cols) uniforms; row i is stream i of the seed."""
-    with np.errstate(over="ignore"):
-        rows = mix64(mix64(_as_u64(seed)) + _GOLDEN * np.arange(n_rows, dtype=np.uint64))
-        idx = _GOLDEN * (np.arange(n_cols, dtype=np.uint64) + np.uint64(1))
-        raw = mix64(rows[:, None] + idx[None, :])
-    return (raw >> np.uint64(11)).astype(np.float64) * _U53
+    keys = stream_key(seed, np.arange(n_rows, dtype=np.uint64))
+    return _draw_range(keys[:, None], 0, n_cols, None)
 
 
 def matrix_normals(seed, n_rows, n_cols) -> np.ndarray:

@@ -743,6 +743,34 @@ def test_entry_points_reject_invalid_outside_points(entry, bad):
         QUERY_ENTRY_POINTS[entry](ds, q)
 
 
+# A point matrix from outside the program is held to the same row rule as
+# a Dataset's points.
+BAD_POINT_MATRICES = {
+    "bit-value-2": (HAMMING, [0, 1], np.array([[0, 2], [0, 1]], np.uint8)),
+    "nan-row": (EUCLID, [0.0, 0.0], np.array([[0.0, float("nan")], [1.0, 1.0]])),
+    "bit-matrix-under-euclidean": (EUCLID, [0.0, 0.0], np.array([[0, 1], [1, 0]], np.uint8)),
+    "real-values-under-hamming": (HAMMING, [0, 1], np.array([[0.0, 0.5], [1.0, 1.0]])),
+}
+MATRIX_ENTRY_POINTS = {
+    "distances_to": distances_to,
+    "counted_distances_to": lambda metric, q, points: counted_distances_to(CountingOracle(metric), q, points),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_POINT_MATRICES)
+@pytest.mark.parametrize("entry", MATRIX_ENTRY_POINTS)
+def test_entry_points_reject_invalid_point_matrices(entry, bad):
+    metric, q, points = BAD_POINT_MATRICES[bad]
+    with pytest.raises(InvalidInputError):
+        MATRIX_ENTRY_POINTS[entry](metric, q, points)
+
+
+def test_distances_to_reads_a_real_typed_bit_matrix_as_its_bits():
+    bits = np.array([[0, 1, 1], [1, 1, 0]], np.uint8)
+    expected = distances_to(HAMMING, [0, 1, 0], bits)
+    assert distances_to(HAMMING, [0, 1, 0], bits.astype(np.float64)).tolist() == expected.tolist() == [1 / 3, 1 / 3]
+
+
 # Each public entry point that takes a metric refuses anything but a
 # MetricKind, here its value string, with a message naming both types.
 METRIC_ENTRY_POINTS = {
@@ -750,6 +778,9 @@ METRIC_ENTRY_POINTS = {
     "load_dataset": lambda metric, path: load_dataset(path, metric),
     "distance": lambda metric, path: distance(metric, [0.0], [1.0]),
     "distances_to": lambda metric, path: distances_to(metric, [0.0], np.eye(1)),
+    "pair_distances": lambda metric, path: pair_distances(metric, np.eye(2), np.eye(2)),
+    "within_radius": lambda metric, path: within_radius(metric, np.eye(2), np.eye(2), 0.5),
+    "all_pair_distances": lambda metric, path: core.all_pair_distances(metric, np.eye(2)),
 }
 
 

@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from metricdim import rng
 from metricdim.core import InvalidInputError, MetricKind
 from metricdim.generate import Family, GeneratorSpec, generate
+from test_diststats import traced_peak
 
 
 def test_same_spec_is_bit_identical():
@@ -24,6 +27,21 @@ def test_point_substreams_extend_prefix():
     small = generate(GeneratorSpec(Family.UNIFORM_CUBE, 4, 50, seed=3))
     large = generate(GeneratorSpec(Family.UNIFORM_CUBE, 4, 80, seed=3))
     assert np.array_equal(large.points[:50], small.points)
+
+
+# SHA-256 of the points at the benchmark's sizes. Gaussian coordinates also
+# pass through numpy's log, cos and sin.
+GENERATED_DIGESTS = {
+    (Family.GAUSSIAN, 16, 10_000): "9da64faa4f7480758851172be169526615123f22894fc96a1b664949e5753609",
+    (Family.UNIFORM_CUBE, 8, 10_000): "fdd5d2481ad0fec61f8edb167da82071a092162e596dbefb77111d772fac157e",
+    (Family.HAMMING_UNIFORM, 512, 5_000): "eebb52b2ab2c11001f28d9bb43b6d611caf625bee12684e86b229d13179a15ba",
+}
+
+
+@pytest.mark.parametrize("family, dim, count", GENERATED_DIGESTS)
+def test_generated_points_match_their_digest(family, dim, count):
+    points = generate(GeneratorSpec(family, dim, count, seed=42)).points
+    assert hashlib.sha256(points.tobytes()).hexdigest() == GENERATED_DIGESTS[family, dim, count]
 
 
 def test_metrics_match_family():
@@ -99,9 +117,17 @@ class TestRngPlumbing:
         assert rng.derive_seed(42) == 12058926934050108962
 
     def test_matrix_rows_are_named_streams(self):
-        m = rng.matrix_uniform01(42, 6, 9)
-        for i in range(6):
-            assert np.array_equal(m[i], rng.uniform01(42, 9, stream=i))
+        for n_rows, n_cols in ((6, 9), (0, 9), (6, 0), (0, 0)):
+            m = rng.matrix_uniform01(42, n_rows, n_cols)
+            assert m.shape == (n_rows, n_cols) and m.dtype == np.float64
+            for i in range(n_rows):
+                assert np.array_equal(m[i], rng.uniform01(42, n_cols, stream=i))
+
+    def test_matrix_bits_allocate_two_draw_buffers(self):
+        # The draw holds its uniforms and one word buffer, 8 bytes a bit
+        # each, and nothing else as large.
+        n_rows, n_cols = 5000, 512
+        assert traced_peak(lambda: rng.matrix_bits(7, n_rows, n_cols)) <= 2 * 8 * n_rows * n_cols + 2 * 2**20
 
     def test_distinct_indices_prefix_property(self):
         short = rng.distinct_indices(5, 4, 100)
