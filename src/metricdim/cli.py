@@ -13,6 +13,7 @@ invariant check fails.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from .concentration import (
     chernoff_alpha,
     concentration_dimension,
     empirical_concentration,
+    union_bound_slack,
 )
 from .core import (
     DEGENERATE,
@@ -30,6 +32,7 @@ from .core import (
     InvalidInputError,
     InvariantViolation,
     MetricKind,
+    _distinct_rows,
     diameter_is_exact,
     diameter_upper_bound,
     format_points,
@@ -132,17 +135,23 @@ def run_fig_b(d_values, n=3000, seeds=(DEFAULT_SEED,), self_test=False) -> str:
     return _render("fig-b", config, ["seed", "d", "dim_cnbym"], rows)
 
 
-def run_fig_c(d_list, n=20000, k=32, grid_size=201, seed=DEFAULT_SEED) -> str:
+def run_fig_c(d_list, n=20000, k=32, grid_size=201, seed=DEFAULT_SEED, self_test=False) -> str:
     """Empirical concentration curves on bit-cube workloads, with the
-    exp(-2 eps^2 d) reference and the dimension integral of each curve."""
+    exp(-2 eps^2 d) reference and the dimension integral of each curve.
+    The self-test holds every alpha_hat to the reference plus the sampling
+    slack ``union_bound_slack``."""
     rows = []
     dim_lines: list[tuple[str, object]] = []
+    slack = union_bound_slack(n, k, grid_size)
     for d in d_list:
         ds = generate(GeneratorSpec(Family.HAMMING_UNIFORM, d, n, rng.derive_seed(seed, d)))
         curve = empirical_concentration(ds, k, grid_size, seed=rng.derive_seed(seed, d, 1))
         dim_lines.append((f"dim_alpha[{d}]", concentration_dimension(curve)))
         for eps, alpha in zip(curve.grid.tolist(), curve.alpha.tolist()):
-            rows.append([d, eps, alpha, chernoff_alpha(d, eps)])
+            bound = chernoff_alpha(d, eps)
+            if self_test and alpha > bound + slack:
+                raise InvariantViolation(f"alpha_hat {alpha!r} at d={d}, eps={eps!r} exceeds the Chernoff bound plus slack")
+            rows.append([d, eps, alpha, bound])
     config = [
         ("seed", seed),
         ("n", n),
@@ -241,14 +250,21 @@ def run_generate(family, d, n, seed=DEFAULT_SEED) -> str:
 
 
 NN_QUERY_CAP = 200
+# A Euclidean all-pairs value is within this relative distance of the
+# kernel's (``core.all_pair_distances``), and the exact diameter is the
+# kernel's.
+_PAIR_TOLERANCE = 1e-9
 
 
-def run_estimate(path, metric: MetricKind, seed=DEFAULT_SEED, k=32, grid_size=201, probes=64) -> str:
+def run_estimate(path, metric: MetricKind, seed=DEFAULT_SEED, k=32, grid_size=201, probes=64, self_test=False) -> str:
     """One report with every estimator applied to a dataset file.
 
     Distances are in the file's units. The concentration curve divides
     them by the diameter bound (by nothing when the bound is 0, all rows
     equal). The ``scale`` row is always 1.0: the units are never changed.
+    The self-test holds the largest sampled pair distance to the diameter
+    bound and ``rho_hat`` to log2 of the number of distinct rows, the most
+    centers a cover can need.
     """
     ds = load_dataset(path, metric)
     rows: list[list] = [["n", ds.n], ["dim", ds.dim], ["metric", metric.value], ["scale", 1.0]]
@@ -258,6 +274,8 @@ def run_estimate(path, metric: MetricKind, seed=DEFAULT_SEED, k=32, grid_size=20
         rows.append(["diameter_bound", bound])
         rows.append(["diameter_method", "exact-scan" if diameter_is_exact(ds.n) else "triangle-bound"])
         sample = pairwise_distances(ds, default_mode(ds.n, seed=rng.derive_seed(seed, 10)))
+        if self_test and float(sample.values.max()) > bound * (1.0 + _PAIR_TOLERANCE):
+            raise InvariantViolation("a sampled pair distance exceeds the diameter bound")
         if sample.values.size >= 2:
             summary = moments(sample)
             rows.append(["characteristic_size", summary.mean])
@@ -292,6 +310,8 @@ def run_estimate(path, metric: MetricKind, seed=DEFAULT_SEED, k=32, grid_size=20
         rows.append(["note", "single-point dataset; pairwise statistics undefined"])
 
     rho = doubling_estimate(ds, probes, seed=rng.derive_seed(seed, 13))
+    if self_test and rho.rho_hat > math.log2(_distinct_rows(ds).size):
+        raise InvariantViolation("rho_hat exceeds log2 of the number of distinct rows")
     rows.append(["rho_hat", rho.rho_hat])
     rows.append(["doubling_probes", probes])
 
@@ -464,7 +484,7 @@ def _dispatch(args) -> str:
             raise InvariantViolation("generation is not deterministic")
         return text
     if args.command == "estimate":
-        return run_estimate(args.path, _METRICS[args.metric], args.seed, args.k, args.grid, args.probes)
+        return run_estimate(args.path, _METRICS[args.metric], args.seed, args.k, args.grid, args.probes, args.self_test)
     if args.command == "fig-a":
         return run_fig_a(_int_list(args.d), args.n, _int_list(args.seeds), args.self_test)
     if args.command == "fig-b":
@@ -473,7 +493,7 @@ def _dispatch(args) -> str:
         d_values = _int_list(args.d) if args.d is not None else list(range(1, args.d_max + 1))
         return run_fig_b(d_values, args.n, _int_list(args.seeds), args.self_test)
     if args.command == "fig-c":
-        return run_fig_c(_int_list(args.d), args.n, args.k, args.grid, args.seed)
+        return run_fig_c(_int_list(args.d), args.n, args.k, args.grid, args.seed, args.self_test)
     if args.command == "fig-d":
         return run_fig_d(args.n, args.k, args.target, args.queries, args.seed, args.self_test)
     if args.command == "pivot-sweep":

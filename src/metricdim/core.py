@@ -136,10 +136,16 @@ def _check_rows(metric: MetricKind, arr: np.ndarray, what: str) -> np.ndarray:
     float64 coordinates for the real metrics, or ``InvalidInputError``
     (``what`` names rows that are not 0/1). Bit values are checked as
     given, before the cast, which would wrap 256 to 0 and truncate 0.5 to
-    0. The copy keeps the caller's array writeable, and no later write to
-    it can stale what was checked."""
+    0: integer and bool rows by their least and greatest value, with no
+    temporary of their size, other rows value by value. The copy keeps the
+    caller's array writeable, and no later write to it can stale what was
+    checked."""
     if metric.uses_bits:
-        if not ((arr == 0) | (arr == 1)).all():
+        if arr.dtype.kind in "biu":
+            valid = arr.min() >= 0 and arr.max() <= 1
+        else:
+            valid = ((arr == 0) | (arr == 1)).all()
+        if not valid:
             raise InvalidInputError(f"{what} may only contain 0 and 1")
         return np.array(arr, dtype=np.uint8, order="C")
     if arr.dtype == np.uint8 or arr.dtype.kind == "b":
@@ -672,11 +678,10 @@ def load_dataset(path, metric: MetricKind) -> Dataset:
 
 def format_points(ds: Dataset) -> str:
     """Render points in the ingestion format (no header)."""
-    lines = []
     if ds.metric.uses_bits:
-        for row in ds.points:
-            lines.append("".join("1" if b else "0" for b in row))
-    else:
-        for row in ds.points:
-            lines.append(" ".join(repr(float(v)) for v in row))
+        # Each 0/1 row as the characters "0"/"1", one newline column after.
+        chars = np.full((ds.n, ds.dim + 1), ord("\n"), dtype=np.uint8)
+        np.add(ds.points, ord("0"), out=chars[:, :-1])
+        return str(chars.data, "ascii")
+    lines = [" ".join(repr(float(v)) for v in row) for row in ds.points]
     return "\n".join(lines) + "\n"

@@ -13,9 +13,15 @@ Each rule has one implementation. ``stream_key`` is the one place the
 key is derived from (seed, stream), for one stream or an array of them,
 and ``_draw_range`` the one place counters are mixed and turned into
 uniforms or integers. ``uniform01``, ``integers`` and ``distinct_indices``
-draw a range of one stream; ``matrix_uniform01`` draws a column of stream
-keys side by side, and ``matrix_normals`` and ``matrix_bits`` transform
-its uniforms.
+draw a range of one stream. The three matrix draws take their rows in
+blocks of about ``_BLOCK_BYTES`` of uniforms (``_uniform_blocks``), each
+block a column of stream keys side by side, on buffers made once per call.
+``matrix_uniform01`` and ``matrix_normals`` draw straight into their
+output rows, and the normals are transformed there; ``matrix_bits``
+compares one reused block of uniforms with 0.5 into its output. Row i is
+stream i whatever the blocking, so the blocks change no bit. A draw holds
+its output plus one block of scratch words, one of uniforms for bits and
+the Box-Muller temporaries of one block for normals: a few MiB at most.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _U53 = 2.0**-53
+# Bytes of draws and stream keys in one row block of a matrix draw.
+_BLOCK_BYTES = 2**20
 
 
 def mix64(z):
@@ -103,7 +111,7 @@ def _draw_range(key, start, stop, bound, out=None, scratch=None, steps=None) -> 
     without drawing the prefix; chunked samplers call it directly, with
     the key computed once. ``key`` may also be an (R, 1) array of keys:
     the result is then (R, stop - start), row r the draws of stream key
-    ``key[r, 0]``, so a matrix of streams is drawn in one pass.
+    ``key[r, 0]``, so a block of streams is drawn side by side.
 
     ``out`` (float64 for uniforms, int64 for integers) receives the draws
     and ``scratch`` (any 8-byte dtype) the intermediate words; both have
@@ -159,30 +167,70 @@ def distinct_indices(seed, k, n, stream=0) -> np.ndarray:
     return np.asarray(chosen, dtype=np.int64)
 
 
+def _uniform_blocks(seed, n_rows, n_cols, out=None):
+    """Yields ``(rows, u)`` for consecutive row blocks of the (n_rows,
+    n_cols) uniform matrix of ``seed``, row i stream i: ``rows`` is the
+    block's slice of row indices and ``u`` its C-ordered uniforms.
+
+    A block holds about ``_BLOCK_BYTES`` of draws and stream keys, and at
+    least one row. With ``out`` (a C-ordered float64 (n_rows, n_cols)
+    array) ``u`` is ``out[rows]``, drawn in place; without it ``u`` lives
+    in one buffer that the next block overwrites."""
+    step = max(1, _BLOCK_BYTES // (8 * (n_cols + 1)))
+    block = min(step, n_rows)
+    steps = _counter_steps(n_cols)
+    scratch = np.empty((block, n_cols), dtype=np.uint64)
+    buffer = np.empty((block, n_cols)) if out is None else None
+    for lo in range(0, n_rows, step):
+        rows = slice(lo, min(lo + step, n_rows))
+        size = rows.stop - lo
+        keys = stream_key(seed, np.arange(lo, rows.stop, dtype=np.uint64))
+        target = buffer[:size] if out is None else out[rows]
+        u = _draw_range(keys[:, None], 0, n_cols, None, out=target, scratch=scratch[:size], steps=steps)
+        if rows.stop == n_rows:
+            # Nothing reads these after the last draw; dropping them lets
+            # the caller's work on the last block (the only one of a small
+            # matrix) use their room.
+            del steps, scratch
+        yield rows, u
+
+
 def matrix_uniform01(seed, n_rows, n_cols) -> np.ndarray:
     """(n_rows, n_cols) uniforms; row i is stream i of the seed."""
-    keys = stream_key(seed, np.arange(n_rows, dtype=np.uint64))
-    return _draw_range(keys[:, None], 0, n_cols, None)
+    out = np.empty((n_rows, n_cols))
+    for _ in _uniform_blocks(seed, n_rows, n_cols, out):
+        pass
+    return out
 
 
 def matrix_normals(seed, n_rows, n_cols) -> np.ndarray:
     """(n_rows, n_cols) standard normals via the Box-Muller transform.
 
     Each row consumes 2 * ceil(n_cols / 2) uniforms of its own stream; the
-    transform is fixed so normal workloads are bit-reproducible.
+    transform is fixed so normal workloads are bit-reproducible. A row
+    block's uniforms are drawn into its output rows and transformed there.
+    Every operand has the layout that one pass over the whole matrix would
+    give it (C-ordered blocks and their two halves), so numpy picks the
+    same ``log``, ``sin`` and ``cos`` loops and every value keeps its bits.
     """
     pairs = (n_cols + 1) // 2
-    u = matrix_uniform01(seed, n_rows, 2 * pairs)
-    u1 = u[:, :pairs] + _U53  # shift into (0, 1] so log is finite
-    u2 = u[:, pairs:]
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
     out = np.empty((n_rows, 2 * pairs))
-    out[:, 0::2] = radius * np.cos(angle)
-    out[:, 1::2] = radius * np.sin(angle)
+    for _, u in _uniform_blocks(seed, n_rows, 2 * pairs, out):
+        # Both halves are read before the block is overwritten.
+        radius = np.sqrt(-2.0 * np.log(u[:, :pairs] + _U53))  # shift into (0, 1] so log is finite
+        angle = 2.0 * np.pi * u[:, pairs:]
+        u[:, 0::2] = radius * np.cos(angle)
+        u[:, 1::2] = radius * np.sin(angle)
     return out[:, :n_cols]
 
 
 def matrix_bits(seed, n_rows, n_cols) -> np.ndarray:
     """(n_rows, n_cols) fair bits as uint8; row i is stream i."""
-    return (matrix_uniform01(seed, n_rows, n_cols) < 0.5).astype(np.uint8)
+    out = np.empty((0, n_cols), dtype=np.uint8)
+    for rows, u in _uniform_blocks(seed, n_rows, n_cols):
+        if rows.start == 0:
+            # Made after the first draw, which frees a one-block matrix's
+            # scratch words.
+            out = np.empty((n_rows, n_cols), dtype=np.uint8)
+        np.less(u, 0.5, out=out[rows].view(np.bool_))
+    return out

@@ -450,6 +450,59 @@ class TestExitCodes:
         assert code == 0
 
 
+class TestSelfTestChecks:
+    """estimate's and fig-c's --self-test checks: each exits 2 when made to
+    fail, and passing they leave stdout as it is without the flag."""
+
+    FIG_C = ["fig-c", "--d", "16,64", "--n", "2000", "--k", "8", "--grid", "41"]
+    FILES = {
+        "gaussian": ("euclidean", ["generate", "--family", "gaussian", "--d", "5", "--n", "300"]),
+        "bits": ("hamming", ["generate", "--family", "hamming", "--d", "70", "--n", "300"]),
+        "two-points": ("manhattan", "0 1\n3 5\n"),
+        "identical": ("chebyshev", "1 2\n1 2\n1 2\n"),
+    }
+
+    def estimate_args(self, name, tmp_path, capsys):
+        metric, source = self.FILES[name]
+        path = tmp_path / f"{name}.txt"
+        if isinstance(source, str):
+            path.write_text(source)
+        else:
+            assert run_cli(source + ["--out", str(path)], capsys)[0] == 0
+        return ["estimate", "--in", str(path), "--metric", metric, "--probes", "8"]
+
+    @pytest.mark.parametrize("name", ["fig-c", *FILES])
+    def test_passing_checks_leave_stdout_unchanged(self, name, tmp_path, capsys):
+        args = self.FIG_C if name == "fig-c" else self.estimate_args(name, tmp_path, capsys)
+        plain = run_cli(args, capsys)
+        checked = run_cli(args + ["--self-test"], capsys)
+        assert plain[0] == checked[0] == 0
+        assert checked[1] == plain[1]
+
+    def test_fig_c_alpha_above_the_bound_plus_slack_exits_two(self, capsys, monkeypatch):
+        # alpha_hat is 1 at eps = 0, where the bound is 1 too.
+        monkeypatch.setattr(cli, "union_bound_slack", lambda n, k, grid: -0.5)
+        code, out, err = run_cli(self.FIG_C + ["--self-test"], capsys)
+        assert (code, out) == (2, "")
+        assert "exceeds the Chernoff bound plus slack" in err
+
+    @pytest.mark.parametrize(
+        "name, patch, message",
+        [
+            ("_PAIR_TOLERANCE", -0.5, "exceeds the diameter bound"),
+            ("_distinct_rows", lambda ds: np.arange(1), "rho_hat exceeds log2"),
+        ],
+        ids=["pair-distance-above-the-bound", "rho-above-log2-distinct-rows"],
+    )
+    def test_estimate_check_made_to_fail_exits_two(self, name, patch, message, tmp_path, capsys, monkeypatch):
+        args = self.estimate_args("gaussian", tmp_path, capsys)
+        monkeypatch.setattr(cli, name, patch)
+        assert run_cli(args, capsys)[0] == 0
+        code, out, err = run_cli(args + ["--self-test"], capsys)
+        assert (code, out) == (2, "")
+        assert message in err
+
+
 def test_nettree_stats_columns(capsys):
     code, out, _ = run_cli(
         ["nettree-stats", "--workloads", "uniform-cube:1,hamming:16", "--n", "120", "--queries", "4", "--probes", "6", "--self-test"],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metricdim import core
+from metricdim import core, rng
 from metricdim.core import (
     CountingOracle,
     Dataset,
@@ -24,6 +24,7 @@ from metricdim.core import (
 )
 from metricdim.nettree import build_net_tree, net_range_query
 from metricdim.pivot import RandomPivots, build_pivot_index, calibrate_eps, range_query, sequential_scan
+from test_diststats import traced_peak
 
 EUCLID = MetricKind.EUCLIDEAN
 MANHATTAN = MetricKind.MANHATTAN
@@ -634,6 +635,14 @@ class TestDatasetIO:
         loaded = load_dataset(path, HAMMING)
         np.testing.assert_array_equal(loaded.points, ds.points)
 
+    @pytest.mark.parametrize("width", [1, 7, 64, 513])
+    def test_bit_rows_render_as_their_characters(self, width):
+        rows = (rng.matrix_uniform01(5, 40, width) < 0.5).astype(np.uint8)
+        rows[0] = 0
+        rows[1] = 1
+        expected = "".join("".join("1" if b else "0" for b in row) + "\n" for row in rows)
+        assert format_points(Dataset(rows, HAMMING)) == expected
+
     def test_comma_separated_accepted(self, tmp_path):
         path = tmp_path / "pts.csv"
         path.write_text("1.0, 2.0\n3.0, 4.0\n")
@@ -676,6 +685,29 @@ class TestDatasetIO:
     def test_real_bit_values_that_truncate_rejected(self):
         with pytest.raises(InvalidInputError):
             Dataset(np.array([[0.5, 1.0], [1.0, 0.0]]), HAMMING)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.array([[0, -1], [1, 0]], np.int8),
+            np.array([[256, 1], [1, 0]], np.uint16),
+            np.array([[0, 2], [1, 0]], np.int64),
+            np.array([[0.5, 1.0], [1.0, 0.0]]),
+        ],
+        ids=["int8-minus-1", "uint16-256", "int64-2", "float-0.5"],
+    )
+    def test_bit_rows_outside_0_and_1_rejected(self, rows):
+        with pytest.raises(InvalidInputError, match="may only contain 0 and 1"):
+            Dataset(rows, HAMMING)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+    def test_integer_and_bool_bit_rows_checked_without_full_size_temporaries(self, dtype):
+        # The check reads the least and greatest value; only the uint8 copy
+        # is as large as the rows.
+        rows = (np.arange(5000 * 512).reshape(5000, 512) % 3 == 1).astype(dtype)
+        peak = traced_peak(lambda: core._check_rows(HAMMING, rows, "bit rows"))
+        assert peak <= rows.size + 2**16
+        assert core._check_rows(HAMMING, rows, "bit rows").tobytes() == rows.astype(np.uint8).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, bool])
     def test_real_and_bool_bits_accepted(self, dtype):

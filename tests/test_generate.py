@@ -93,6 +93,34 @@ def _splitmix64_reference(state):
     return state, z ^ (z >> 31)
 
 
+MATRIX_DRAWS = ["matrix_uniform01", "matrix_normals", "matrix_bits"]
+
+
+def _stream_rows(seed, n_rows, n_cols):
+    """Row i the first 2 * ceil(n_cols / 2) uniforms of stream i, the
+    draws a normal row takes; uniform and bit rows are their first
+    ``n_cols``."""
+    width = 2 * ((n_cols + 1) // 2)
+    return np.array([rng.uniform01(seed, width, stream=i) for i in range(n_rows)]).reshape(n_rows, width)
+
+
+def _one_pass(name, u, n_cols):
+    """The matrix draw ``name`` computed from the whole uniform matrix
+    ``u`` at once: as drawn for uniforms and bits, through the Box-Muller
+    transform for normals."""
+    if name == "matrix_uniform01":
+        return u[:, :n_cols]
+    if name == "matrix_bits":
+        return (u[:, :n_cols] < 0.5).astype(np.uint8)
+    pairs = u.shape[1] // 2
+    radius = np.sqrt(-2.0 * np.log(u[:, :pairs] + 2.0**-53))
+    angle = 2.0 * np.pi * u[:, pairs:]
+    out = np.empty(u.shape)
+    out[:, 0::2] = radius * np.cos(angle)
+    out[:, 1::2] = radius * np.sin(angle)
+    return out[:, :n_cols]
+
+
 class TestRngPlumbing:
     def test_uniform_draws_match_published_algorithm(self):
         # draw k of a stream must be the top 53 bits of the k-th output of
@@ -123,11 +151,45 @@ class TestRngPlumbing:
             for i in range(n_rows):
                 assert np.array_equal(m[i], rng.uniform01(42, n_cols, stream=i))
 
-    def test_matrix_bits_allocate_two_draw_buffers(self):
-        # The draw holds its uniforms and one word buffer, 8 bytes a bit
-        # each, and nothing else as large.
-        n_rows, n_cols = 5000, 512
-        assert traced_peak(lambda: rng.matrix_bits(7, n_rows, n_cols)) <= 2 * 8 * n_rows * n_cols + 2 * 2**20
+    @pytest.mark.parametrize("name", MATRIX_DRAWS)
+    @pytest.mark.parametrize("n_rows, n_cols", [(5000, 512), (20_000, 15)])
+    def test_matrix_draw_holds_its_output_plus_four_blocks(self, name, n_rows, n_cols):
+        # The rows are drawn in blocks on buffers made once per call, so the
+        # draw holds its output and a fixed allowance: one block of scratch
+        # words, one of uniforms (bits) or the Box-Muller temporaries of one
+        # block (normals), and the block's keys.
+        output = {"matrix_uniform01": 8 * n_cols, "matrix_normals": 16 * ((n_cols + 1) // 2), "matrix_bits": n_cols}
+        peak = traced_peak(lambda: getattr(rng, name)(7, n_rows, n_cols))
+        assert peak <= output[name] * n_rows + 4 * rng._BLOCK_BYTES
+
+    # Four rows of 9 uniforms (and their keys) to a block.
+    SMALL_BLOCK_BYTES = 4 * 8 * (9 + 1)
+
+    @pytest.mark.parametrize("name", MATRIX_DRAWS)
+    @pytest.mark.parametrize(
+        "n_rows, n_cols",
+        [(3, 9), (4, 9), (5, 9), (7, 9), (8, 9), (9, 9), (3, 100), (1, 100), (0, 9), (6, 0), (0, 0)],
+    )
+    def test_blocked_rows_are_the_named_streams(self, name, n_rows, n_cols, monkeypatch):
+        # Row counts one below, at and one above one and two whole blocks,
+        # rows wider than a whole block (one block each), and empty shapes;
+        # normals of 9 columns draw 10 uniforms a row.
+        monkeypatch.setattr(rng, "_BLOCK_BYTES", self.SMALL_BLOCK_BYTES)
+        got = getattr(rng, name)(42, n_rows, n_cols)
+        want = _one_pass(name, _stream_rows(42, n_rows, n_cols), n_cols)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", MATRIX_DRAWS)
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_blocked_draw_equals_one_pass_at_the_real_budget(self, name, blocks, offset):
+        # One and two real blocks of 9-column rows, one row less and one more.
+        draws = 10 if name == "matrix_normals" else 9
+        n_rows = blocks * (rng._BLOCK_BYTES // (8 * (draws + 1))) + offset
+        keys = rng.stream_key(3, np.arange(n_rows, dtype=np.uint64))
+        want = _one_pass(name, rng._draw_range(keys[:, None], 0, draws, None), 9)
+        assert getattr(rng, name)(3, n_rows, 9).tobytes() == want.tobytes()
 
     def test_distinct_indices_prefix_property(self):
         short = rng.distinct_indices(5, 4, 100)
