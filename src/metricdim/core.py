@@ -23,18 +23,31 @@ Gram gap and its rounding band for Euclidean, and the kernel's values in
 row chunks for Hamming, Manhattan, Chebyshev and every Euclidean block
 outside the screen's range. So Hamming distances have one implementation,
 the popcount kernel, whatever the row width. Pairs the Euclidean band
-cannot decide go back to the kernel through one more helper, and only the
-screen knows where its bands lie. Three uses read the screen:
-``within_radius`` and a greedy cover's blocks ask for ball membership
-``pair_distances(...) <= radius``, equal to the kernel's answer element
-by element (the screen decides the pairs its band can, the kernel the
-rest); ``all_pair_distances`` takes the upper triangles of the screen's row
-bands (rows i..i+B-1 against the rows after i); and one pass over the
-same bands takes both extremes, the exact diameter and each row's
-nearest distance, equal to the kernel's bit for bit (the kernel
-re-measures, in one call per band, the Euclidean pairs near either). A
-greedy cover, which screens many blocks of the same rows, pays the
-preparation once.
+cannot decide go back to the kernel, and only the screen knows where its
+bands lie. These uses read the screen:
+
+- Ball membership ``pair_distances(...) <= radius``, equal to the
+  kernel's answer element by element (the screen decides the pairs its
+  band can, the kernel the rest), through one rule that lists the pairs
+  inside: ``within_radius``, the doubling probes' balls (one screen of
+  the distinct rows, ``within`` of each centre against all of them) and a
+  greedy cover's blocks. A cover prepares the columns of its own rows once
+  (for Euclidean one (d+2)-term Gram operand, see ``within_radius``) and
+  reads one product per block from them.
+- ``all_pair_distances`` takes the upper triangles of the screen's row
+  bands (rows i..i+B-1 against the rows after i).
+- One pass over the same bands takes both extremes, the exact diameter
+  and each row's nearest distance, equal to the kernel's bit for bit (the
+  kernel re-measures, in one call per band, the Euclidean pairs near
+  either).
+- ``diststats.nn_statistics`` puts its queries and the data rows in one
+  screen and takes each query's nearest data row from row bands of the
+  queries against the data, again equal to the kernel's minimum bit for
+  bit.
+
+A pass over bands, and a cover over its blocks, writes every block's
+values into one buffer made for the pass or the cover, and the kernel's
+blocks work in one scratch buffer that the screen keeps.
 
 Outside rows are checked by one rule, ``_check_rows`` (0/1 values for
 Hamming, checked before the cast; finite float64 coordinates otherwise),
@@ -185,16 +198,24 @@ def _kernel_form(metric: MetricKind, rows: np.ndarray) -> np.ndarray:
 
 
 def _kernel(
-    metric: MetricKind, a: np.ndarray, b: np.ndarray, dim: int, out: np.ndarray | None = None
+    metric: MetricKind,
+    a: np.ndarray,
+    b: np.ndarray,
+    dim: int,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Distances between matching kernel-form rows of ``a`` and ``b``;
     ``dim`` is the bit length of Hamming rows, which their packed words do
     not show. Rows broadcast.
 
     With ``out``, a float64 array of the result's shape, the distances are
-    written there and ``a``, which must then be a writeable array of the
-    operands' broadcast shape, is overwritten as scratch: the call
-    allocates no array. The arithmetic is the same either way, so the
+    written there and ``work`` (``a`` when none is given), which must then
+    be a writeable array of the operands' broadcast shape, is overwritten
+    as scratch. The call then allocates only Hamming's popcounts, uint8
+    and an eighth of the XORed words' bytes: counting into the uint64
+    scratch would cast every count, which made blocks of 64- to 512-bit
+    rows 5-18 % slower. The arithmetic is the same either way, so the
     values are the same bits.
 
     Hamming adds up the popcounts of the XORed words one 64-bit word at a
@@ -204,7 +225,8 @@ def _kernel(
     through, so the order of the additions changes no bit. Each word
     costs one pass per call, so from about 64 words a row the loop is the
     slower of the two."""
-    work = None if out is None else a
+    if out is not None and work is None:
+        work = a
     if metric is MetricKind.EUCLIDEAN:
         diff = np.subtract(a, b, out=work)
         return np.sqrt(np.einsum("...i,...i->...", diff, diff, out=out), out=out)
@@ -212,7 +234,7 @@ def _kernel(
         return np.abs(np.subtract(a, b, out=work), out=work).sum(axis=-1, out=out)
     if metric is MetricKind.CHEBYSHEV:
         return np.abs(np.subtract(a, b, out=work), out=work).max(axis=-1, out=out)
-    counts = np.bitwise_count(np.bitwise_xor(a, b, out=work), out=work)
+    counts = np.bitwise_count(np.bitwise_xor(a, b, out=work))
     total = np.empty(counts.shape[:-1]) if out is None else out
     total.fill(0.0)
     for word in range(counts.shape[-1]):
@@ -240,9 +262,12 @@ def pair_distances(metric: MetricKind, a: np.ndarray, b: np.ndarray) -> np.ndarr
 _GRAM_CHUNK = 2**18
 
 
-def _chunked_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x @ y`` in column chunks of at most ``_GRAM_CHUNK`` multiply-adds."""
-    out = np.empty((x.shape[0], y.shape[1]), dtype=np.result_type(x, y))
+def _chunked_matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``x @ y`` in column chunks of at most ``_GRAM_CHUNK`` multiply-adds,
+    written into ``out`` (a C-ordered float64 array of the product's shape)
+    when one is given."""
+    if out is None:
+        out = np.empty((x.shape[0], y.shape[1]), dtype=np.result_type(x, y))
     step = max(1, _GRAM_CHUNK // (x.shape[0] * x.shape[1]))
     for j in range(0, y.shape[1], step):
         np.matmul(x, y[:, j : j + step], out=out[:, j : j + step])
@@ -255,10 +280,10 @@ def _chunked_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 _SCREEN_RANGE = (2.0**-256, 2.0**256)
 _UNIT_ROUNDOFF = 2.0**-53
 
-# A row band of the ball screen (all pairs, the exact diameter) holds at
-# most this many bytes, 16 a pair: a float64 value and a mask. A kernel
-# block runs in row chunks whose temporaries (per pair, one row of
-# differences and two float64 results) hold at most this many bytes too;
+# A row band of the ball screen (all pairs, the extremes, nearest
+# neighbours) holds at most this many bytes, 16 a pair: a float64 value and
+# a mask. A kernel block runs in row chunks whose scratch (per pair, one row
+# of differences, and the float64 value) holds at most this many bytes too;
 # one kernel call per 65,536-pair cover block ran the covers of 10k x 16
 # rows 1.6x slower for Manhattan and 1.3x for Chebyshev. 1 MiB kept
 # nettree-stats' peak RSS where the row loop had it; 2 MiB raised it and
@@ -266,76 +291,189 @@ _UNIT_ROUNDOFF = 2.0**-53
 _SCAN_BYTES = 2**20
 
 
+def _near_minimum(values: np.ndarray, band: float, axis: int, limit=np.inf) -> np.ndarray:
+    """The pairs of a Euclidean block of Gram values (see
+    ``_BallScreen._block`` at radius 0) that may hold the kernel's smallest
+    distance along ``axis``: those whose g lies within ``band`` of the
+    smallest g along that axis, or of ``limit`` (a squared distance already
+    measured) where that is smaller. g lies within half the band of the
+    kernel's square, so every other pair is longer than one of these. NaN
+    pairs are never kept."""
+    low = np.minimum(np.fmin.reduce(values, axis=axis), limit)
+    return values <= np.expand_dims(low + band, axis)
+
+
 class _BallScreen:
     """The pair engine of one row set, with the per-row work done once:
-    exact ball membership between index blocks (``within``), every pair in
-    row bands (``_bands``) and the extremes over those bands
-    (``extremes``).
+    exact ball membership between index blocks (``within``, and
+    ``cover_members`` for a greedy cover's blocks), every pair in row bands
+    (``_bands``), the extremes over those bands (``extremes``) and the
+    nearest neighbours of some rows among the others (``nearest``).
 
     Built from kernel rows (packed words for Hamming, see ``_kernel_form``)
-    and their length ``dim`` (the bit length for Hamming), it holds the
-    metric's prepared form: for Euclidean the rows centred on ``rows[0]``
-    and their squared norms, for the other metrics the rows themselves.
-    ``_block`` measures two index blocks from it, and every use reads
-    ``_block``, so a caller that screens many blocks of the same rows (a
-    greedy cover) prepares them once. Pairs that a Euclidean block's band
-    leaves open are measured again by the kernel in ``_remeasure``.
+    and their length ``dim`` (the bit length for Hamming). ``_block``
+    measures two index blocks from the metric's prepared form
+    (``_prepared``: for Euclidean the rows centred on ``rows[0]`` and their
+    squared norms, made on first use), so a caller that screens many blocks
+    of the same rows prepares them once. A greedy cover instead prepares
+    the columns of its own rows once (``cover_columns``) and reads one
+    product per block from them (``cover_members``). Pairs that a
+    Euclidean band leaves open are measured again by the kernel, and ball
+    membership is read by one rule, ``_members``. Blocks that the kernel
+    measures run on one scratch buffer that the screen keeps.
     """
 
     def __init__(self, metric: MetricKind, rows: np.ndarray, dim: int):
         self.metric = metric
         self.rows = rows
         self.dim = dim
-        if metric is MetricKind.EUCLIDEAN:
-            with np.errstate(over="ignore", invalid="ignore"):
-                self._form = np.subtract(rows, rows[0], dtype=np.float64)
-                self._norms = np.einsum("ij,ij->i", self._form, self._form)
+        self._scratch = np.empty(0, dtype=rows.dtype)
+        self._centred = None
 
-    def _block(self, ia: np.ndarray, ib: np.ndarray | slice, radius: float = 0.0) -> tuple[np.ndarray, float | None]:
+    def _prepared(self) -> tuple[np.ndarray, np.ndarray]:
+        """The Euclidean rows centred on ``rows[0]`` and their squared
+        norms, made on first use: a greedy cover's screen never needs
+        them."""
+        if self._centred is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                form = np.subtract(self.rows, self.rows[0], dtype=np.float64)
+                self._centred = form, np.einsum("ij,ij->i", form, form)
+        return self._centred
+
+    def _block(
+        self, ia: np.ndarray, ib: np.ndarray | slice, radius: float = 0.0, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, float | None]:
         """Rows ``ia`` (an index array) against rows ``ib`` (an index array
-        or a slice), as ``(values, band)``.
+        or a slice), as ``(values, band)``, the values written into ``out``
+        (a C-ordered float64 array of the block's shape) when one is given.
 
         With ``band`` None, ``values`` are the distances themselves: for
         Hamming, Manhattan, Chebyshev and a Euclidean block outside
-        ``_SCREEN_RANGE`` the kernel's values, in row chunks of at most
-        ``_SCAN_BYTES`` of temporaries. Otherwise ``values`` hold the
-        centred Gram gap g - t^2 of each pair, t = radius, and a
-        pair with |g - t^2| > band lies on the same side of t as the
-        kernel's distance (see ``within_radius``). Radius 0 screens the
-        squared distances g."""
+        ``_SCREEN_RANGE`` the kernel's values (``_kernel_block``). Otherwise
+        ``values`` hold the centred Gram gap g - t^2 of each pair, t =
+        radius, and a pair with |g - t^2| > band lies on the same side of t
+        as the kernel's distance (see ``within_radius``). Radius 0 screens
+        the squared distances g."""
         if self.metric is MetricKind.EUCLIDEAN:
             t = float(radius)
-            na, nb = self._norms[ia], self._norms[ib]
+            form, norms = self._prepared()
+            na, nb = norms[ia], norms[ib]
             reach = math.sqrt(na.max()) + math.sqrt(nb.max())
             lo, hi = _SCREEN_RANGE
             if all(lo <= x <= hi for x in ((reach,) if t == 0.0 else (t, reach))):
                 # |x - y|^2 = |x|^2 + |y|^2 - 2 x.y
-                ac = self._form[ia]
+                ac = form[ia]
                 ac *= -2.0
-                gap = _chunked_matmul(ac, self._form[ib].T)
+                gap = _chunked_matmul(ac, form[ib].T, out)
                 gap += na[:, None]
                 gap += (nb - t * t)[None, :]
                 return gap, 4.0 * (self.dim + 8) * _UNIT_ROUNDOFF * (reach * reach + t * t)
         b = self.rows[ib]
-        out = np.empty((len(ia), b.shape[0]))
-        step = max(1, _SCAN_BYTES // (b.shape[0] * (b[0].nbytes + 16)))
-        for k in range(0, len(ia), step):
-            out[k : k + step] = _kernel(self.metric, self.rows[ia[k : k + step], None], b[None], self.dim)
-        return out, None
+        return self._kernel_block(ia, b, np.empty((len(ia), b.shape[0])) if out is None else out), None
 
-    def within(self, ia: np.ndarray, ib: np.ndarray, radius: float) -> np.ndarray:
-        """The boolean matrix ``_kernel(metric, rows[ia][:, None],
-        rows[ib][None], dim) <= radius``, equal to it element by element.
-        ``ia`` and ``ib`` are non-empty integer index arrays; neither needs to
-        hold the centre row."""
-        values, band = self._block(ia, ib, radius)
+    def _kernel_block(self, ia: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` filled with the kernel's distances of rows ``ia`` against
+        the kernel rows ``b``, in row chunks of at most ``_SCAN_BYTES`` of
+        scratch. The kernel works in the screen's scratch, so a block
+        allocates nothing once that is as large as its chunks."""
+        step = min(len(ia), max(1, _SCAN_BYTES // (b.shape[0] * (b[0].nbytes + 16))))
+        # At least _SCAN_BYTES, so the scratch has one size, cover after
+        # cover: made to each cover's measure, it was served fresh pages
+        # every time (the 64 covers of estimate --metric chebyshev on a
+        # 3,000 x 8 file made about 5,700 minor faults instead of 160).
+        if self._scratch.size < step * b.size:
+            self._scratch = np.empty(max(step * b.size, _SCAN_BYTES // b.itemsize), dtype=self.rows.dtype)
+        for k in range(0, len(ia), step):
+            rows = self.rows[ia[k : k + step], None]
+            work = self._scratch[: rows.shape[0] * b.size].reshape((rows.shape[0],) + b.shape)
+            _kernel(self.metric, rows, b[None], self.dim, out[k : k + step], work)
+        return out
+
+    def cover_columns(self, ib: np.ndarray, radius: float) -> tuple[np.ndarray, float | None]:
+        """Rows ``ib`` (a non-empty index array) as the columns of a greedy
+        cover's block product at ``radius``, as ``(columns, band)``. A cover
+        keeps a copy of the columns of its uncovered rows and passes it to
+        ``cover_members``.
+
+        For Euclidean, with the radius and the reach R = 2 max |x'| inside
+        ``_SCREEN_RANGE``, x' = x - rows[ib[0]], ``columns`` is the C-ordered
+        (d+3) x m matrix whose column j is [x_j', 1, |x_j'|^2 - t^2,
+        |x_j'|^2], t = radius. Its first d + 2 rows are the product's
+        operand: a block row i is [-2 x_i', |x_i'|^2, 1], read from the
+        same columns, so one product gives g - t^2 with no broadcast
+        additions, and a pair with |g - t^2| > band lies on the same side
+        of t as the kernel's distance (see ``within_radius`` for the band
+        of this (d+2)-term product). Otherwise ``columns`` are the kernel
+        rows ``ib`` and ``band`` is None: the blocks are the kernel's
+        distances."""
+        if self.metric is MetricKind.EUCLIDEAN:
+            t = float(radius)
+            d = self.rows.shape[1]
+            columns = np.empty((d + 3, len(ib)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.subtract(self.rows[ib].T, self.rows[ib[0], :, None], out=columns[:d])
+                np.einsum("ij,ij->j", columns[:d], columns[:d], out=columns[d + 2])
+            reach = 2.0 * math.sqrt(columns[d + 2].max())
+            lo, hi = _SCREEN_RANGE
+            if lo <= t <= hi and lo <= reach <= hi:
+                columns[d] = 1.0
+                np.subtract(columns[d + 2], t * t, out=columns[d + 1])
+                return columns, 8.0 * (self.dim + 8) * _UNIT_ROUNDOFF * (reach * reach + t * t)
+        return self.rows[ib], None
+
+    def cover_members(
+        self,
+        held: np.ndarray,
+        picks: np.ndarray,
+        columns: np.ndarray,
+        radius: float,
+        band: float | None,
+        out: np.ndarray,
+    ) -> np.ndarray:
+        """The flat positions, ascending, of the pairs within ``radius`` in
+        the block of the columns at positions ``picks`` against every
+        column. ``columns`` and ``band`` come from ``cover_columns``, with
+        ``columns`` cut to the rows ``held`` (an index array); ``out`` (a
+        C-ordered float64 array of the block's shape) receives the block's
+        values."""
         if band is None:
-            return values <= radius
-        inside = values <= 0.0
-        ambiguous = np.abs(values, out=values) <= band
-        if ambiguous.any():
-            ii, jj, measured = self._remeasure(ia, ib, ambiguous)
-            inside[ii, jj] = measured <= radius
+            values = self._kernel_block(held[picks], columns, out)
+        else:
+            d = self.rows.shape[1]
+            left = np.empty((len(picks), d + 2))
+            np.multiply(columns[:d, picks].T, -2.0, out=left[:, :d])
+            left[:, d] = columns[d + 2, picks]
+            left[:, d + 1] = 1.0
+            values = _chunked_matmul(left, columns[: d + 2], out)
+        return self._members(held[picks], held, values, radius, band)
+
+    def _members(self, ia: np.ndarray, ib: np.ndarray, values: np.ndarray, radius: float, band: float | None) -> np.ndarray:
+        """The one membership rule: the flat positions, ascending, of the
+        pairs within ``radius`` in a block of rows ``ia`` against rows
+        ``ib`` (index arrays) whose ``values`` and ``band`` are ``_block``'s
+        or ``cover_members``'. Kernel values are compared with the radius.
+        A gap below -band is inside and one above band outside; the kernel
+        decides the pairs in between."""
+        if band is None:
+            return (values <= radius).ravel().nonzero()[0]
+        hits = (values <= band).ravel().nonzero()[0]
+        open_ = (values.ravel()[hits] >= -band).nonzero()[0]
+        if open_.size:
+            ii, jj = np.divmod(hits[open_], values.shape[1])
+            measured = _kernel(self.metric, self.rows[ia[ii]], self.rows[ib[jj]], self.dim)
+            hits = np.delete(hits, open_[measured > radius])
+        return hits
+
+    def within(self, ia: np.ndarray, ib: np.ndarray | slice, radius: float) -> np.ndarray:
+        """The boolean matrix ``_kernel(metric, rows[ia][:, None],
+        rows[ib][None], dim) <= radius``, equal to it element by element,
+        built from ``_members``. ``ia`` is a non-empty integer index array
+        and ``ib`` one or a slice; neither needs to hold the centre row."""
+        values, band = self._block(ia, ib, radius)
+        if isinstance(ib, slice):
+            ib = np.arange(self.rows.shape[0])[ib]
+        inside = np.zeros(values.shape, dtype=bool)
+        inside.ravel()[self._members(ia, ib, values, radius, band)] = True
         return inside
 
     def _remeasure(self, ia: np.ndarray, ib: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -345,18 +483,25 @@ class _BallScreen:
         ii, jj = np.divmod(np.flatnonzero(mask), mask.shape[1])
         return ii, jj, _kernel(self.metric, self.rows[ia[ii]], self.rows[ib[jj]], self.dim)
 
-    def _bands(self):
-        """Every row pair, as ``(ia, ib, values, band)`` from ``_block`` at
-        radius 0 for rows ia = i..i+B-1 against rows ib = i+1..n-1 (index
-        arrays), i = 0, B, ... A band also meets pairs it has already seen,
-        reversed, and each of its rows itself. B keeps a band within
-        ``_SCAN_BYTES`` at 16 bytes a pair."""
+    def _bands(self, split: int | None = None):
+        """Row pairs in bands, as ``(ia, ib, values, band)`` from ``_block``
+        at radius 0 (index arrays ia and ib). Without ``split``: every row
+        pair, rows ia = i..i+B-1 against rows ib = i+1..n-1, i = 0, B, ...;
+        a band also meets pairs it has already seen, reversed, and each of
+        its rows itself. With ``split``: rows 0..split-1 against the rows
+        from ``split`` on. B keeps a band within ``_SCAN_BYTES`` at 16 bytes
+        a pair. Every band is written into one buffer made for the pass, so
+        a caller reads each band before it asks for the next."""
         n = self.rows.shape[0]
+        stop = n - 1 if split is None else split
+        buffer = np.empty(max(_SCAN_BYTES // 16, n))
         i = 0
-        while i < n - 1:
-            step = max(1, _SCAN_BYTES // ((n - 1 - i) * 16))
-            ia = np.arange(i, min(i + step, n - 1))
-            yield (ia, np.arange(i + 1, n), *self._block(ia, slice(i + 1, n)))
+        while i < stop:
+            first = i + 1 if split is None else split
+            step = max(1, _SCAN_BYTES // ((n - first) * 16))
+            ia = np.arange(i, min(i + step, stop))
+            out = buffer[: ia.size * (n - first)].reshape(ia.size, n - first)
+            yield (ia, np.arange(first, n), *self._block(ia, slice(first, n), out=out))
             i += step
 
     def extremes(self) -> tuple[float, np.ndarray]:
@@ -373,10 +518,10 @@ class _BallScreen:
         whose g lies more than the band above the smallest g of its band
         row, or above that row's nearest distance so far squared, is longer
         than a pair measured for that row, and the same holds for its
-        column. The kernel re-measures, in one call, every pair that one of
-        these three tests keeps. It is symmetric bit for bit and works pair
-        by pair, so each extreme equals that of the one-row-at-a-time
-        loop."""
+        column (``_near_minimum``). The kernel re-measures, in one call,
+        every pair that one of these three tests keeps. It is symmetric bit
+        for bit and works pair by pair, so each extreme equals that of the
+        one-row-at-a-time loop."""
         top, nearest = 0.0, np.full(self.rows.shape[0], np.inf)
         for ia, ib, values, band in self._bands():
             # Row k of the band is row ia[k], which column k - 1 holds too.
@@ -384,20 +529,50 @@ class _BallScreen:
             # comparison keeps it.
             values[np.arange(1, ia.size), np.arange(ia.size - 1)] = np.nan
             high = float(np.fmax.reduce(values, axis=None))
-            row_min, col_min = np.fmin.reduce(values, axis=1), np.fmin.reduce(values, axis=0)
             if band is None:
                 top = max(top, high)
-                nearest[ia] = np.minimum(nearest[ia], row_min)
-                nearest[ib] = np.minimum(nearest[ib], col_min)
+                nearest[ia] = np.minimum(nearest[ia], np.fmin.reduce(values, axis=1))
+                nearest[ib] = np.minimum(nearest[ib], np.fmin.reduce(values, axis=0))
                 continue
-            row_limit = np.minimum(row_min, np.square(nearest[ia])) + band
-            col_limit = np.minimum(col_min, np.square(nearest[ib])) + band
-            near = (values >= max(high, top * top) - band) | (values <= row_limit[:, None]) | (values <= col_limit)
+            near = (
+                (values >= max(high, top * top) - band)
+                | _near_minimum(values, band, 1, np.square(nearest[ia]))
+                | _near_minimum(values, band, 0, np.square(nearest[ib]))
+            )
             ii, jj, measured = self._remeasure(ia, ib, near)
             top = float(measured.max(initial=top))
             np.minimum.at(nearest, ia[ii], measured)
             np.minimum.at(nearest, ib[jj], measured)
         return top, nearest
+
+    def nearest(self, split: int, leave_one_out: bool = False) -> np.ndarray:
+        """Each row i < ``split``'s distance to its nearest row among the
+        rows from ``split`` on, equal bit for bit to the kernel's minimum
+        over them, from one pass over ``_bands(split)``.
+
+        With ``leave_one_out`` the rows equal to row i word for word (value
+        for value for real rows, so -0.0 equals 0.0) are left out, and a row
+        that every one of them equals gets NaN. Equal rows are at distance
+        0, so their g is within the band (their kernel value is 0 where the
+        band is None), and only the pairs there have their rows compared.
+        In a Euclidean band the kernel then re-measures the pairs that
+        ``_near_minimum`` keeps, and each row's minimum is taken over
+        those."""
+        out = np.empty(split)
+        for ia, ib, values, band in self._bands(split):
+            if leave_one_out:
+                ii, jj = np.divmod(np.flatnonzero(values <= (0.0 if band is None else band)), values.shape[1])
+                same = (self.rows[ia[ii]] == self.rows[ib[jj]]).all(axis=1)
+                values[ii[same], jj[same]] = np.nan
+            if band is None:
+                out[ia] = np.fmin.reduce(values, axis=1)
+                continue
+            ii, _, measured = self._remeasure(ia, ib, _near_minimum(values, band, 1))
+            # A row with no pair left keeps NaN: fmin skips it otherwise.
+            low = np.full(ia.size, np.nan)
+            np.fmin.at(low, ii, measured)
+            out[ia] = low
+        return out
 
 
 def within_radius(metric: MetricKind, a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
@@ -428,6 +603,20 @@ def within_radius(metric: MetricKind, a: np.ndarray, b: np.ndarray, radius: floa
     ``_SCREEN_RANGE`` every screen value is finite; outside it (an infinite
     radius, coordinates near overflow, all points equal to c) every pair
     goes to the kernel.
+
+    A greedy cover reads g - t^2 from one product of d + 2 terms instead
+    (``_BallScreen.cover_columns``): the row [-2 a', |a'|^2, 1] times the
+    column [b', 1, |b'|^2 - t^2], with R = 2 max |x'| over the cover's rows
+    and c its first row. The terms are exact apart from the two norms
+    (gamma_d (|a'|^2 + |b'|^2) <= gamma_d R^2), t^2 (u t^2) and the one
+    subtraction (u (|b'|^2 + t^2)). Their magnitudes sum to at most
+    (|a'| + |b'|)^2 + t^2 <= R^2 + t^2, so the product adds gamma_{d+2}
+    (R^2 + t^2). With the centring and the kernel as above, the error is at
+    most (3 d + 12) u (R^2 + t^2) to first order, more than that of the
+    blocks here. The cover's band is twice theirs, 8 (d + 8) u (R^2 + t^2),
+    and keeps more than twice that error. Every pair inside a band goes to
+    the kernel, so the wider band changes no answer, only how many pairs
+    the kernel measures.
     """
     screen = _BallScreen(metric, _kernel_form(metric, np.concatenate([a, b])), a.shape[1])
     return screen.within(np.arange(len(a)), np.arange(len(a), len(a) + len(b)), radius)

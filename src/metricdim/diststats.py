@@ -41,6 +41,7 @@ from .core import (
     CountingOracle,
     Dataset,
     InvalidInputError,
+    _BallScreen,
     all_pair_distances,
 )
 
@@ -328,6 +329,16 @@ def nn_statistics(
     one, the default-mode sample is drawn here. With ``leave_one_out`` a
     query's coordinate-identical data points are excluded from its own NN
     search.
+
+    The queries and the data rows go into one ball screen, as in
+    ``within_radius``, and ``core._BallScreen.nearest`` reads each query's
+    minimum from the screen's row bands: it masks the query's
+    coordinate-identical rows first (with ``leave_one_out``), and the
+    kernel re-measures only the pairs within the band of the minimum. Each
+    minimum equals that of a kernel scan of the query against every row
+    bit for bit, and the minima are summed in query order, so the mean is
+    the one-query-at-a-time loop's. The oracle counts n evaluations a
+    query, as that loop makes.
     """
     if ds.n < 1 or queries.n < 1:
         raise InvalidInputError("nn statistics need nonempty data and queries")
@@ -335,20 +346,15 @@ def nn_statistics(
         raise InvalidInputError("queries do not match the dataset's dimension and metric")
     if sample is not None and sample.n != ds.n:
         raise InvalidInputError("the pair sample was not drawn from this dataset")
-    rows = ds.kernel_rows
+    screen = _BallScreen(ds.metric, np.concatenate([queries.kernel_rows, ds.kernel_rows]), ds.dim)
+    nearest = screen.nearest(queries.n, leave_one_out)
+    if oracle is not None:
+        oracle.add(ds.n * queries.n)
+    if np.isnan(nearest).any():
+        raise InvalidInputError("leave-one-out excluded every data point for a query")
     nn_sum = 0.0
-    for q in queries.kernel_rows:
-        dv = ds.distances(q, rows)
-        if oracle is not None:
-            oracle.add(ds.n)
-        if leave_one_out:
-            # A coordinate-identical row is at distance exactly 0, so only
-            # the zeros need their coordinates compared.
-            zero = np.flatnonzero(dv == 0.0)
-            dv = np.delete(dv, zero[(rows[zero] == q).all(axis=1)])
-            if dv.size == 0:
-                raise InvalidInputError("leave-one-out excluded every data point for a query")
-        nn_sum += float(dv.min())
+    for value in nearest.tolist():
+        nn_sum += value
     mean_eps_nn = nn_sum / queries.n
     characteristic = 0.0
     if ds.n >= 2:

@@ -11,10 +11,11 @@ definitions differ by at most a constant factor in rho.
 
 Covers are built in blocks: the lowest-index uncovered points are screened
 against every uncovered point with one exact ball screen (``core._BallScreen``,
-prepared once per cover), the greedy order inside the block is settled from
-that matrix, and the covered points leave a compacted index array. The
-centers are those of the one-center-at-a-time loop, because the screen
-answers exactly as the distance kernel does.
+whose columns are prepared once per cover), the greedy order inside the
+block is settled from the sparse list of pairs inside the radius, and the
+covered points leave the columns held. The centers are those of the
+one-center-at-a-time loop, because the screen answers exactly as the
+distance kernel does.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from .core import (
 # whole-set scale is always examined.
 MIN_RADIUS_FRACTION = 0.01
 
-# A cover block screens at most this many (candidate, uncovered point)
-# pairs, which bounds the memory its temporaries take.
+# A cover block screens at most this many (candidate, column held) pairs,
+# which bounds its values buffer and the memory its temporaries take.
 _BLOCK_ENTRIES = 65_536
 
 
@@ -82,19 +83,29 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
     Centers ascend, so a point's owner is its lowest-index center in reach.
 
     The subset's rows are prepared for the ball screen once
-    (``core._BallScreen``), and the work runs in blocks. The first b
-    uncovered points (ascending) are candidates, and one screen matrix holds
-    their ball membership against all uncovered points. Candidate 0 is a
-    center; the next center is the first candidate no center so far covers,
-    and so on, one step per center. That is the loop's order exactly: the
+    (``core._BallScreen.cover_columns``): for Euclidean one C-ordered Gram
+    operand of d + 2 rows (and the squared norms beside it), otherwise the
+    kernel rows. The cover holds a copy of the uncovered points' columns.
+    A covered column costs every later block d + 2 multiply-adds a row in
+    the Gram product but a kernel evaluation a row otherwise, so the
+    operand is compacted once a quarter of it is covered and the kernel
+    rows after every block.
+
+    The work runs in blocks. The first b uncovered points (ascending) are
+    candidates, and one product (or one kernel block) screens them against
+    every column held. ``cover_members`` lists the pairs within the radius,
+    exactly as the kernel's ``<=`` decides them (the kernel measures the
+    pairs within the band), and pairs with a covered column are dropped.
+    Candidate 0 is a center; the next center is the first candidate no
+    center so far covers, and so on. That is the loop's order exactly: the
     candidates are consecutive among the uncovered points, distances are
-    symmetric, and the screen equals the kernel's ``<=`` pair by pair. The
-    picks run on bitsets: the covered candidates are one Python int, and a
-    step takes its lowest clear bit and ORs in that candidate's row of the
-    b x b candidate square. They end because every candidate covers itself
-    (d = 0 <= r); a point the block covers is owned by the first picked row
-    that holds it. b is twice the centers the previous block found, at most
-    ``_BLOCK_ENTRIES`` matrix entries.
+    symmetric, and the screen equals the kernel pair by pair. The picks
+    are settled from the candidate pairs in the list (``_pick_centers``).
+    Every candidate is covered, by itself if it is picked (d = 0 <= r), so
+    the loop ends; a point the block covers is owned by the first picked
+    row that holds it. b is twice the centers the previous block found, at
+    most ``_BLOCK_ENTRIES`` entries against the columns held. The values of
+    every block go into one buffer made for the cover.
     """
     idx = np.asarray(subset)
     if idx.ndim != 1:
@@ -109,40 +120,66 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
         raise InvalidInputError("cover radius must be positive")
     subset = idx if (idx[1:] > idx[:-1]).all() else np.unique(idx)
     subset = subset.astype(np.int64, copy=False)
-    screen = _BallScreen(ds.metric, ds.kernel_rows[subset], ds.dim)
-    uncovered = np.arange(subset.size)
-    owners = np.empty(subset.size, dtype=np.int64)
+    m = subset.size
+    screen = _BallScreen(ds.metric, ds.kernel_rows, ds.dim)
+    columns, band = screen.cover_columns(subset, radius)
+    # The Gram operand holds a point per column, the kernel rows one per row.
+    axis = 0 if band is None else 1
+    # The point index and the subset position of each column held.
+    held, where = subset, np.arange(m)
+    live = np.ones(m, dtype=bool)
+    remaining = m
+    # A block has at most _BLOCK_ENTRIES entries, or one row of all columns.
+    buffer = np.empty(min(max(_BLOCK_ENTRIES, m), m * m))
+    owners = np.empty(m, dtype=np.int64)
     centers = []
     size = 1
-    while uncovered.size:
-        size = min(size, uncovered.size, max(1, _BLOCK_ENTRIES // uncovered.size))
-        within = screen.within(uncovered[:size], uncovered, radius)
-        picked = _pick_centers(within[:, :size])
-        rows = within[picked]
-        covered = rows.any(axis=0)
-        owners[uncovered[covered]] = len(centers) + np.argmax(rows[:, covered], axis=0)
-        centers.extend(subset[uncovered[picked]].tolist())
-        uncovered = uncovered[~covered]
-        size = 2 * len(picked)
-    return CoverResult(np.asarray(centers, dtype=np.int64), radius, int(subset.size), owners)
+    while remaining:
+        dead = held.size - remaining
+        if dead and (band is None or 4 * dead >= held.size):
+            keep = live.nonzero()[0]
+            columns = np.take(columns, keep, axis=axis)
+            held, where, live = held[keep], where[keep], np.ones(keep.size, dtype=bool)
+        width = held.size
+        size = min(size, remaining, max(1, _BLOCK_ENTRIES // width))
+        candidates = live.nonzero()[0][:size]
+        block = buffer[: size * width].reshape(size, width)
+        rows, cols = np.divmod(screen.cover_members(held, candidates, columns, radius, band, block), width)
+        if remaining < width:
+            alive = live[cols]
+            rows, cols = rows[alive], cols[alive]
+        # The live columns up to the last candidate are the candidates.
+        square = (cols <= candidates[-1]).nonzero()[0]
+        later, earlier = rows[square], np.searchsorted(candidates, cols[square])
+        below = earlier < later
+        picked = _pick_centers(size, later[below], earlier[below])
+        # Each picked row's rank among the picks, size for the others; the
+        # lowest rank that holds a column is its owner.
+        rank = np.where(picked, np.cumsum(picked) - 1, size)
+        owner = np.full(width, size)
+        np.minimum.at(owner, cols, rank[rows])
+        covered = (owner < size).nonzero()[0]
+        owners[where[covered]] = len(centers) + owner[covered]
+        picks = held[candidates[picked]]
+        centers.extend(picks.tolist())
+        live[covered] = False
+        remaining -= covered.size
+        size = 2 * picks.size
+    return CoverResult(np.asarray(centers, dtype=np.int64), radius, m, owners)
 
 
-def _pick_centers(square: np.ndarray) -> list[int]:
-    """Greedy centers among b candidates, from their b x b ball matrix: the
-    first candidate, then each time the first one no pick so far covers.
-    A picked row k is read as the int whose bit j is ``square[k, j]``."""
-    size = square.shape[0]
-    packed = np.packbits(square, axis=1, bitorder="little")
-    width = packed.shape[1]
-    data = packed.tobytes()
-    full = (1 << size) - 1
-    covered = 0
-    picked = []
-    while covered != full:
-        k = (~covered & (covered + 1)).bit_length() - 1
-        picked.append(k)
-        covered |= int.from_bytes(data[k * width : (k + 1) * width], "little")
-    return picked
+def _pick_centers(size: int, later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
+    """Greedy centers among ``size`` candidates, as a boolean array: the
+    first candidate, then each one that no earlier pick covers. The pairs
+    (``later[i]``, ``earlier[i]``) are the candidates within the radius of
+    each other with earlier < later, in ascending ``later`` order, so every
+    earlier candidate is settled when a later one is read, and only the
+    candidates with an earlier neighbour take a step of the loop."""
+    picked = [True] * size
+    for k, j in zip(later.tolist(), earlier.tolist()):
+        if picked[j]:
+            picked[k] = False
+    return np.array(picked)
 
 
 def probe_rows(ds: Dataset, probes: int, seed: int = 0) -> list[ProbeRecord]:
@@ -154,6 +191,11 @@ def probe_rows(ds: Dataset, probes: int, seed: int = 0) -> list[ProbeRecord]:
     are reported as original point indices. Radii scale with the diameter
     bound of ``ds`` itself, the one its other estimators read: the first
     probe's radius is ``diameter_upper_bound(ds)``.
+
+    Every probe's ball comes from one ball screen of the distinct rows
+    (``core._BallScreen.within`` of the center against all of them), which
+    prepares the rows once and equals the kernel's ``<=`` element by
+    element, so the balls are those of a kernel scan per probe.
     """
     if probes < 1:
         raise InvalidInputError("need at least one probe")
@@ -168,10 +210,10 @@ def probe_rows(ds: Dataset, probes: int, seed: int = 0) -> list[ProbeRecord]:
     radii = bound * np.exp(log_span * (1.0 - rng.uniform01(seed, probes, stream=1)))
     radii[0] = bound
 
-    rows = distinct.kernel_rows
+    screen = _BallScreen(ds.metric, distinct.kernel_rows, ds.dim)
     records = []
     for center, radius in zip(centers.tolist(), radii.tolist()):
-        ball = np.flatnonzero(distinct.distances(rows[center], rows) <= radius)
+        ball = np.flatnonzero(screen.within(np.array([center]), slice(None), radius))
         cover = greedy_cover(distinct, ball, radius / 2.0)
         records.append(ProbeRecord(int(keep[center]), float(radius), len(cover.centers)))
     return records

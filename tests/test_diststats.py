@@ -405,3 +405,108 @@ class TestNNStatistics:
             qs = generate(GeneratorSpec(Family.UNIFORM_CUBE, d, 50, seed=rng.derive_seed(9, d)))
             ratios.append(nn_statistics(ds, qs).ratio)
         assert ratios[0] < ratios[1]
+
+
+def reference_mean_nn(ds, queries, leave_one_out=False):
+    """The one-query-at-a-time kernel loop that ``nn_statistics`` must match
+    bit for bit: each query scanned against every row, its
+    coordinate-identical rows dropped with ``leave_one_out``."""
+    rows = ds.kernel_rows
+    nn_sum = 0.0
+    for q in queries.kernel_rows:
+        dv = ds.distances(q, rows)
+        if leave_one_out:
+            zero = np.flatnonzero(dv == 0.0)
+            dv = np.delete(dv, zero[(rows[zero] == q).all(axis=1)])
+            if dv.size == 0:
+                raise InvalidInputError("leave-one-out excluded every data point for a query")
+        nn_sum += float(dv.min())
+    return nn_sum / queries.n
+
+
+# Row layouts for the nearest-neighbour exactness tests: "offset" moves the
+# points by 1e8 and "pool" repeats rows. "tiny" mixes unit-scale rows with
+# distinct rows near 1e-170, whose distances to each other underflow to 0,
+# and "underflow" holds only the latter, outside the screen's range.
+NN_LAYOUTS = {
+    "random": lambda g, n, d: g.standard_normal((n, d)),
+    "offset": lambda g, n, d: 1e8 + g.random((n, d)),
+    "pool": lambda g, n, d: g.random((12, d))[g.integers(0, 12, n)],
+    "tiny": lambda g, n, d: np.where(g.random((n, 1)) < 0.5, 1e-170 * g.integers(0, 3, (n, d)), g.random((n, d))),
+    "underflow": lambda g, n, d: 1e-170 * g.integers(0, 3, (n, d)),
+}
+
+
+def nn_dataset(kind, layout, n, d, seed):
+    g = np.random.default_rng(seed)
+    if kind.uses_bits:
+        pool = g.integers(0, 2, (n if layout == "random" else 12, d))
+        return Dataset(pool[g.integers(0, pool.shape[0], n)].astype(np.uint8), kind)
+    return Dataset(NN_LAYOUTS[layout](g, n, d), kind)
+
+
+NN_CASES = [
+    (kind, layout)
+    for kind in MetricKind
+    for layout in (["random", "pool"] if kind.uses_bits else sorted(NN_LAYOUTS))
+]
+
+
+@pytest.mark.parametrize("leave_one_out", [False, True])
+@pytest.mark.parametrize("kind, layout", NN_CASES, ids=lambda c: getattr(c, "value", c))
+def test_nn_statistics_equal_the_kernel_loop(kind, layout, leave_one_out, monkeypatch):
+    # Bands of four query rows against the 1,500 data rows.
+    monkeypatch.setattr(core, "_SCAN_BYTES", 4 * 1500 * 16)
+    dim = 70 if kind.uses_bits else 5
+    ds = nn_dataset(kind, layout, 1500, dim, seed=len(layout))
+    g = np.random.default_rng(1)
+    own = Dataset(ds.points[g.choice(ds.n, 200, replace=False)], kind)
+    other = nn_dataset(kind, layout, 40, dim, seed=99)
+    sample = pairwise_distances(ds, SampledPairs(1000, 0))
+    for queries in (own, other):
+        oracle = core.CountingOracle(kind)
+        got = nn_statistics(ds, queries, oracle, leave_one_out=leave_one_out, sample=sample)
+        assert got.mean_eps_nn == reference_mean_nn(ds, queries, leave_one_out)
+        assert oracle.count == ds.n * queries.n
+        # A mean can hide an ulp; one query's mean is its minimum itself.
+        for q in queries.points[:20]:
+            one = Dataset(q[None], kind)
+            assert nn_statistics(ds, one, leave_one_out=leave_one_out, sample=sample).mean_eps_nn == reference_mean_nn(
+                ds, one, leave_one_out
+            )
+
+
+@pytest.mark.parametrize("leave_one_out", [False, True])
+def test_nn_statistics_near_ties_far_from_the_centre(leave_one_out):
+    # The screen centres on the first query, 1e4 away from the rest, so its
+    # Gram values (about 1e8 before they cancel) cannot order neighbours
+    # whose distances differ by less than 1e-8: the kernel must re-measure
+    # every pair within the band of each minimum.
+    g = np.random.default_rng(5)
+    directions = g.standard_normal((60, 5))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    near = directions * (1.0 + 1e-11 * g.integers(0, 8, 60))[:, None]
+    far = 1e4 * np.eye(5)
+    ds = Dataset(np.concatenate([near, far]), EUCLID)
+    centre = 1e-12 * g.standard_normal((40, 5))
+    queries = Dataset(np.concatenate([far[:1], np.zeros((1, 5)), centre, near[:3]]), EUCLID)
+    assert nn_statistics(ds, queries, leave_one_out=leave_one_out).mean_eps_nn == reference_mean_nn(
+        ds, queries, leave_one_out
+    )
+    # The mean of distances near 1e4 and 1 can hide an ulp of the latter,
+    # so the minima are compared one by one too, as nn_statistics takes them.
+    screen = core._BallScreen(EUCLID, np.concatenate([queries.points, ds.points]), 5)
+    expected = [reference_mean_nn(ds, Dataset(q[None], EUCLID), leave_one_out) for q in queries.points]
+    assert screen.nearest(queries.n, leave_one_out).tolist() == expected
+
+
+@pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
+def test_nn_statistics_refuse_a_query_that_every_row_duplicates(kind):
+    row = np.array([[1, 0, 1]], dtype=np.uint8 if kind.uses_bits else np.float64)
+    ds = Dataset(np.repeat(row, 5, axis=0), kind)
+    queries = Dataset(np.concatenate([1 - row, row]), kind)
+    with pytest.raises(InvalidInputError, match="excluded every data point"):
+        reference_mean_nn(ds, queries, leave_one_out=True)
+    with pytest.raises(InvalidInputError, match="excluded every data point"):
+        nn_statistics(ds, queries, leave_one_out=True)
+    assert nn_statistics(ds, queries).mean_eps_nn == reference_mean_nn(ds, queries)

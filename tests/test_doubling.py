@@ -131,17 +131,17 @@ def test_grid_cover_with_wide_blocks_picks_the_reference_centers(kind, monkeypat
     points = np.random.default_rng(7).integers(0, values, (1200, dim))
     ds = Dataset(points.astype(np.uint8 if kind.uses_bits else np.float64), kind)
     blocks, kernel_pairs = [], []
-    screen_within, kernel = core._BallScreen.within, core._kernel
+    cover_members, kernel = core._BallScreen.cover_members, core._kernel
 
-    def recorded_within(self, ia, ib, r):
-        blocks.append(len(ia))
-        return screen_within(self, ia, ib, r)
+    def recorded_members(self, held, picks, *args):
+        blocks.append(len(picks))
+        return cover_members(self, held, picks, *args)
 
-    def recorded_kernel(metric, a, b, dim, out=None):
+    def recorded_kernel(metric, a, b, dim, *scratch):
         kernel_pairs.append(a.shape[0])
-        return kernel(metric, a, b, dim, out)
+        return kernel(metric, a, b, dim, *scratch)
 
-    monkeypatch.setattr(core._BallScreen, "within", recorded_within)
+    monkeypatch.setattr(core._BallScreen, "cover_members", recorded_members)
     monkeypatch.setattr(core, "_kernel", recorded_kernel)
     got = greedy_cover(ds, np.arange(ds.n), radius)
     monkeypatch.undo()
@@ -158,6 +158,112 @@ def test_probe_rows_equal_the_reference_cover_records(family, monkeypatch):
     got = probe_rows(ds, probes=24, seed=5)
     monkeypatch.setattr(doubling, "greedy_cover", reference_cover)
     assert got == probe_rows(ds, probes=24, seed=5)
+
+
+def recorded_cover(monkeypatch, ds, subset, radius):
+    """``greedy_cover(ds, subset, radius)`` with the band of its columns,
+    the column count of each block and the number of pairs the kernel
+    re-measured recorded."""
+    log = {"bands": [], "widths": [], "kernel_pairs": 0}
+    cover_columns, cover_members, kernel = core._BallScreen.cover_columns, core._BallScreen.cover_members, core._kernel
+
+    def recorded_columns(self, ib, r):
+        columns, band = cover_columns(self, ib, r)
+        log["bands"].append(band)
+        return columns, band
+
+    def recorded_members(self, held, *args):
+        log["widths"].append(len(held))
+        return cover_members(self, held, *args)
+
+    def recorded_kernel(metric, a, b, dim, *scratch):
+        if not scratch:  # a re-measure; the kernel blocks write into buffers
+            log["kernel_pairs"] += a.shape[0]
+        return kernel(metric, a, b, dim, *scratch)
+
+    monkeypatch.setattr(core._BallScreen, "cover_columns", recorded_columns)
+    monkeypatch.setattr(core._BallScreen, "cover_members", recorded_members)
+    monkeypatch.setattr(core, "_kernel", recorded_kernel)
+    got = greedy_cover(ds, subset, radius)
+    monkeypatch.undo()
+    return got, log
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.0, math.sqrt(2.0), 3.0, np.nextafter(1.0, 0.0), np.nextafter(2.0, 0.0)])
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+def test_lattice_pairs_at_the_radius_are_decided_by_the_kernel(radius, offset, monkeypatch):
+    # Integer points of a 5 x 5 x 5 grid: many pairs lie exactly at each
+    # radius, or one ulp beyond it, so their Gram gap is within the band
+    # and only the kernel can place them.
+    grid = np.stack(np.meshgrid(*[np.arange(5.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    ds = Dataset(offset + grid[np.random.default_rng(4).permutation(len(grid))], EUCLID)
+    distances = pair_distances(EUCLID, ds.points[:, None], ds.points[None])
+    assert ((distances == radius) | (distances == np.nextafter(radius, 3.0))).any()
+    got, log = recorded_cover(monkeypatch, ds, np.arange(ds.n), radius)
+    assert log["bands"] and log["bands"][0] is not None
+    assert log["kernel_pairs"] > 0
+    assert_same_cover(got, reference_cover(ds, np.arange(ds.n), radius))
+
+
+def test_cover_compacts_its_columns_several_times(monkeypatch):
+    ds = generate(GeneratorSpec(Family.UNIFORM_CUBE, 2, 3000, seed=8))
+    got, log = recorded_cover(monkeypatch, ds, np.arange(ds.n), 0.01)
+    # Each compaction leaves a narrower copy of the columns.
+    assert len(set(log["widths"])) >= 4
+    assert_same_cover(got, reference_cover(ds, np.arange(ds.n), 0.01))
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e200])
+def test_euclidean_rows_near_overflow_take_the_kernel_path(scale, monkeypatch):
+    # Past the screen's range there is no band: the blocks are the
+    # kernel's distances (at 1e200 most of them overflow to inf).
+    g = np.random.default_rng(9)
+    ds = Dataset(scale * g.random((12, 3))[g.integers(0, 12, 200)], EUCLID)
+    row = pair_distances(EUCLID, ds.points[0], ds.points)
+    for radius in sorted({float(v) for v in row if v > 0})[:3] + [scale, math.inf]:
+        got, log = recorded_cover(monkeypatch, ds, np.arange(ds.n), radius)
+        assert log["bands"] == [None]
+        assert_same_cover(got, reference_cover(ds, np.arange(ds.n), radius))
+
+
+@pytest.mark.parametrize("radius", [1e-4, 0.003, 0.05, 0.4])
+def test_one_dimensional_rows(radius):
+    ds = generate(GeneratorSpec(Family.GAUSSIAN, 1, 2000, seed=10))
+    assert_same_cover(greedy_cover(ds, np.arange(ds.n), radius), reference_cover(ds, np.arange(ds.n), radius))
+
+
+@pytest.mark.parametrize("dim", [37, 64, 520, 576])
+def test_hamming_rows_of_one_and_nine_words(dim):
+    ds = generate(GeneratorSpec(Family.HAMMING_UNIFORM, dim, 800, seed=dim))
+    row = pair_distances(ds.metric, ds.points[0], ds.points)
+    for radius in np.quantile(row, [0.01, 0.1, 0.5]).tolist():
+        assert_same_cover(greedy_cover(ds, np.arange(ds.n), radius), reference_cover(ds, np.arange(ds.n), radius))
+
+
+PROBE_BALL_CASES = [(kind, 0.0) for kind in MetricKind] + [(kind, 1e8) for kind in MetricKind if not kind.uses_bits]
+
+
+@pytest.mark.parametrize("kind, offset", PROBE_BALL_CASES, ids=lambda c: getattr(c, "value", c))
+def test_probe_balls_are_the_kernel_scan_balls(kind, offset, monkeypatch):
+    if kind.uses_bits:
+        ds = generate(GeneratorSpec(Family.HAMMING_UNIFORM, 96, 700, seed=13))
+    else:
+        ds = Dataset(offset + generate(GeneratorSpec(Family.GAUSSIAN, 6, 700, seed=13)).points, kind)
+    balls = []
+
+    def recorded_cover(ds, ball, radius):
+        balls.append(np.asarray(ball).tolist())
+        return reference_cover(ds, ball, radius)
+
+    def kernel_within(self, ia, ib, radius):
+        return core._kernel(self.metric, self.rows[ia][:, None], self.rows[ib][None], self.dim) <= radius
+
+    monkeypatch.setattr(doubling, "greedy_cover", recorded_cover)
+    probe_rows(ds, probes=32, seed=3)
+    got, balls = balls, []
+    monkeypatch.setattr(core._BallScreen, "within", kernel_within)
+    probe_rows(ds, probes=32, seed=3)
+    assert got == balls
 
 
 class TestGreedyCover:
