@@ -12,8 +12,6 @@ from .core import (
     InvariantViolation,
     MetricKind,
     all_pair_distances,
-    counted_distance,
-    counted_distances_to,
     diameter_is_exact,
     diameter_upper_bound,
     distance,

@@ -16,24 +16,25 @@ query once, and the public ``pair_distances`` packs the rows it is given
 and calls the same kernel.
 
 Pairs of rows are enumerated in one place, the ball screen
-``_BallScreen``. It is built from kernel rows, prepares them once (for
-Euclidean, rows centred on the first one and their squared norms) and
-measures any two index blocks of them in one private helper: the centred
-Gram gap and its rounding band for Euclidean, and the kernel's values in
-row chunks for Hamming, Manhattan, Chebyshev and every Euclidean block
-outside the screen's range. So Hamming distances have one implementation,
-the popcount kernel, whatever the row width. Pairs the Euclidean band
-cannot decide go back to the kernel, and only the screen knows where its
-bands lie. These uses read the screen:
+``_BallScreen``. It is built from kernel rows and prepares them once per
+use: for Euclidean, centred rows whose Gram values come with a rounding
+band, and for Hamming, Manhattan, Chebyshev and every Euclidean block
+outside the screen's range, the kernel's values in row chunks. So Hamming
+distances have one implementation, the popcount kernel, whatever the row
+width. Pairs the Euclidean band cannot decide go back to the kernel, and
+only the screen knows where its bands lie and what its Gram operand
+holds. These uses read the screen:
 
 - Ball membership ``pair_distances(...) <= radius``, equal to the
   kernel's answer element by element (the screen decides the pairs its
-  band can, the kernel the rest), through one rule that lists the pairs
-  inside: ``within_radius``, the doubling probes' balls (one screen of
-  the distinct rows, ``within`` of each centre against all of them) and a
-  greedy cover's blocks. A cover prepares the columns of its own rows once
-  (for Euclidean one (d+2)-term Gram operand, see ``within_radius``) and
-  reads one product per block from them.
+  band can, the kernel the rest), through one sparse call that lists the
+  pairs inside, ``_BallScreen.members``: a block of rows against one
+  radius-free operand of rows (``ball_operand``; for Euclidean a
+  (d+2)-term Gram operand, see ``within_radius``), made once per row set.
+  The doubling probes make one of the distinct rows and read every
+  probe's ball from it, a greedy cover makes one of its own rows and
+  reads each block from it, and ``within_radius`` makes one of its two
+  blocks and alone builds a dense matrix, at this public edge.
 - ``all_pair_distances`` takes the upper triangles of the screen's row
   bands (rows i..i+B-1 against the rows after i).
 - One pass over the same bands takes both extremes, the exact diameter
@@ -45,9 +46,10 @@ bands lie. These uses read the screen:
   queries against the data, again equal to the kernel's minimum bit for
   bit.
 
-A pass over bands, and a cover over its blocks, writes every block's
-values into one buffer made for the pass or the cover, and the kernel's
-blocks work in one scratch buffer that the screen keeps.
+A pass over bands, a cover over its blocks and the probes over their
+balls write every block's values into one buffer made for the pass, the
+cover or the probes, and the kernel's blocks work in one scratch buffer
+that the screen keeps.
 
 Outside rows are checked by one rule, ``_check_rows`` (0/1 values for
 Hamming, checked before the cast; finite float64 coordinates otherwise),
@@ -292,35 +294,33 @@ _SCAN_BYTES = 2**20
 
 
 def _near_minimum(values: np.ndarray, band: float, axis: int, limit=np.inf) -> np.ndarray:
-    """The pairs of a Euclidean block of Gram values (see
-    ``_BallScreen._block`` at radius 0) that may hold the kernel's smallest
-    distance along ``axis``: those whose g lies within ``band`` of the
-    smallest g along that axis, or of ``limit`` (a squared distance already
-    measured) where that is smaller. g lies within half the band of the
-    kernel's square, so every other pair is longer than one of these. NaN
-    pairs are never kept."""
+    """The pairs of a Euclidean band of Gram values (see
+    ``_BallScreen._bands``) that may hold the kernel's smallest distance
+    along ``axis``: those whose g lies within ``band`` of the smallest g
+    along that axis, or of ``limit`` (a squared distance already measured)
+    where that is smaller. g lies within half the band of the kernel's
+    square, so every other pair is longer than one of these. NaN pairs are
+    never kept."""
     low = np.minimum(np.fmin.reduce(values, axis=axis), limit)
     return values <= np.expand_dims(low + band, axis)
 
 
 class _BallScreen:
     """The pair engine of one row set, with the per-row work done once:
-    exact ball membership between index blocks (``within``, and
-    ``cover_members`` for a greedy cover's blocks), every pair in row bands
+    exact ball membership of a block of rows against a radius-free operand
+    of rows (``ball_operand`` and ``members``), every pair in row bands
     (``_bands``), the extremes over those bands (``extremes``) and the
     nearest neighbours of some rows among the others (``nearest``).
 
     Built from kernel rows (packed words for Hamming, see ``_kernel_form``)
-    and their length ``dim`` (the bit length for Hamming). ``_block``
-    measures two index blocks from the metric's prepared form
-    (``_prepared``: for Euclidean the rows centred on ``rows[0]`` and their
-    squared norms, made on first use), so a caller that screens many blocks
-    of the same rows prepares them once. A greedy cover instead prepares
-    the columns of its own rows once (``cover_columns``) and reads one
-    product per block from them (``cover_members``). Pairs that a
-    Euclidean band leaves open are measured again by the kernel, and ball
-    membership is read by one rule, ``_members``. Blocks that the kernel
-    measures run on one scratch buffer that the screen keeps.
+    and their length ``dim`` (the bit length for Hamming). A caller makes
+    one operand of the rows its balls range over (``ball_operand``: for
+    Euclidean a (d+2)-term Gram operand, see ``within_radius``) and asks
+    ``members`` about any block of them at any radius. The band pass
+    centres the Euclidean rows on ``rows[0]`` once and reads their squared
+    norms beside them. Pairs that a Euclidean band leaves open are
+    measured again by the kernel. Blocks that the kernel measures run on
+    one scratch buffer that the screen keeps.
     """
 
     def __init__(self, metric: MetricKind, rows: np.ndarray, dim: int):
@@ -328,153 +328,92 @@ class _BallScreen:
         self.rows = rows
         self.dim = dim
         self._scratch = np.empty(0, dtype=rows.dtype)
-        self._centred = None
 
-    def _prepared(self) -> tuple[np.ndarray, np.ndarray]:
-        """The Euclidean rows centred on ``rows[0]`` and their squared
-        norms, made on first use: a greedy cover's screen never needs
-        them."""
-        if self._centred is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                form = np.subtract(self.rows, self.rows[0], dtype=np.float64)
-                self._centred = form, np.einsum("ij,ij->i", form, form)
-        return self._centred
-
-    def _block(
-        self, ia: np.ndarray, ib: np.ndarray | slice, radius: float = 0.0, out: np.ndarray | None = None
-    ) -> tuple[np.ndarray, float | None]:
-        """Rows ``ia`` (an index array) against rows ``ib`` (an index array
-        or a slice), as ``(values, band)``, the values written into ``out``
-        (a C-ordered float64 array of the block's shape) when one is given.
-
-        With ``band`` None, ``values`` are the distances themselves: for
-        Hamming, Manhattan, Chebyshev and a Euclidean block outside
-        ``_SCREEN_RANGE`` the kernel's values (``_kernel_block``). Otherwise
-        ``values`` hold the centred Gram gap g - t^2 of each pair, t =
-        radius, and a pair with |g - t^2| > band lies on the same side of t
-        as the kernel's distance (see ``within_radius``). Radius 0 screens
-        the squared distances g."""
-        if self.metric is MetricKind.EUCLIDEAN:
-            t = float(radius)
-            form, norms = self._prepared()
-            na, nb = norms[ia], norms[ib]
-            reach = math.sqrt(na.max()) + math.sqrt(nb.max())
-            lo, hi = _SCREEN_RANGE
-            if all(lo <= x <= hi for x in ((reach,) if t == 0.0 else (t, reach))):
-                # |x - y|^2 = |x|^2 + |y|^2 - 2 x.y
-                ac = form[ia]
-                ac *= -2.0
-                gap = _chunked_matmul(ac, form[ib].T, out)
-                gap += na[:, None]
-                gap += (nb - t * t)[None, :]
-                return gap, 4.0 * (self.dim + 8) * _UNIT_ROUNDOFF * (reach * reach + t * t)
-        b = self.rows[ib]
-        return self._kernel_block(ia, b, np.empty((len(ia), b.shape[0])) if out is None else out), None
-
-    def _kernel_block(self, ia: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out`` filled with the kernel's distances of rows ``ia`` against
-        the kernel rows ``b``, in row chunks of at most ``_SCAN_BYTES`` of
-        scratch. The kernel works in the screen's scratch, so a block
-        allocates nothing once that is as large as its chunks."""
-        step = min(len(ia), max(1, _SCAN_BYTES // (b.shape[0] * (b[0].nbytes + 16))))
+    def _kernel_block(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` filled with the kernel's distances of the kernel rows
+        ``a`` against the kernel rows ``b``, in row chunks of at most
+        ``_SCAN_BYTES`` of scratch. The kernel works in the screen's
+        scratch, so a block allocates nothing once that is as large as its
+        chunks."""
+        step = min(len(a), max(1, _SCAN_BYTES // (b.shape[0] * (b[0].nbytes + 16))))
         # At least _SCAN_BYTES, so the scratch has one size, cover after
         # cover: made to each cover's measure, it was served fresh pages
         # every time (the 64 covers of estimate --metric chebyshev on a
         # 3,000 x 8 file made about 5,700 minor faults instead of 160).
         if self._scratch.size < step * b.size:
             self._scratch = np.empty(max(step * b.size, _SCAN_BYTES // b.itemsize), dtype=self.rows.dtype)
-        for k in range(0, len(ia), step):
-            rows = self.rows[ia[k : k + step], None]
+        for k in range(0, len(a), step):
+            rows = a[k : k + step, None]
             work = self._scratch[: rows.shape[0] * b.size].reshape((rows.shape[0],) + b.shape)
             _kernel(self.metric, rows, b[None], self.dim, out[k : k + step], work)
         return out
 
-    def cover_columns(self, ib: np.ndarray, radius: float) -> tuple[np.ndarray, float | None]:
-        """Rows ``ib`` (a non-empty index array) as the columns of a greedy
-        cover's block product at ``radius``, as ``(columns, band)``. A cover
-        keeps a copy of the columns of its uncovered rows and passes it to
-        ``cover_members``.
+    def ball_operand(self, ib: np.ndarray) -> tuple[np.ndarray, float | None]:
+        """Rows ``ib`` (a non-empty index array) as the operand of
+        ``members``, as ``(operand, reach)``. The operand holds no radius,
+        so one serves every ball over these rows.
 
-        For Euclidean, with the radius and the reach R = 2 max |x'| inside
-        ``_SCREEN_RANGE``, x' = x - rows[ib[0]], ``columns`` is the C-ordered
-        (d+3) x m matrix whose column j is [x_j', 1, |x_j'|^2 - t^2,
-        |x_j'|^2], t = radius. Its first d + 2 rows are the product's
-        operand: a block row i is [-2 x_i', |x_i'|^2, 1], read from the
-        same columns, so one product gives g - t^2 with no broadcast
-        additions, and a pair with |g - t^2| > band lies on the same side
-        of t as the kernel's distance (see ``within_radius`` for the band
-        of this (d+2)-term product). Otherwise ``columns`` are the kernel
-        rows ``ib`` and ``band`` is None: the blocks are the kernel's
-        distances."""
+        For Euclidean, with the reach R = 2 max |x'| inside
+        ``_SCREEN_RANGE``, x' = x - rows[ib[0]], ``operand`` is the
+        C-ordered (d+2) x m matrix whose column j is [x_j', 1, |x_j'|^2].
+        Otherwise it is the kernel rows ``ib`` and ``reach`` is None."""
         if self.metric is MetricKind.EUCLIDEAN:
-            t = float(radius)
-            d = self.rows.shape[1]
-            columns = np.empty((d + 3, len(ib)))
+            d = self.dim
+            operand = np.empty((d + 2, len(ib)))
             with np.errstate(over="ignore", invalid="ignore"):
-                np.subtract(self.rows[ib].T, self.rows[ib[0], :, None], out=columns[:d])
-                np.einsum("ij,ij->j", columns[:d], columns[:d], out=columns[d + 2])
-            reach = 2.0 * math.sqrt(columns[d + 2].max())
+                np.subtract(self.rows[ib].T, self.rows[ib[0], :, None], out=operand[:d])
+                np.einsum("ij,ij->j", operand[:d], operand[:d], out=operand[d + 1])
+            reach = 2.0 * math.sqrt(operand[d + 1].max())
             lo, hi = _SCREEN_RANGE
-            if lo <= t <= hi and lo <= reach <= hi:
-                columns[d] = 1.0
-                np.subtract(columns[d + 2], t * t, out=columns[d + 1])
-                return columns, 8.0 * (self.dim + 8) * _UNIT_ROUNDOFF * (reach * reach + t * t)
+            if lo <= reach <= hi:
+                operand[d] = 1.0
+                return operand, reach
         return self.rows[ib], None
 
-    def cover_members(
+    def members(
         self,
         held: np.ndarray,
         picks: np.ndarray,
-        columns: np.ndarray,
+        operand: np.ndarray,
+        reach: float | None,
         radius: float,
-        band: float | None,
         out: np.ndarray,
+        start: int = 0,
     ) -> np.ndarray:
-        """The flat positions, ascending, of the pairs within ``radius`` in
-        the block of the columns at positions ``picks`` against every
-        column. ``columns`` and ``band`` come from ``cover_columns``, with
-        ``columns`` cut to the rows ``held`` (an index array); ``out`` (a
-        C-ordered float64 array of the block's shape) receives the block's
-        values."""
-        if band is None:
-            values = self._kernel_block(held[picks], columns, out)
-        else:
-            d = self.rows.shape[1]
-            left = np.empty((len(picks), d + 2))
-            np.multiply(columns[:d, picks].T, -2.0, out=left[:, :d])
-            left[:, d] = columns[d + 2, picks]
-            left[:, d + 1] = 1.0
-            values = _chunked_matmul(left, columns[: d + 2], out)
-        return self._members(held[picks], held, values, radius, band)
+        """The flat positions, ascending, of the pairs within ``radius``,
+        exactly as the kernel's ``<=`` decides them, in the block of the
+        operand's points at positions ``picks`` against its points from
+        position ``start`` on. ``operand`` and ``reach`` come from
+        ``ball_operand``, perhaps cut to the points ``held`` (the row index
+        of each point, an index array); ``out`` (a C-ordered float64 array
+        of the block's shape) receives the block's values.
 
-    def _members(self, ia: np.ndarray, ib: np.ndarray, values: np.ndarray, radius: float, band: float | None) -> np.ndarray:
-        """The one membership rule: the flat positions, ascending, of the
-        pairs within ``radius`` in a block of rows ``ia`` against rows
-        ``ib`` (index arrays) whose ``values`` and ``band`` are ``_block``'s
-        or ``cover_members``'. Kernel values are compared with the radius.
-        A gap below -band is inside and one above band outside; the kernel
-        decides the pairs in between."""
-        if band is None:
-            return (values <= radius).ravel().nonzero()[0]
-        hits = (values <= band).ravel().nonzero()[0]
-        open_ = (values.ravel()[hits] >= -band).nonzero()[0]
+        For Euclidean, with t = radius inside ``_SCREEN_RANGE``, the block is
+        one product: the rows [-2 x_i', |x_i'|^2 - t^2, 1] of the picks times
+        the operand give g - t^2. A pair below minus the band
+        8 (d + 8) u (R^2 + t^2) (see ``within_radius``) is inside, one above
+        the band outside, and the kernel decides the pairs in between.
+        Every other block is the kernel's distances, compared with the
+        radius."""
+        t = float(radius)
+        lo, hi = _SCREEN_RANGE
+        if reach is None or not lo <= t <= hi:
+            b = operand[start:] if reach is None else self.rows[held[start:]]
+            return (self._kernel_block(self.rows[held[picks]], b, out) <= radius).ravel().nonzero()[0]
+        d = self.dim
+        left = np.empty((len(picks), d + 2))
+        np.multiply(operand[:d, picks].T, -2.0, out=left[:, :d])
+        np.subtract(operand[d + 1, picks], t * t, out=left[:, d])
+        left[:, d + 1] = 1.0
+        values = _chunked_matmul(left, operand[:, start:], out).ravel()
+        band = 8.0 * (d + 8) * _UNIT_ROUNDOFF * (reach * reach + t * t)
+        hits = (values <= band).nonzero()[0]
+        open_ = (values[hits] >= -band).nonzero()[0]
         if open_.size:
-            ii, jj = np.divmod(hits[open_], values.shape[1])
-            measured = _kernel(self.metric, self.rows[ia[ii]], self.rows[ib[jj]], self.dim)
+            ii, jj = np.divmod(hits[open_], out.shape[1])
+            measured = _kernel(self.metric, self.rows[held[picks[ii]]], self.rows[held[start + jj]], self.dim)
             hits = np.delete(hits, open_[measured > radius])
         return hits
-
-    def within(self, ia: np.ndarray, ib: np.ndarray | slice, radius: float) -> np.ndarray:
-        """The boolean matrix ``_kernel(metric, rows[ia][:, None],
-        rows[ib][None], dim) <= radius``, equal to it element by element,
-        built from ``_members``. ``ia`` is a non-empty integer index array
-        and ``ib`` one or a slice; neither needs to hold the centre row."""
-        values, band = self._block(ia, ib, radius)
-        if isinstance(ib, slice):
-            ib = np.arange(self.rows.shape[0])[ib]
-        inside = np.zeros(values.shape, dtype=bool)
-        inside.ravel()[self._members(ia, ib, values, radius, band)] = True
-        return inside
 
     def _remeasure(self, ia: np.ndarray, ib: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pairs that ``mask`` marks in the block of rows ``ia`` against
@@ -484,25 +423,53 @@ class _BallScreen:
         return ii, jj, _kernel(self.metric, self.rows[ia[ii]], self.rows[ib[jj]], self.dim)
 
     def _bands(self, split: int | None = None):
-        """Row pairs in bands, as ``(ia, ib, values, band)`` from ``_block``
-        at radius 0 (index arrays ia and ib). Without ``split``: every row
-        pair, rows ia = i..i+B-1 against rows ib = i+1..n-1, i = 0, B, ...;
-        a band also meets pairs it has already seen, reversed, and each of
-        its rows itself. With ``split``: rows 0..split-1 against the rows
-        from ``split`` on. B keeps a band within ``_SCAN_BYTES`` at 16 bytes
-        a pair. Every band is written into one buffer made for the pass, so
-        a caller reads each band before it asks for the next."""
+        """Row pairs in bands, as ``(ia, ib, values, band)`` (index arrays
+        ia and ib). Without ``split``: every row pair, rows ia = i..i+B-1
+        against rows ib = i+1..n-1, i = 0, B, ...; a band also meets pairs
+        it has already seen, reversed, and each of its rows itself. With
+        ``split``: rows 0..split-1 against the rows from ``split`` on. B
+        keeps a band within ``_SCAN_BYTES`` at 16 bytes a pair. Every band
+        is written into one buffer made for the pass, so a caller reads each
+        band before it asks for the next.
+
+        With ``band`` None, ``values`` are the kernel's distances: for
+        Hamming, Manhattan, Chebyshev and a Euclidean band whose reach R =
+        max |a'| + max |b'| lies outside ``_SCREEN_RANGE``, x' = x - rows[0]
+        (the rows are centred once, for the pass). Otherwise they are the
+        squared distances g = |a'|^2 + |b'|^2 - 2 a'.b' and ``band`` is
+        4 (d + 8) u R^2, with u = 2**-53: g errs from the exact square by at
+        most 3 u R^2 (the centring) and gamma_d R^2 + 2 u R^2 (the product
+        and its two additions), a quarter of the band to first order, and
+        the kernel's square errs by at most gamma_{d+6} R^2, so g lies
+        within half the band of the kernel's square."""
         n = self.rows.shape[0]
         stop = n - 1 if split is None else split
         buffer = np.empty(max(_SCAN_BYTES // 16, n))
+        if self.metric is MetricKind.EUCLIDEAN:
+            with np.errstate(over="ignore", invalid="ignore"):
+                form = np.subtract(self.rows, self.rows[:1], dtype=np.float64)
+                norms = np.einsum("ij,ij->i", form, form)
+        lo, hi = _SCREEN_RANGE
         i = 0
         while i < stop:
             first = i + 1 if split is None else split
             step = max(1, _SCAN_BYTES // ((n - first) * 16))
-            ia = np.arange(i, min(i + step, stop))
-            out = buffer[: ia.size * (n - first)].reshape(ia.size, n - first)
-            yield (ia, np.arange(first, n), *self._block(ia, slice(first, n), out=out))
+            ia, ib = np.arange(i, min(i + step, stop)), np.arange(first, n)
+            out = buffer[: ia.size * ib.size].reshape(ia.size, ib.size)
             i += step
+            if self.metric is MetricKind.EUCLIDEAN:
+                na, nb = norms[ia], norms[first:]
+                reach = math.sqrt(na.max()) + math.sqrt(nb.max())
+                if lo <= reach <= hi:
+                    # |x - y|^2 = |x|^2 + |y|^2 - 2 x.y
+                    ac = form[ia]
+                    ac *= -2.0
+                    gap = _chunked_matmul(ac, form[first:].T, out)
+                    gap += na[:, None]
+                    gap += nb[None, :]
+                    yield ia, ib, gap, 4.0 * (self.dim + 8) * _UNIT_ROUNDOFF * (reach * reach)
+                    continue
+            yield ia, ib, self._kernel_block(self.rows[ia], self.rows[first:], out), None
 
     def extremes(self) -> tuple[float, np.ndarray]:
         """The largest distance between two rows, and each row's distance to
@@ -580,46 +547,42 @@ def within_radius(metric: MetricKind, a: np.ndarray, b: np.ndarray, radius: floa
 
     The result equals that expression element by element, in bounded
     memory and, for Euclidean, at a fraction of its cost. ``a`` and ``b``
-    are non-empty row blocks. This is the one-shot use of ``_BallScreen``
-    on the rows of ``a`` and ``b``, centred on ``a[0]``; Hamming rows are
-    packed into words once, here. Hamming, Manhattan and Chebyshev take
-    the kernel's values in row chunks. As in ``pair_distances``, only the
-    metric is checked, not the rows.
+    are non-empty row blocks. This is the one-shot use of ``_BallScreen``:
+    one operand of the rows of ``a`` and ``b`` (``ball_operand``), and one
+    ``members`` call of the rows of ``a`` against those of ``b``, whose
+    pairs are set in the matrix here. Hamming rows are packed into words
+    once, here. Hamming, Manhattan and Chebyshev take the kernel's values
+    in row chunks. As in ``pair_distances``, only the metric is checked,
+    not the rows.
 
-    Euclidean screens with a Gram product on coordinates centred on a
-    shared centre c, one of the screen's rows: with a' = a - c and
-    b' = b - c, g = |a'|^2 + |b'|^2 - 2 a'.b' against t^2, t = radius.
-    With u = 2**-53 and the reach R = max |a'| + max |b'| over the two
-    blocks (no distance between them exceeds it, wherever c lies), the
-    squared-distance error of the centring is at most 3 u R^2, of the Gram
-    product and its three additions gamma_d R^2 + 3 u (R^2 + t^2), of t^2
-    3 u t^2, and of the kernel (its differences, squares and sum and the
-    square root) gamma_{d+6} max(R^2, t^2). They
-    sum to at most (2 d + 12) u (R^2 + t^2) to first order, and the band
-    keeps more than twice that: a pair with |g - t^2| <= 4 (d + 8) u
-    (R^2 + t^2) is decided by ``pair_distances`` itself, and every other
-    pair lies on the same side of the radius for both. The argument uses c
-    only through R, so it holds for blocks that do not contain c. Inside
-    ``_SCREEN_RANGE`` every screen value is finite; outside it (an infinite
+    Euclidean screens with one Gram product of d + 2 terms on coordinates
+    centred on c = a[0]: with x' = x - c for every row x and the reach
+    R = 2 max |x'| over both blocks, so that |a'| + |b'| <= R for every
+    pair, the row [-2 a', |a'|^2 - t^2, 1] times the column [b', 1, |b'|^2]
+    is g - t^2, with g = |a'|^2 + |b'|^2 - 2 a'.b' and t = radius. With
+    u = 2**-53 the terms are exact apart from the two norms (gamma_d
+    (|a'|^2 + |b'|^2) <= gamma_d R^2), t^2 (u t^2) and the one subtraction
+    (u (|a'|^2 + t^2)). Their magnitudes sum to at most (|a'| + |b'|)^2 +
+    t^2 <= R^2 + t^2, so the product adds gamma_{d+2} (R^2 + t^2). The
+    centring errs in the squared distance by at most 3 u R^2, and the
+    kernel (its differences, squares and sum and the square root) by
+    gamma_{d+6} max(R^2, t^2). All of it is at most (3 d + 13) u (R^2 +
+    t^2) to first order, and the band 8 (d + 8) u (R^2 + t^2) keeps more
+    than twice that: a pair with |g - t^2| <= band is decided by
+    ``pair_distances`` itself, and every other pair lies on the same side
+    of the radius for both. The argument uses c only through R, so it
+    holds for an operand cut to some of its points, as a greedy cover cuts
+    it, with or without c. Inside ``_SCREEN_RANGE`` (t and R) every
+    screen value is finite; outside it (a zero, subnormal or infinite
     radius, coordinates near overflow, all points equal to c) every pair
     goes to the kernel.
-
-    A greedy cover reads g - t^2 from one product of d + 2 terms instead
-    (``_BallScreen.cover_columns``): the row [-2 a', |a'|^2, 1] times the
-    column [b', 1, |b'|^2 - t^2], with R = 2 max |x'| over the cover's rows
-    and c its first row. The terms are exact apart from the two norms
-    (gamma_d (|a'|^2 + |b'|^2) <= gamma_d R^2), t^2 (u t^2) and the one
-    subtraction (u (|b'|^2 + t^2)). Their magnitudes sum to at most
-    (|a'| + |b'|)^2 + t^2 <= R^2 + t^2, so the product adds gamma_{d+2}
-    (R^2 + t^2). With the centring and the kernel as above, the error is at
-    most (3 d + 12) u (R^2 + t^2) to first order, more than that of the
-    blocks here. The cover's band is twice theirs, 8 (d + 8) u (R^2 + t^2),
-    and keeps more than twice that error. Every pair inside a band goes to
-    the kernel, so the wider band changes no answer, only how many pairs
-    the kernel measures.
     """
     screen = _BallScreen(metric, _kernel_form(metric, np.concatenate([a, b])), a.shape[1])
-    return screen.within(np.arange(len(a)), np.arange(len(a), len(a) + len(b)), radius)
+    rows = np.arange(len(a) + len(b))
+    operand, reach = screen.ball_operand(rows)
+    inside = np.zeros((len(a), len(b)), dtype=bool)
+    inside.ravel()[screen.members(rows, rows[: len(a)], operand, reach, radius, np.empty(inside.shape), len(a))] = True
+    return inside
 
 
 def all_pair_distances(metric: MetricKind, points: np.ndarray) -> np.ndarray:
@@ -746,18 +709,6 @@ class CountingOracle:
     def reset(self) -> None:
         with self._lock:
             self._count = 0
-
-
-def counted_distance(oracle: CountingOracle, x, y) -> float:
-    value = distance(oracle.metric, x, y)
-    oracle.add(1)
-    return value
-
-
-def counted_distances_to(oracle: CountingOracle, x, points: np.ndarray) -> np.ndarray:
-    values = distances_to(oracle.metric, x, points)
-    oracle.add(points.shape[0])
-    return values
 
 
 def _cached(ds: Dataset, key: str, make):

@@ -9,13 +9,14 @@ bounded factor), and finitely many probes only sample the sup over
 scales. Radius halving is used rather than diameter halving; the two
 definitions differ by at most a constant factor in rho.
 
-Covers are built in blocks: the lowest-index uncovered points are screened
-against every uncovered point with one exact ball screen (``core._BallScreen``,
-whose columns are prepared once per cover), the greedy order inside the
-block is settled from the sparse list of pairs inside the radius, and the
-covered points leave the columns held. The centers are those of the
-one-center-at-a-time loop, because the screen answers exactly as the
-distance kernel does.
+Every ball is read from one exact ball screen (``core._BallScreen``): a
+radius-free operand of the rows (``ball_operand``) is made once for all
+probes and once per cover, and ``members`` lists the pairs inside a
+radius, exactly as the distance kernel decides them. Covers are built in
+blocks: the lowest-index uncovered points are screened against every
+uncovered point, the greedy order inside the block is settled from the
+sparse list of pairs inside the radius, and the covered points leave the
+operand held. The centers are those of the one-center-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -83,19 +84,19 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
     Centers ascend, so a point's owner is its lowest-index center in reach.
 
     The subset's rows are prepared for the ball screen once
-    (``core._BallScreen.cover_columns``): for Euclidean one C-ordered Gram
-    operand of d + 2 rows (and the squared norms beside it), otherwise the
-    kernel rows. The cover holds a copy of the uncovered points' columns.
-    A covered column costs every later block d + 2 multiply-adds a row in
-    the Gram product but a kernel evaluation a row otherwise, so the
-    operand is compacted once a quarter of it is covered and the kernel
-    rows after every block.
+    (``core._BallScreen.ball_operand``): for Euclidean one C-ordered Gram
+    operand of d + 2 rows, a point per column, otherwise the kernel rows,
+    a point per row. The cover holds a copy of the uncovered points'
+    operand. A covered point costs every later block d + 2 multiply-adds a
+    row in the Gram product but a kernel evaluation a row otherwise, so
+    the Gram operand is compacted once a quarter of it is covered and the
+    kernel rows after every block.
 
     The work runs in blocks. The first b uncovered points (ascending) are
     candidates, and one product (or one kernel block) screens them against
-    every column held. ``cover_members`` lists the pairs within the radius,
+    every point held. ``members`` lists the pairs within the radius,
     exactly as the kernel's ``<=`` decides them (the kernel measures the
-    pairs within the band), and pairs with a covered column are dropped.
+    pairs within the band), and pairs with a covered point are dropped.
     Candidate 0 is a center; the next center is the first candidate no
     center so far covers, and so on. That is the loop's order exactly: the
     candidates are consecutive among the uncovered points, distances are
@@ -104,7 +105,7 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
     Every candidate is covered, by itself if it is picked (d = 0 <= r), so
     the loop ends; a point the block covers is owned by the first picked
     row that holds it. b is twice the centers the previous block found, at
-    most ``_BLOCK_ENTRIES`` entries against the columns held. The values of
+    most ``_BLOCK_ENTRIES`` entries against the points held. The values of
     every block go into one buffer made for the cover.
     """
     idx = np.asarray(subset)
@@ -122,10 +123,10 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
     subset = subset.astype(np.int64, copy=False)
     m = subset.size
     screen = _BallScreen(ds.metric, ds.kernel_rows, ds.dim)
-    columns, band = screen.cover_columns(subset, radius)
+    operand, reach = screen.ball_operand(subset)
     # The Gram operand holds a point per column, the kernel rows one per row.
-    axis = 0 if band is None else 1
-    # The point index and the subset position of each column held.
+    axis = 0 if reach is None else 1
+    # The point index and the subset position of each point held.
     held, where = subset, np.arange(m)
     live = np.ones(m, dtype=bool)
     remaining = m
@@ -136,15 +137,15 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
     size = 1
     while remaining:
         dead = held.size - remaining
-        if dead and (band is None or 4 * dead >= held.size):
+        if dead and (reach is None or 4 * dead >= held.size):
             keep = live.nonzero()[0]
-            columns = np.take(columns, keep, axis=axis)
+            operand = np.take(operand, keep, axis=axis)
             held, where, live = held[keep], where[keep], np.ones(keep.size, dtype=bool)
         width = held.size
         size = min(size, remaining, max(1, _BLOCK_ENTRIES // width))
         candidates = live.nonzero()[0][:size]
         block = buffer[: size * width].reshape(size, width)
-        rows, cols = np.divmod(screen.cover_members(held, candidates, columns, radius, band, block), width)
+        rows, cols = np.divmod(screen.members(held, candidates, operand, reach, radius, block), width)
         if remaining < width:
             alive = live[cols]
             rows, cols = rows[alive], cols[alive]
@@ -192,10 +193,11 @@ def probe_rows(ds: Dataset, probes: int, seed: int = 0) -> list[ProbeRecord]:
     bound of ``ds`` itself, the one its other estimators read: the first
     probe's radius is ``diameter_upper_bound(ds)``.
 
-    Every probe's ball comes from one ball screen of the distinct rows
-    (``core._BallScreen.within`` of the center against all of them), which
-    prepares the rows once and equals the kernel's ``<=`` element by
-    element, so the balls are those of a kernel scan per probe.
+    Every probe's ball is one sparse call (``core._BallScreen.members``
+    of the center against all distinct rows) on one operand of the
+    distinct rows, made once for all probes. It lists the rows inside
+    exactly as the kernel's ``<=`` decides them, so the balls are those of
+    a kernel scan per probe.
     """
     if probes < 1:
         raise InvalidInputError("need at least one probe")
@@ -211,9 +213,12 @@ def probe_rows(ds: Dataset, probes: int, seed: int = 0) -> list[ProbeRecord]:
     radii[0] = bound
 
     screen = _BallScreen(ds.metric, distinct.kernel_rows, ds.dim)
+    rows = np.arange(distinct.n)
+    operand, reach = screen.ball_operand(rows)
+    out = np.empty((1, distinct.n))
     records = []
     for center, radius in zip(centers.tolist(), radii.tolist()):
-        ball = np.flatnonzero(screen.within(np.array([center]), slice(None), radius))
+        ball = screen.members(rows, np.array([center]), operand, reach, radius, out)
         cover = greedy_cover(distinct, ball, radius / 2.0)
         records.append(ProbeRecord(int(keep[center]), float(radius), len(cover.centers)))
     return records

@@ -11,8 +11,6 @@ from metricdim.core import (
     Dataset,
     InvalidInputError,
     MetricKind,
-    counted_distance,
-    counted_distances_to,
     diameter_is_exact,
     diameter_upper_bound,
     distance,
@@ -262,8 +260,9 @@ def test_screen_counts_every_bit_of_rows_wider_than_float32_counts():
 
 
 # Layouts for the prepared screen: "offset" needs the centring, "scaled"
-# lies far inside the unit box, and "far-centre" moves the centre row
-# (row 0) away from the rest, so blocks without it have a large reach.
+# lies far inside the unit box, and "far-centre" moves row 0 away from the
+# rest, so an operand that holds it has a large reach, wherever it is
+# centred.
 SCREEN_LAYOUTS = {
     "offset": lambda g, shape: 1e8 + g.random(shape),
     "scaled": lambda g, shape: 1e-3 * g.standard_normal(shape),
@@ -281,14 +280,24 @@ def test_prepared_screen_equals_the_kernel_comparison(kind, data):
         rows = g.integers(0, 2, (n, dim)).astype(np.uint8)
     else:
         rows = SCREEN_LAYOUTS[data.draw(st.sampled_from(sorted(SCREEN_LAYOUTS)))](g, (n, dim))
-    # Index blocks in any order, with repeats, often without the centre row 0.
+    # Index blocks in any order, with repeats, often without row 0.
     low = data.draw(st.sampled_from([0, 1]))
     ia, ib = (np.array(data.draw(st.lists(st.integers(low, n - 1), min_size=1, max_size=30))) for _ in range(2))
-    values = pair_distances(kind, rows[ia][:, None], rows[ib][None])
+    # One operand holds ia then ib, centred on rows[ia[0]]; the block is ia
+    # against ib, or against the whole operand, as in a greedy cover.
+    held = np.concatenate([ia, ib])
+    start = data.draw(st.sampled_from([0, len(ia)]))
+    values = pair_distances(kind, rows[ia][:, None], rows[held[start:]][None])
     on = float(values.ravel()[data.draw(st.integers(0, values.size - 1))])
     near = st.sampled_from([on, np.nextafter(on, 0.0), np.nextafter(on, np.inf)])
-    radius = float(data.draw(st.one_of(near, near, st.sampled_from([1e-3, 1.0, math.inf]))))
-    got = core._BallScreen(kind, core._kernel_form(kind, rows), dim).within(ia, ib, radius)
+    # 0 and a subnormal radius lie below the screen's range.
+    radius = float(data.draw(st.one_of(near, near, st.sampled_from([0.0, 5e-324, 1e-3, 1.0, math.inf]))))
+    screen = core._BallScreen(kind, core._kernel_form(kind, rows), dim)
+    operand, reach = screen.ball_operand(held)
+    flat = screen.members(held, np.arange(len(ia)), operand, reach, radius, np.empty(values.shape), start)
+    assert (np.diff(flat) > 0).all()
+    got = np.zeros(values.shape, dtype=bool)
+    got.ravel()[flat] = True
     np.testing.assert_array_equal(got, values <= radius)
 
 
@@ -357,29 +366,21 @@ def test_pair_engine_reads_integer_rows_as_reals():
 class TestCountingOracle:
     def test_single_call(self):
         oracle = CountingOracle(EUCLID)
-        counted_distance(oracle, [0.0], [1.0])
+        oracle.add()
         assert oracle.count == 1
 
     def test_k_calls(self):
         oracle = CountingOracle(EUCLID)
         for _ in range(7):
-            counted_distance(oracle, [0.0], [1.0])
+            oracle.add()
         assert oracle.count == 7
         oracle.reset()
         assert oracle.count == 0
 
     def test_batch_counts_rows(self):
         oracle = CountingOracle(EUCLID)
-        counted_distances_to(oracle, [0.0, 0.0], np.zeros((5, 2)))
+        oracle.add(5)
         assert oracle.count == 5
-
-    def test_value_matches_uncounted_on_random_pairs(self):
-        rng = np.random.default_rng(3)
-        oracle = CountingOracle(EUCLID)
-        for _ in range(1000):
-            x, y = rng.normal(size=3), rng.normal(size=3)
-            assert counted_distance(oracle, x, y) == distance(EUCLID, x, y)
-        assert oracle.count == 1000
 
     def test_concurrent_increments_are_exact(self):
         import threading
@@ -743,8 +744,6 @@ class TestDatasetIO:
 QUERY_ENTRY_POINTS = {
     "distance": lambda ds, q: distance(ds.metric, q, ds.points[0]),
     "distances_to": lambda ds, q: distances_to(ds.metric, q, ds.points),
-    "counted_distance": lambda ds, q: counted_distance(CountingOracle(ds.metric), q, ds.points[0]),
-    "counted_distances_to": lambda ds, q: counted_distances_to(CountingOracle(ds.metric), q, ds.points),
     "range_query": lambda ds, q: range_query(build_pivot_index(ds, 2, RandomPivots(seed=1)), ds, q, 0.5),
     "sequential_scan": lambda ds, q: sequential_scan(ds, q, 0.5),
     "net_range_query": lambda ds, q: net_range_query(build_net_tree(ds)[0], ds, q, 0.5),
@@ -785,7 +784,6 @@ BAD_POINT_MATRICES = {
 }
 MATRIX_ENTRY_POINTS = {
     "distances_to": distances_to,
-    "counted_distances_to": lambda metric, q, points: counted_distances_to(CountingOracle(metric), q, points),
 }
 
 

@@ -131,17 +131,17 @@ def test_grid_cover_with_wide_blocks_picks_the_reference_centers(kind, monkeypat
     points = np.random.default_rng(7).integers(0, values, (1200, dim))
     ds = Dataset(points.astype(np.uint8 if kind.uses_bits else np.float64), kind)
     blocks, kernel_pairs = [], []
-    cover_members, kernel = core._BallScreen.cover_members, core._kernel
+    members, kernel = core._BallScreen.members, core._kernel
 
     def recorded_members(self, held, picks, *args):
         blocks.append(len(picks))
-        return cover_members(self, held, picks, *args)
+        return members(self, held, picks, *args)
 
     def recorded_kernel(metric, a, b, dim, *scratch):
         kernel_pairs.append(a.shape[0])
         return kernel(metric, a, b, dim, *scratch)
 
-    monkeypatch.setattr(core._BallScreen, "cover_members", recorded_members)
+    monkeypatch.setattr(core._BallScreen, "members", recorded_members)
     monkeypatch.setattr(core, "_kernel", recorded_kernel)
     got = greedy_cover(ds, np.arange(ds.n), radius)
     monkeypatch.undo()
@@ -161,28 +161,29 @@ def test_probe_rows_equal_the_reference_cover_records(family, monkeypatch):
 
 
 def recorded_cover(monkeypatch, ds, subset, radius):
-    """``greedy_cover(ds, subset, radius)`` with the band of its columns,
-    the column count of each block and the number of pairs the kernel
-    re-measured recorded."""
+    """``greedy_cover(ds, subset, radius)`` with the reach of its operand
+    (None where the blocks are the kernel's, with no band), the point
+    count of each block and the number of pairs the kernel re-measured
+    recorded."""
     log = {"bands": [], "widths": [], "kernel_pairs": 0}
-    cover_columns, cover_members, kernel = core._BallScreen.cover_columns, core._BallScreen.cover_members, core._kernel
+    ball_operand, members, kernel = core._BallScreen.ball_operand, core._BallScreen.members, core._kernel
 
-    def recorded_columns(self, ib, r):
-        columns, band = cover_columns(self, ib, r)
-        log["bands"].append(band)
-        return columns, band
+    def recorded_operand(self, ib):
+        operand, reach = ball_operand(self, ib)
+        log["bands"].append(reach)
+        return operand, reach
 
     def recorded_members(self, held, *args):
         log["widths"].append(len(held))
-        return cover_members(self, held, *args)
+        return members(self, held, *args)
 
     def recorded_kernel(metric, a, b, dim, *scratch):
         if not scratch:  # a re-measure; the kernel blocks write into buffers
             log["kernel_pairs"] += a.shape[0]
         return kernel(metric, a, b, dim, *scratch)
 
-    monkeypatch.setattr(core._BallScreen, "cover_columns", recorded_columns)
-    monkeypatch.setattr(core._BallScreen, "cover_members", recorded_members)
+    monkeypatch.setattr(core._BallScreen, "ball_operand", recorded_operand)
+    monkeypatch.setattr(core._BallScreen, "members", recorded_members)
     monkeypatch.setattr(core, "_kernel", recorded_kernel)
     got = greedy_cover(ds, subset, radius)
     monkeypatch.undo()
@@ -255,13 +256,14 @@ def test_probe_balls_are_the_kernel_scan_balls(kind, offset, monkeypatch):
         balls.append(np.asarray(ball).tolist())
         return reference_cover(ds, ball, radius)
 
-    def kernel_within(self, ia, ib, radius):
-        return core._kernel(self.metric, self.rows[ia][:, None], self.rows[ib][None], self.dim) <= radius
+    def kernel_members(self, held, picks, operand, reach, radius, out, start=0):
+        a, b = self.rows[held[picks]], self.rows[held[start:]]
+        return np.flatnonzero(core._kernel(self.metric, a[:, None], b[None], self.dim) <= radius)
 
     monkeypatch.setattr(doubling, "greedy_cover", recorded_cover)
     probe_rows(ds, probes=32, seed=3)
     got, balls = balls, []
-    monkeypatch.setattr(core._BallScreen, "within", kernel_within)
+    monkeypatch.setattr(core._BallScreen, "members", kernel_members)
     probe_rows(ds, probes=32, seed=3)
     assert got == balls
 
