@@ -236,6 +236,26 @@ def test_within_radius_decides_exact_ties_on_a_grid():
             assert (pair_distances(EUCLID, pts[:, None], pts[None]) == radius).any()
 
 
+# Radii outside the screen's range: every pair goes to the kernel. The
+# real rows hold a duplicate and a pair a subnormal step apart.
+OUT_OF_RANGE_RADII = {"zero": 0.0, "subnormal": 5e-324, "huge": 1e300, "infinite": math.inf}
+OUT_OF_RANGE_ROWS = {
+    "real": np.array([[0.0, 0.0], [0.0, 0.0], [5e-324, 0.0], [1.0, 1.0], [3.0, -4.0]]),
+    "bits": np.array([[0, 1, 1, 0], [0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 1, 1]], np.uint8),
+}
+
+
+@pytest.mark.parametrize("radius", OUT_OF_RANGE_RADII)
+@pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
+def test_within_radius_outside_the_screen_range_equals_the_kernel_comparison(kind, radius):
+    rows = OUT_OF_RANGE_ROWS["bits" if kind.uses_bits else "real"]
+    t = OUT_OF_RANGE_RADII[radius]
+    a, b = rows[:3], rows[1:]
+    expected = pair_distances(kind, a[:, None], b[None]) <= t
+    assert expected.any() and (expected.all() == (t >= 1.0))
+    np.testing.assert_array_equal(within_radius(kind, a, b, t), expected)
+
+
 def screen_widths(kind):
     """Row widths for the ball screen's tests. Bit rows also take one,
     two and eight packed words, with a ragged or a full last word."""
@@ -744,6 +764,7 @@ class TestDatasetIO:
 QUERY_ENTRY_POINTS = {
     "distance": lambda ds, q: distance(ds.metric, q, ds.points[0]),
     "distances_to": lambda ds, q: distances_to(ds.metric, q, ds.points),
+    "check_query": lambda ds, q: ds.check_query(q),
     "range_query": lambda ds, q: range_query(build_pivot_index(ds, 2, RandomPivots(seed=1)), ds, q, 0.5),
     "sequential_scan": lambda ds, q: sequential_scan(ds, q, 0.5),
     "net_range_query": lambda ds, q: net_range_query(build_net_tree(ds)[0], ds, q, 0.5),
@@ -783,6 +804,7 @@ BAD_POINT_MATRICES = {
     "real-values-under-hamming": (HAMMING, [0, 1], np.array([[0.0, 0.5], [1.0, 1.0]])),
 }
 MATRIX_ENTRY_POINTS = {
+    "Dataset": lambda metric, q, points: Dataset(points, metric),
     "distances_to": distances_to,
 }
 
