@@ -35,6 +35,7 @@ from .diststats import (
     default_mode,
     moments,
     nn_statistics,
+    pair_moments,
     pairwise_distances,
 )
 from .concentration import (

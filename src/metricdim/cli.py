@@ -44,8 +44,8 @@ from .diststats import (
     cnbym_dimension,
     dataset_cnbym,
     default_mode,
-    moments,
     nn_statistics,
+    pair_moments,
     pairwise_distances,
 )
 from .doubling import doubling_estimate
@@ -273,15 +273,18 @@ def run_estimate(path, metric: MetricKind, seed=DEFAULT_SEED, k=32, grid_size=20
         bound = diameter_upper_bound(ds)
         rows.append(["diameter_bound", bound])
         rows.append(["diameter_method", "exact-scan" if diameter_is_exact(ds.n) else "triangle-bound"])
-        sample = pairwise_distances(ds, default_mode(ds.n, seed=rng.derive_seed(seed, 10)))
-        if self_test and float(sample.values.max()) > bound * (1.0 + _PAIR_TOLERANCE):
+        mode = default_mode(ds.n, seed=rng.derive_seed(seed, 10))
+        if ds.n > 2:
+            summary, largest = pair_moments(ds, mode)
+            characteristic = summary.mean
+        else:
+            characteristic = largest = float(pairwise_distances(ds, mode).values[0])
+        if self_test and largest > bound * (1.0 + _PAIR_TOLERANCE):
             raise InvariantViolation("a sampled pair distance exceeds the diameter bound")
-        if sample.values.size >= 2:
-            summary = moments(sample)
-            rows.append(["characteristic_size", summary.mean])
+        rows.append(["characteristic_size", characteristic])
+        if ds.n > 2:
             rows.append(["dim_cnbym", cnbym_dimension(summary)])
         else:
-            rows.append(["characteristic_size", float(sample.values[0])])
             rows.append(["dim_cnbym", DEGENERATE])
             rows.append(["note", "two-point dataset; one pair distance has no variance"])
 
@@ -296,7 +299,7 @@ def run_estimate(path, metric: MetricKind, seed=DEFAULT_SEED, k=32, grid_size=20
             rows.append(["nn_ratio", DEGENERATE])
             rows.append(["note", "all points identical; leave-one-out leaves no nearest neighbor"])
         else:
-            nn = nn_statistics(ds, queries, leave_one_out=True, sample=sample)
+            nn = nn_statistics(ds, queries, leave_one_out=True, characteristic=characteristic)
             rows.append(["mean_eps_nn", nn.mean_eps_nn])
             rows.append(["nn_ratio", nn.ratio])
 

@@ -795,25 +795,51 @@ def _parse_bit_row(line: str, lineno: int) -> np.ndarray:
     return bits
 
 
+def _parse_real_lines(lines: list[str]) -> np.ndarray | None:
+    """The rows of ``lines`` (stripped data lines) as numpy's C parser
+    reads them, commas read as spaces, or None where it refuses a line,
+    skips one (a line of commas alone) or reads a value that is not finite.
+    It reads a number as Python's ``float`` does (both call CPython's
+    ``PyOS_string_to_double``), but refuses some that ``float`` takes, such
+    as ``1_000`` and non-ASCII digits."""
+    try:
+        points = np.loadtxt([line.replace(",", " ") for line in lines], ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if points.shape[0] != len(lines) or not np.isfinite(points).all():
+        return None
+    return points
+
+
 def load_dataset(path, metric: MetricKind) -> Dataset:
-    """Read a dataset file. The metric is supplied by the caller, never inferred."""
+    """Read a dataset file. The metric is supplied by the caller, never inferred.
+
+    Real-valued files are parsed whole by numpy's C parser
+    (``_parse_real_lines``). A file that it refuses, or with a value that
+    is not finite, is parsed again one row at a time, which takes what
+    ``float`` takes and otherwise names the first bad line and its reason.
+    So every file keeps the values and the refusal it would get from the
+    per-row parse alone.
+    """
     bits = _check_metric(metric).uses_bits
     text = Path(path).read_text()
-    rows = []
-    width = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        row = _parse_bit_row(stripped, lineno) if bits else _parse_real_row(stripped, lineno)
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise InvalidInputError(f"line {lineno}: row has {len(row)} coordinates, expected {width}")
-        rows.append(row)
-    if not rows:
+    numbered = [
+        (lineno, stripped)
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if (stripped := line.strip()) and not stripped.startswith("#")
+    ]
+    if not numbered:
         raise InvalidInputError(f"{path}: no data rows found")
-    return Dataset(np.asarray(rows, dtype=np.uint8 if bits else np.float64), metric)
+    points = None if bits else _parse_real_lines([line for _, line in numbered])
+    if points is None:
+        rows = []
+        for lineno, line in numbered:
+            row = _parse_bit_row(line, lineno) if bits else _parse_real_row(line, lineno)
+            if rows and len(row) != len(rows[0]):
+                raise InvalidInputError(f"line {lineno}: row has {len(row)} coordinates, expected {len(rows[0])}")
+            rows.append(row)
+        points = np.asarray(rows, dtype=np.uint8 if bits else np.float64)
+    return Dataset(points, metric)
 
 
 def format_points(ds: Dataset) -> str:

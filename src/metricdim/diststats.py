@@ -14,16 +14,21 @@ with replacement. Full enumeration reads the row bands of the one pair
 engine in ``core`` (``all_pair_distances``): Hamming, Manhattan and
 Chebyshev values are the kernel's own, Euclidean values are within 1e-9
 relative of them and unchanged by translating the points. The sample is
-drawn, gathered and measured in chunks of a fixed byte budget, on buffers
-made once per call and shared round-robin over a few threads (see
-``pairwise_distances``); only its distance vector is held whole. Neither
-the chunking nor the thread count changes a value: each draw is a pure
-function of its index, and the kernel measures each pair on its own.
+drawn, gathered and measured in chunks of a fixed byte budget, the leaves
+of numpy's pairwise-sum tree over the sample, on buffers made once per
+call and shared round-robin over a few threads (see ``_sample_leaves``).
+Neither the chunking nor the thread count changes a value: each draw is a
+pure function of its index, and the kernel measures each pair on its own.
 
-Either way the distances are held in one copy: full enumeration writes
-each band's triangle into the one output vector, and ``moments`` takes
-the variance's second pass in leaf-sized pieces, with numpy's own
-summation tree, so its value is ``values.var(ddof=1)`` to the bit.
+Enumerated distances are held in one copy, and a sample's moments hold
+none. Full enumeration writes each band's triangle into the one output
+vector, and ``moments`` takes the variance's second pass in leaf-sized
+pieces, with numpy's own summation tree, so its value is
+``values.var(ddof=1)`` to the bit. ``pair_moments`` folds a sample leaf by
+leaf instead, into a table of one row per leaf: its mean is the sample's
+``values.mean()`` to the bit, its variance within a few ulps of
+``values.var(ddof=1)``. ``estimate`` reads its pair statistics there, so
+only ``pairwise_distances`` builds a sample vector.
 """
 
 from __future__ import annotations
@@ -46,10 +51,15 @@ from .core import (
 )
 
 PAIR_BUDGET = 5_000_000
-_CHUNK_BYTES = 2**21
+# A chunk of sampled pairs gathers at most this many bytes of kernel rows
+# per side, and at least about half as many (see ``_sample_leaves``).
+_CHUNK_BYTES = 2**22
 # At most this many threads share one pair sample. Each holds two gathered
-# blocks of _CHUNK_BYTES, and the chunks are memory-bound numpy calls.
+# blocks of up to _CHUNK_BYTES, and the chunks are memory-bound numpy calls.
 _MAX_WORKERS = 4
+# numpy's pairwise sum adds at most this many values in one unrolled loop
+# and splits every longer run (PW_BLOCKSIZE in its loops_utils).
+_PAIRWISE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -104,26 +114,16 @@ def pairwise_distances(ds: Dataset, mode: PairMode | None = None) -> DistanceSam
     Sampled pairs are uniform over ordered pairs i != j, with replacement,
     then read as unordered: pair k takes i from draw k of counter stream 0
     and j from draw k of stream 1, shifted past i. The sample is built in
-    chunks of consecutive pair indices. Each chunk draws its own counters,
-    gathers its rows and writes its distances into the output, so neither
-    whole index array nor a gathered block of the whole sample is held.
+    chunks of consecutive pair indices (see ``_sample_leaves``). Each chunk
+    draws its own counters, gathers its rows and writes its distances into
+    the output, so neither whole index array nor a gathered block of the
+    whole sample is held. Only the output vector is full-size; statistics
+    that need just the moments and the largest value read ``pair_moments``,
+    which holds no such vector.
 
-    A chunk is sized by the bytes of kernel rows it gathers per side
-    (``_CHUNK_BYTES``), not by a pair count, because the cache sets the
-    best size: about 2 MB both for 16 float64 columns (16k pairs) and for
-    512 bits packed into 64-byte rows (32k pairs), so a pair count would
-    have to follow the row width.
-
-    The chunks go round-robin to one thread per usable CPU, at most
-    ``_MAX_WORKERS`` and at most one per chunk; a single worker runs in
-    the calling thread. Each worker draws, gathers and measures its chunks
-    on one set of buffers (see ``_sample_chunks``), so no chunk allocates,
-    and writes disjoint slices of the output. The buffers are allocated
-    here, in the calling thread: glibc would keep a worker's own
-    allocations in that thread's arena, which showed as peak memory. The
-    values depend neither on the chunking nor on the worker count: every
-    draw is a pure function of its index, and the kernel measures each
-    pair on its own.
+    The values depend neither on the chunking nor on the worker count:
+    every draw is a pure function of its index, and the kernel measures
+    each pair on its own.
     """
     if ds.n < 2:
         raise InvalidInputError("pairwise distances need at least 2 points")
@@ -131,16 +131,128 @@ def pairwise_distances(ds: Dataset, mode: PairMode | None = None) -> DistanceSam
         mode = default_mode(ds.n, seed=ds.seed if ds.seed is not None else 0)
     if isinstance(mode, AllPairs):
         return DistanceSample(all_pair_distances(ds.metric, ds.points), mode, ds.n)
-    rows = ds.kernel_rows
-    per_chunk = min(mode.m, max(1, _CHUNK_BYTES // rows[0].nbytes))
-    workers = min(_usable_cpus(), -(-mode.m // per_chunk), _MAX_WORKERS)
-    keys = (rng.stream_key(mode.seed, 0), rng.stream_key(mode.seed, 1))
-    steps = rng._counter_steps(per_chunk)
     out = np.empty(mode.m)
-    jobs = [
-        (ds, keys, steps, out, range(w * per_chunk, mode.m, workers * per_chunk), _chunk_buffers(rows, per_chunk))
-        for w in range(workers)
-    ]
+    _sample_leaves(ds, mode, out)
+    return DistanceSample(out, mode, ds.n)
+
+
+def pair_moments(ds: Dataset, mode: PairMode | None = None) -> tuple[MomentSummary, float]:
+    """``moments`` of the distances ``pairwise_distances(ds, mode)`` holds,
+    and their largest value, without a full-size vector for sampled pairs.
+
+    For ``AllPairs`` this is ``moments`` of the enumerated vector and its
+    maximum. For ``SampledPairs`` the sample is measured leaf by leaf (see
+    ``_sample_leaves``): the leaves are the nodes of numpy's pairwise-sum
+    tree over the m values that fit one chunk, each worker measures a leaf
+    into its own leaf buffer and writes the leaf's sum (``np.add.reduce``,
+    numpy's own tree below the leaf), its squared deviations about the
+    leaf mean (M2), its maximum and its ``fmin`` into the leaf's row of a
+    small table. Once the workers are done, ``_merged`` adds the sums back
+    up the same tree, so the mean is ``values.mean()`` of the vector
+    ``pairwise_distances`` would build, bit for bit, and merges the M2s by
+    Chan, Golub and LeVeque's pairwise update ("Algorithms for computing
+    the sample variance", Am. Stat. 1983). The variance is then within a
+    few ulps of ``values.var(ddof=1)``, not equal to it bit for bit. None
+    of the three depends on the worker count.
+
+    A negative distance is refused as ``DistanceSample`` refuses it, and
+    fewer than 2 values as ``moments`` refuses them.
+    """
+    if ds.n < 2:
+        raise InvalidInputError("pairwise distances need at least 2 points")
+    if mode is None:
+        mode = default_mode(ds.n, seed=ds.seed if ds.seed is not None else 0)
+    if isinstance(mode, AllPairs):
+        values = pairwise_distances(ds, mode).values
+        return moments(values), float(values.max())
+    if mode.m < 2:
+        raise InvalidInputError("moments need at least 2 distance values")
+    leaves, table = _sample_leaves(ds, mode)
+    if table[:, 3].min() < 0:
+        raise InvalidInputError("distances cannot be negative")
+    total, m2 = _merged(0, mode.m, dict(zip(leaves, table[:, :2].tolist())))
+    summary = MomentSummary(total / mode.m, m2 / (mode.m - 1), mode.m)
+    return summary, float(table[:, 2].max())
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pairwise_half(n: int) -> int:
+    """The first part's size where numpy's ``pairwise_sum`` splits n values
+    (n > ``_PAIRWISE_BLOCK``): half of n, rounded down to a multiple of 8."""
+    half = n // 2
+    return half - half % 8
+
+
+def _pairwise_leaves(start: int, stop: int, limit: int) -> list[tuple[int, int]]:
+    """The nodes of numpy's pairwise-sum tree over [start, stop) that hold
+    at most ``limit`` values (at least ``_PAIRWISE_BLOCK``) and whose parent
+    holds more, in order, as (start, stop) pairs."""
+    if stop - start <= limit:
+        return [(start, stop)]
+    mid = start + _pairwise_half(stop - start)
+    return _pairwise_leaves(start, mid, limit) + _pairwise_leaves(mid, stop, limit)
+
+
+def _merged(start: int, stop: int, leaves: dict) -> tuple[float, float]:
+    """(sum, M2) of the values [start, stop), from ``leaves``, the (sum, M2)
+    of each leaf by its (start, stop): sums added as numpy's pairwise sum
+    adds them, M2s merged by Chan et al.'s update with the difference of
+    the two parts' means."""
+    if (start, stop) in leaves:
+        return leaves[start, stop]
+    mid = start + _pairwise_half(stop - start)
+    (sa, qa), (sb, qb) = _merged(start, mid, leaves), _merged(mid, stop, leaves)
+    na, nb = mid - start, stop - mid
+    delta = sb / nb - sa / na
+    return sa + sb, qa + qb + delta * delta * (na * nb / (stop - start))
+
+
+def _sample_leaves(ds: Dataset, mode: SampledPairs, out: np.ndarray | None = None):
+    """Measure the pairs of ``mode`` in chunks, the leaves of numpy's
+    pairwise-sum tree over the m pairs that fit one chunk. With ``out`` (m
+    values) each leaf's distances go to their slice of it; without, each
+    worker measures a leaf into its own leaf buffer and writes the leaf's
+    sum, M2, maximum and ``fmin`` into its row of a table (see
+    ``_leaf_row``). Returns the leaves and the table (None with ``out``).
+
+    A chunk is sized by the bytes of kernel rows it gathers per side, not
+    by a pair count, because the cache sets the best size, so a pair count
+    would have to follow the row width. A leaf holds at most
+    ``_CHUNK_BYTES`` of rows per side, and the tree's halving leaves it at
+    least about half that: 19,531 pairs (2.4 MB) of 16 float64 columns or
+    39,062 pairs of 512 bits packed into 64-byte rows, for 5M pairs. On two
+    threads, the leaves of a 2 MiB budget, half those sizes, took 1.3-1.4x
+    as long (one thread ran both sizes alike). A leaf holds at least
+    numpy's pairwise block of 128 pairs, below which numpy's tree does not
+    split.
+
+    The leaves go round-robin to one thread per usable CPU, at most
+    ``_MAX_WORKERS`` and at most one per leaf; a single worker runs in the
+    calling thread. Each worker draws, gathers and measures its leaves on
+    one set of buffers (see ``_sample_chunks``), so no leaf allocates. The
+    buffers are allocated here, in the calling thread: glibc would keep a
+    worker's own allocations in that thread's arena, which showed as peak
+    memory. Workers write disjoint slices of ``out`` and rows of the table.
+    """
+    rows = ds.kernel_rows
+    leaves = _pairwise_leaves(0, mode.m, max(_PAIRWISE_BLOCK, _CHUNK_BYTES // rows[0].nbytes))
+    size = max(stop - start for start, stop in leaves)
+    workers = min(_usable_cpus(), len(leaves), _MAX_WORKERS)
+    keys = (rng.stream_key(mode.seed, 0), rng.stream_key(mode.seed, 1))
+    steps = rng._counter_steps(size)
+    table = None if out is not None else np.empty((len(leaves), 4))
+    numbered = [(k, start, stop) for k, (start, stop) in enumerate(leaves)]
+    jobs = []
+    for w in range(workers):
+        values = out if table is None else np.empty(size)
+        jobs.append((ds, keys, steps, numbered[w::workers], _chunk_buffers(rows, size), values, table))
     if workers == 1:
         _sample_chunks(*jobs[0])
     else:
@@ -151,15 +263,7 @@ def pairwise_distances(ds: Dataset, mode: PairMode | None = None) -> DistanceSam
         with ThreadPoolExecutor(workers) as pool:
             for future in [pool.submit(_sample_chunks, *job) for job in jobs]:
                 future.result()
-    return DistanceSample(out, mode, ds.n)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else every CPU."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return leaves, table
 
 
 def _chunk_buffers(rows: np.ndarray, size: int) -> tuple:
@@ -175,27 +279,41 @@ def _chunk_buffers(rows: np.ndarray, size: int) -> tuple:
     )
 
 
-def _sample_chunks(ds: Dataset, keys, steps: np.ndarray, out: np.ndarray, starts: range, buffers: tuple) -> None:
-    """Write the sampled distances of the chunks beginning at ``starts``
-    into ``out``, on ``buffers`` (see ``_chunk_buffers``) alone. ``keys``
-    and ``steps`` are the two streams' keys and their shared counter steps
-    (see ``rng._draw_range``), read only.
+def _sample_chunks(ds: Dataset, keys, steps: np.ndarray, leaves, buffers: tuple, out: np.ndarray, table) -> None:
+    """Measure the sampled pairs of each leaf ``(k, start, stop)`` on
+    ``buffers`` (see ``_chunk_buffers``) alone: into ``out[start:stop]``
+    when ``table`` is None, else into the head of ``out``, the worker's
+    leaf buffer, folded into ``table[k]`` by ``_leaf_row``. ``keys`` and
+    ``steps`` are the two streams' keys and their shared counter steps (see
+    ``rng._draw_range``), read only.
 
     The gathers clip instead of checking their indices: every draw lies in
     [0, bound) (see ``rng._draw_range``), and with ``out`` numpy's checked
     mode copies the block once more.
     """
     rows = ds.kernel_rows
-    size = buffers[0].size
-    for start in starts:
-        stop = min(start + size, out.size)
+    for k, start, stop in leaves:
         ii, jj, scratch, a, b = (buf[: stop - start] for buf in buffers)
         rng._draw_range(keys[0], start, stop, ds.n, out=ii, scratch=scratch, steps=steps)
         rng._draw_range(keys[1], start, stop, ds.n - 1, out=jj, scratch=scratch, steps=steps)
         jj += np.greater_equal(jj, ii, out=scratch)
         np.take(rows, ii, axis=0, out=a, mode="clip")
         np.take(rows, jj, axis=0, out=b, mode="clip")
-        ds.distances(a, b, out=out[start:stop])
+        if table is None:
+            ds.distances(a, b, out=out[start:stop])
+        else:
+            table[k] = _leaf_row(ds.distances(a, b, out=out[: stop - start]))
+
+
+def _leaf_row(values: np.ndarray) -> tuple:
+    """One leaf's sum (numpy's pairwise sum), squared deviations about its
+    own mean, maximum and ``fmin`` with an initial 0 (negative exactly where
+    ``DistanceSample`` would refuse the values). Overwrites ``values``."""
+    total = np.add.reduce(values)
+    largest = np.maximum.reduce(values)
+    lowest = np.fmin.reduce(values, initial=0.0)
+    deviations = np.subtract(values, total / values.size, out=values)
+    return total, np.add.reduce(np.multiply(deviations, deviations, out=deviations)), largest, lowest
 
 
 @dataclass(frozen=True)
@@ -259,8 +377,8 @@ def moments(sample) -> MomentSummary:
 
     Here the squared deviations are summed by ``_squared_deviations``, which
     splits the vector as numpy's ``pairwise_sum`` splits a contiguous one
-    (halves, the first rounded down to a multiple of 8) until a piece
-    fits one leaf-sized buffer of ``core._SCAN_BYTES // 8`` values. Each
+    (``_pairwise_half``) until a piece fits one leaf-sized buffer of
+    ``core._SCAN_BYTES // 8`` values. Each
     leaf's deviations are squared into that buffer and summed by
     ``np.add.reduce``, which runs ``pairwise_sum`` on the leaf, and the
     partial sums are added back up the same tree. Any leaf of at least
@@ -268,6 +386,10 @@ def moments(sample) -> MomentSummary:
     is numpy's to the last bit. ``test_moments_equal_numpy_bit_for_bit``
     pins this on the installed numpy, for sizes around the leaf and
     numpy's block and up to 5,000,000 values.
+
+    This needs the values held; ``pair_moments`` gives the same summary of
+    a dataset's pairs without holding a sampled vector, its variance within
+    a few ulps of this one.
     """
     values = _sample_values(sample)
     if values.size < 2:
@@ -285,8 +407,7 @@ def _squared_deviations(values: np.ndarray, mean, buffer: np.ndarray):
     if n <= buffer.size:
         leaf = np.subtract(values, mean, out=buffer[:n])
         return np.add.reduce(np.multiply(leaf, leaf, out=leaf))
-    half = n // 2
-    half -= half % 8
+    half = _pairwise_half(n)
     return _squared_deviations(values[:half], mean, buffer) + _squared_deviations(values[half:], mean, buffer)
 
 
@@ -304,7 +425,7 @@ def cnbym_dimension(summary: MomentSummary):
 
 
 def dataset_cnbym(ds: Dataset, mode: PairMode | None = None):
-    return cnbym_dimension(moments(pairwise_distances(ds, mode)))
+    return cnbym_dimension(pair_moments(ds, mode)[0])
 
 
 @dataclass(frozen=True)
@@ -319,16 +440,17 @@ def nn_statistics(
     queries: Dataset,
     oracle: CountingOracle | None = None,
     leave_one_out: bool = False,
-    sample: DistanceSample | None = None,
+    characteristic: float | None = None,
 ) -> NNStats:
     """Mean nearest-neighbor distance of the queries against the dataset,
     the dataset's mean pairwise distance (characteristic size), and their
     ratio.
 
-    ``sample`` is a pair sample of ``ds`` the caller already holds; without
-    one, the default-mode sample is drawn here. With ``leave_one_out`` a
-    query's coordinate-identical data points are excluded from its own NN
-    search.
+    ``characteristic`` is the mean pair distance of ``ds`` that the caller
+    already holds (``pair_moments``' mean); without one, the mean of the
+    default-mode pairs is computed here: the one distance of a two-point
+    dataset, and 0 for a single point. With ``leave_one_out`` a query's
+    coordinate-identical data points are excluded from its own NN search.
 
     The queries and the data rows go into one ball screen, as in
     ``within_radius``, and ``core._BallScreen.nearest`` reads each query's
@@ -344,8 +466,6 @@ def nn_statistics(
         raise InvalidInputError("nn statistics need nonempty data and queries")
     if queries.dim != ds.dim or queries.metric is not ds.metric:
         raise InvalidInputError("queries do not match the dataset's dimension and metric")
-    if sample is not None and sample.n != ds.n:
-        raise InvalidInputError("the pair sample was not drawn from this dataset")
     screen = _BallScreen(ds.metric, np.concatenate([queries.kernel_rows, ds.kernel_rows]), ds.dim)
     nearest = screen.nearest(queries.n, leave_one_out)
     if oracle is not None:
@@ -356,8 +476,11 @@ def nn_statistics(
     for value in nearest.tolist():
         nn_sum += value
     mean_eps_nn = nn_sum / queries.n
-    characteristic = 0.0
-    if ds.n >= 2:
-        characteristic = float((sample if sample is not None else pairwise_distances(ds)).values.mean())
+    if characteristic is None:
+        characteristic = 0.0
+        if ds.n == 2:
+            characteristic = float(pairwise_distances(ds).values[0])
+        elif ds.n > 2:
+            characteristic = pair_moments(ds)[0].mean
     ratio = DEGENERATE if characteristic == 0.0 else mean_eps_nn / characteristic
     return NNStats(mean_eps_nn, characteristic, ratio)

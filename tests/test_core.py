@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from metricdim import core, rng
@@ -641,6 +641,29 @@ def test_nearest_distance_of_a_lone_row_is_infinite():
     assert core._extremes(Dataset(np.array([[0.5, 2.0]]), EUCLID))[1].tolist() == [math.inf]
 
 
+# Subnormals, the extremes of the double range and both zeros.
+EDGE_FLOATS = [5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308, -0.0, 0.0]
+
+# Files that numpy's C parser refuses or misreads, each with the rows the
+# per-row parse gives or its refusal.
+PER_ROW_FILES = {
+    "underscore": ("1_000 2\n3 4\n", [[1000.0, 2.0], [3.0, 4.0]]),
+    "arabic-indic-digit": ("١ 2\n", [[1.0, 2.0]]),
+    "inline-comment": ("1 2 # x\n", "line 1: not a numeric row: could not convert string to float: '#'"),
+    "commas-alone": ("1 2\n,\n3 4\n", "line 2: row has 0 coordinates, expected 2"),
+    "overflow": ("1 2\n1e309 0\n", "line 2: coordinates must be finite"),
+    "nan": ("nan 2\n", "line 1: coordinates must be finite"),
+    "ragged": ("1 2\n3\n", "line 2: row has 1 coordinates, expected 2"),
+}
+
+
+def per_row_load(path, metric=EUCLID):
+    """``load_dataset`` with numpy's C parser refusing every file."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_parse_real_lines", lambda lines: None)
+        return load_dataset(path, metric)
+
+
 class TestDatasetIO:
     def test_real_round_trip(self, tmp_path):
         ds = Dataset(np.array([[0.25, -1.5], [3.0, 4.0]]), EUCLID, seed=9)
@@ -702,6 +725,37 @@ class TestDatasetIO:
         # a cast to uint8 first would make both rows [0, 1]
         with pytest.raises(InvalidInputError):
             Dataset(np.array([[256, 1], [0, 1]]), HAMMING)
+
+    @given(data=st.data(), width=st.integers(1, 5), n=st.integers(1, 8))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_c_parser_reads_what_the_per_row_parse_reads(self, data, width, n, tmp_path):
+        floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS))
+        forms = st.sampled_from([repr, "%e".__mod__, "%g".__mod__, "%.17g".__mod__])
+        separators = st.sampled_from([" ", ",", "\t", ", ", " ,\t", ",,"])
+        lines = []
+        for _ in range(n):
+            fields = [data.draw(forms)(data.draw(floats)) for _ in range(width)]
+            fields = ["+" + f if data.draw(st.booleans()) and not f.startswith("-") else f for f in fields]
+            row = fields[0] + "".join(data.draw(separators) + f for f in fields[1:])
+            lines += data.draw(st.lists(st.sampled_from(["", "  ", "# x y", "  # 1 2"]), max_size=2))
+            lines.append(data.draw(st.sampled_from(["", " ", "\t"])) + row + data.draw(st.sampled_from(["", " ", ","])))
+        path = tmp_path / "pts.txt"
+        path.write_bytes(data.draw(st.sampled_from(["\n", "\r\n"])).join(lines).encode())
+        data_lines = [line.strip() for line in path.read_text().splitlines() if line.strip()[:1] not in ("", "#")]
+        assert core._parse_real_lines(data_lines) is not None  # no file here takes the fallback
+        assert load_dataset(path, EUCLID).points.tobytes() == per_row_load(path).points.tobytes()
+
+    @pytest.mark.parametrize("text, expected", PER_ROW_FILES.values(), ids=PER_ROW_FILES)
+    def test_files_the_c_parser_refuses_take_the_per_row_parse(self, text, expected, tmp_path):
+        path = tmp_path / "pts.txt"
+        path.write_text(text)
+        if isinstance(expected, str):
+            for load in (load_dataset, per_row_load):
+                with pytest.raises(InvalidInputError, match=f"^{expected}$"):
+                    load(path, EUCLID)
+        else:
+            assert load_dataset(path, EUCLID).points.tolist() == per_row_load(path).points.tolist() == expected
+        assert core._parse_real_lines(text.splitlines()) is None
 
     def test_real_bit_values_that_truncate_rejected(self):
         with pytest.raises(InvalidInputError):

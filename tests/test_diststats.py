@@ -26,6 +26,7 @@ from metricdim.diststats import (
     default_mode,
     moments,
     nn_statistics,
+    pair_moments,
     pairwise_distances,
 )
 from metricdim.generate import Family, GeneratorSpec, generate
@@ -149,9 +150,9 @@ def test_sample_is_independent_of_the_chunking(metric, monkeypatch):
     dim, n, m, seed = 6, 40, 1003, 11
     pts = rng.matrix_bits(3, n, dim) if metric.uses_bits else rng.matrix_normals(3, n, dim)
     ds = Dataset(pts, metric)
-    per_chunk = 7
-    # Seven pairs per chunk: 143 whole chunks and a ragged tail of two.
-    monkeypatch.setattr(diststats, "_CHUNK_BYTES", per_chunk * ds.kernel_rows[0].nbytes)
+    # A budget of seven rows gives chunks of at most numpy's 128-value
+    # pairwise block: nine leaves of 64 to 128 pairs.
+    monkeypatch.setattr(diststats, "_CHUNK_BYTES", 7 * ds.kernel_rows[0].nbytes)
     chunked = pairwise_distances(ds, SampledPairs(m, seed)).values
     ii = rng.integers(seed, m, n, stream=0)
     jj = rng.integers(seed, m, n - 1, stream=1)
@@ -165,7 +166,7 @@ def test_sample_is_independent_of_the_worker_count(metric, monkeypatch):
     dim, n, m, seed = 6, 40, 1003, 11
     pts = rng.matrix_bits(3, n, dim) if metric.uses_bits else rng.matrix_normals(3, n, dim)
     ds = Dataset(pts, metric)
-    # Seven pairs per chunk: 143 whole chunks and a ragged tail of two.
+    # Nine leaves of 64 to 128 pairs (see the chunking test).
     monkeypatch.setattr(diststats, "_CHUNK_BYTES", 7 * ds.kernel_rows[0].nbytes)
     ii = rng.integers(seed, m, n, stream=0)
     jj = rng.integers(seed, m, n - 1, stream=1)
@@ -324,6 +325,77 @@ class TestOneCopyOfTheDistances:
         output = 2000 * 1999 // 2 * 8
         assert traced_peak(lambda: core.all_pair_distances(EUCLID, points)) < output + 4 * 2**20
 
+    def test_sampled_pair_moments_hold_no_sample_vector(self, monkeypatch):
+        # One worker's buffers and the leaf table, against the 40 MB that
+        # pairwise_distances holds for the same sample.
+        monkeypatch.setattr(diststats, "_usable_cpus", lambda: 1)
+        ds = Dataset(rng.matrix_normals(5, 10_000, 16), EUCLID)
+        assert traced_peak(lambda: pair_moments(ds, SampledPairs(5_000_000, 0))) < 8 * 2**20
+
+
+def fold_dataset(metric):
+    pts = rng.matrix_bits(8, 500, 70) if metric.uses_bits else rng.matrix_normals(8, 500, 16)
+    return Dataset(pts, metric)
+
+
+def leaf_limit(ds):
+    return max(diststats._PAIRWISE_BLOCK, diststats._CHUNK_BYTES // ds.kernel_rows[0].nbytes)
+
+
+# Each metric at its own leaf limit (32,768 pairs for 16 float64 columns,
+# 262,144 for 70 bits in two words) and one pair either side, then sizes
+# of many leaves: an odd one and estimate's 5,000,000.
+FOLD_CASES = [(metric, size) for metric in MetricKind for size in ["limit-1", "limit", "limit+1", 1_000_003]]
+FOLD_CASES += [(EUCLID, 5_000_000), (MetricKind.HAMMING, 5_000_000)]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("metric, size", FOLD_CASES, ids=lambda c: getattr(c, "value", str(c)))
+def test_pair_moments_fold_the_sample(metric, size, workers, monkeypatch):
+    monkeypatch.setattr(diststats, "_usable_cpus", lambda: workers)
+    ds = fold_dataset(metric)
+    m = leaf_limit(ds) + {"limit-1": -1, "limit": 0, "limit+1": 1}[size] if isinstance(size, str) else size
+    mode = SampledPairs(m, 17)
+    summary, largest = pair_moments(ds, mode)
+    values = pairwise_distances(ds, mode).values
+    assert summary.count == m
+    assert summary.mean.hex() == float(values.mean()).hex()
+    expected = float(values.var(ddof=1))
+    assert abs(summary.variance - expected) <= 1e-15 * expected
+    assert largest == float(values.max())
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.value)
+def test_pair_moments_of_all_pairs_are_the_vector_moments(metric):
+    ds = fold_dataset(metric)
+    values = pairwise_distances(ds, ALL_PAIRS).values
+    summary, largest = pair_moments(ds, ALL_PAIRS)
+    assert summary == moments(values)
+    assert largest == float(values.max())
+
+
+def test_pair_moments_keep_the_sample_refusals(monkeypatch):
+    ds = fold_dataset(EUCLID)
+    with pytest.raises(InvalidInputError, match="at least 2 distance values"):
+        pair_moments(ds, SampledPairs(1, 0))
+    with pytest.raises(InvalidInputError, match="at least 2 points"):
+        pair_moments(Dataset(np.zeros((1, 3)), EUCLID), SampledPairs(5, 0))
+    # 135 pairs in leaves of at most 128 make two leaves, of 64 and 71
+    # pairs; a kernel returns one negative distance in the second.
+    kernel = Dataset.distances
+
+    def negative_in_the_second_leaf(self, a, b, out=None):
+        values = kernel(self, a, b, out)
+        if out is not None and out.size == 71:
+            values[-1] = -1e-300
+        return values
+
+    monkeypatch.setattr(Dataset, "distances", negative_in_the_second_leaf)
+    monkeypatch.setattr(diststats, "_CHUNK_BYTES", 0)
+    for measure in (pair_moments, pairwise_distances):
+        with pytest.raises(InvalidInputError, match="distances cannot be negative"):
+            measure(ds, SampledPairs(135, 0))
+
 
 class TestCnbym:
     def test_uniform_segment_exact_moments(self):
@@ -462,18 +534,17 @@ def test_nn_statistics_equal_the_kernel_loop(kind, layout, leave_one_out, monkey
     g = np.random.default_rng(1)
     own = Dataset(ds.points[g.choice(ds.n, 200, replace=False)], kind)
     other = nn_dataset(kind, layout, 40, dim, seed=99)
-    sample = pairwise_distances(ds, SampledPairs(1000, 0))
+    characteristic = pair_moments(ds, SampledPairs(1000, 0))[0].mean
     for queries in (own, other):
         oracle = core.CountingOracle(kind)
-        got = nn_statistics(ds, queries, oracle, leave_one_out=leave_one_out, sample=sample)
+        got = nn_statistics(ds, queries, oracle, leave_one_out=leave_one_out, characteristic=characteristic)
         assert got.mean_eps_nn == reference_mean_nn(ds, queries, leave_one_out)
         assert oracle.count == ds.n * queries.n
         # A mean can hide an ulp; one query's mean is its minimum itself.
         for q in queries.points[:20]:
             one = Dataset(q[None], kind)
-            assert nn_statistics(ds, one, leave_one_out=leave_one_out, sample=sample).mean_eps_nn == reference_mean_nn(
-                ds, one, leave_one_out
-            )
+            got = nn_statistics(ds, one, leave_one_out=leave_one_out, characteristic=characteristic)
+            assert got.mean_eps_nn == reference_mean_nn(ds, one, leave_one_out)
 
 
 @pytest.mark.parametrize("leave_one_out", [False, True])
