@@ -13,9 +13,9 @@ invariant check fails.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .core import (
     _distinct_rows,
     diameter_is_exact,
     diameter_upper_bound,
-    format_points,
+    format_point_blocks,
     load_dataset,
 )
 from .diststats import (
@@ -234,8 +234,20 @@ def run_nettree_stats(workloads, n=2000, queries=50, probes=64, target=10, seed=
     return _render("nettree-stats", config, columns, rows)
 
 
-def run_generate(family, d, n, seed=DEFAULT_SEED) -> str:
-    ds = generate(GeneratorSpec(family, d, n, seed))
+def run_generate(family, d, n, seed=DEFAULT_SEED, self_test=False):
+    """The dataset of ``GeneratorSpec(family, d, n, seed)`` in the ingestion
+    format, after a header of comment lines, as an iterator of text blocks
+    (``format_point_blocks``), so the whole text is never held.
+
+    The dataset is made before this returns, and with ``self_test`` it is
+    made again and the two renders are compared block by block, so a
+    refusal or a failed check comes before any output."""
+    spec = GeneratorSpec(family, d, n, seed)
+    ds = generate(spec)
+    if self_test:
+        for block, again in itertools.zip_longest(format_point_blocks(ds), format_point_blocks(generate(spec))):
+            if block != again:
+                raise InvariantViolation("generation is not deterministic")
     header = [
         "# command=generate",
         f"# family={family.value}",
@@ -246,7 +258,7 @@ def run_generate(family, d, n, seed=DEFAULT_SEED) -> str:
         "# rng=splitmix64-counter",
         f"# version={__version__}",
     ]
-    return "\n".join(header) + "\n" + format_points(ds)
+    return itertools.chain(["\n".join(header) + "\n"], format_point_blocks(ds))
 
 
 NN_QUERY_CAP = 200
@@ -480,12 +492,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args) -> str:
+def _dispatch(args):
+    """The output of the command ``args`` names, as an iterable of text
+    blocks: ``generate``'s as it is rendered, every other command's whole."""
     if args.command == "generate":
-        text = run_generate(_FAMILIES[args.family], args.d, args.n, args.seed)
-        if args.self_test and text != run_generate(_FAMILIES[args.family], args.d, args.n, args.seed):
-            raise InvariantViolation("generation is not deterministic")
-        return text
+        return run_generate(_FAMILIES[args.family], args.d, args.n, args.seed, args.self_test)
+    return [_report(args)]
+
+
+def _report(args) -> str:
     if args.command == "estimate":
         return run_estimate(args.path, _METRICS[args.metric], args.seed, args.k, args.grid, args.probes, args.self_test)
     if args.command == "fig-a":
@@ -512,11 +527,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        text = _dispatch(args)
+        blocks = _dispatch(args)
         if args.out:
-            Path(args.out).write_text(text)
+            # Opened only now: a refusal leaves no file.
+            with open(args.out, "w") as out:
+                out.writelines(blocks)
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(blocks)
         return 0
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -85,6 +85,7 @@ from __future__ import annotations
 
 import math
 import threading
+import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -221,12 +222,12 @@ def _kernel(
     values are the same bits.
 
     Hamming adds up the popcounts of the XORed words one 64-bit word at a
-    time, into a zeroed float64 result: numpy's ``sum`` over the short
-    word axis took two to three times as long on blocks of rows of one to
-    eight words. Bit counts are integers, exact in every dtype they pass
-    through, so the order of the additions changes no bit. Each word
-    costs one pass per call, so from about 64 words a row the loop is the
-    slower of the two."""
+    time, into a float64 result that starts as the first word's counts:
+    numpy's ``sum`` over the short word axis took two to three times as
+    long on blocks of rows of one to eight words. Bit counts are integers,
+    exact in every dtype they pass through, so the order of the additions
+    changes no bit. Each word costs one pass per call, so from about 64
+    words a row the loop is the slower of the two."""
     if out is not None and work is None:
         work = a
     if metric is MetricKind.EUCLIDEAN:
@@ -237,9 +238,12 @@ def _kernel(
     if metric is MetricKind.CHEBYSHEV:
         return np.abs(np.subtract(a, b, out=work), out=work).max(axis=-1, out=out)
     counts = np.bitwise_count(np.bitwise_xor(a, b, out=work))
-    total = np.empty(counts.shape[:-1]) if out is None else out
-    total.fill(0.0)
-    for word in range(counts.shape[-1]):
+    if out is None:
+        total = counts[..., 0].astype(np.float64)
+    else:
+        total = out
+        np.copyto(total, counts[..., 0])
+    for word in range(1, counts.shape[-1]):
         total += counts[..., word]
     return np.divide(total, dim, out=out)
 
@@ -348,27 +352,30 @@ class _BallScreen:
             _kernel(self.metric, rows, b[None], self.dim, out[k : k + step], work)
         return out
 
-    def ball_operand(self, ib: np.ndarray) -> tuple[np.ndarray, float | None]:
-        """Rows ``ib`` (a non-empty index array) as the operand of
-        ``members``, as ``(operand, reach)``. The operand holds no radius,
-        so one serves every ball over these rows.
+    def ball_operand(self, ib) -> tuple[np.ndarray, float | None]:
+        """Rows ``ib`` (a non-empty index array, or a slice, which reads
+        the rows without a gathered copy) as the operand of ``members``, as
+        ``(operand, reach)``. The operand holds no radius, so one serves
+        every ball over these rows.
 
         For Euclidean, with the reach R = 2 max |x'| inside
-        ``_SCREEN_RANGE``, x' = x - rows[ib[0]], ``operand`` is the
-        C-ordered (d+2) x m matrix whose column j is [x_j', 1, |x_j'|^2].
-        Otherwise it is the kernel rows ``ib`` and ``reach`` is None."""
+        ``_SCREEN_RANGE``, x' = x - x_0 for the first row x_0 of ``ib``,
+        ``operand`` is the C-ordered (d+2) x m matrix whose column j is
+        [x_j', 1, |x_j'|^2]. Otherwise it is the kernel rows ``ib`` (for a
+        slice, a view of the screen's rows) and ``reach`` is None."""
+        block = self.rows[ib]
         if self.metric is MetricKind.EUCLIDEAN:
             d = self.dim
-            operand = np.empty((d + 2, len(ib)))
+            operand = np.empty((d + 2, len(block)))
             with np.errstate(over="ignore", invalid="ignore"):
-                np.subtract(self.rows[ib].T, self.rows[ib[0], :, None], out=operand[:d])
+                np.subtract(block.T, block[0, :, None], out=operand[:d])
                 np.einsum("ij,ij->j", operand[:d], operand[:d], out=operand[d + 1])
             reach = 2.0 * math.sqrt(operand[d + 1].max())
             lo, hi = _SCREEN_RANGE
             if lo <= reach <= hi:
                 operand[d] = 1.0
                 return operand, reach
-        return self.rows[ib], None
+        return block, None
 
     def members(
         self,
@@ -579,7 +586,7 @@ def within_radius(metric: MetricKind, a: np.ndarray, b: np.ndarray, radius: floa
     """
     screen = _BallScreen(metric, _kernel_form(metric, np.concatenate([a, b])), a.shape[1])
     rows = np.arange(len(a) + len(b))
-    operand, reach = screen.ball_operand(rows)
+    operand, reach = screen.ball_operand(slice(None))
     inside = np.zeros((len(a), len(b)), dtype=bool)
     inside.ravel()[screen.members(rows, rows[: len(a)], operand, reach, radius, np.empty(inside.shape), len(a))] = True
     return inside
@@ -774,6 +781,13 @@ def first_occurrence_indices(points: np.ndarray) -> np.ndarray:
 # (separators tolerated). Lines starting with '#' are header/comment lines.
 # ---------------------------------------------------------------------------
 
+# A file is read, and points are rendered, in blocks of about this many
+# characters. A text file's read of n characters holds about 4n bytes (the
+# bytes read, which it keeps for ``tell``, the decoded characters and their
+# copy returned): ``tracemalloc`` read 4.0 MB for reads of 2**20 characters
+# and 1.0 MB for 2**18, and a 10k x 16 file loaded in the same time either way.
+_TEXT_BLOCK = 2**18
+
 
 def _parse_real_row(line: str, lineno: int) -> list[float]:
     fields = line.replace(",", " ").split()
@@ -803,7 +817,11 @@ def _parse_real_lines(lines: list[str]) -> np.ndarray | None:
     ``PyOS_string_to_double``), but refuses some that ``float`` takes, such
     as ``1_000`` and non-ASCII digits."""
     try:
-        points = np.loadtxt([line.replace(",", " ") for line in lines], ndmin=2, comments=None)
+        with warnings.catch_warnings():
+            # Lines of commas alone read as no data, which numpy warns of;
+            # the row count below refuses them.
+            warnings.simplefilter("ignore", UserWarning)
+            points = np.loadtxt([line.replace(",", " ") for line in lines], ndmin=2, comments=None)
     except ValueError:
         return None
     if points.shape[0] != len(lines) or not np.isfinite(points).all():
@@ -811,43 +829,121 @@ def _parse_real_lines(lines: list[str]) -> np.ndarray | None:
     return points
 
 
+def _parse_rows(numbered: list[tuple[int, str]], bits: bool, width: int | None) -> np.ndarray:
+    """The per-row parse of ``(lineno, stripped line)`` data lines: each
+    row as ``float`` (or the 0/1 characters) reads it, every row ``width``
+    values long (the first row's length when ``width`` is None), or
+    ``InvalidInputError`` naming the first bad line and its reason."""
+    rows = []
+    for lineno, line in numbered:
+        row = _parse_bit_row(line, lineno) if bits else _parse_real_row(line, lineno)
+        width = len(row) if width is None else width
+        if len(row) != width:
+            raise InvalidInputError(f"line {lineno}: row has {len(row)} coordinates, expected {width}")
+        rows.append(row)
+    return np.asarray(rows, dtype=np.uint8 if bits else np.float64)
+
+
+# The characters at which ``str.splitlines`` breaks lines, but for "\r":
+# files are read with universal newlines, which turn "\r\n" and "\r" into
+# "\n", also where a chunk ends between "\r" and "\n".
+_LINE_BREAKS = "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _data_line_blocks(path):
+    """The data lines of the file at ``path``, as lists of ``(lineno,
+    stripped line)``, one list per ``_TEXT_BLOCK`` characters read.
+
+    The lines and their numbers are those of ``text.splitlines()`` over the
+    whole text (which ``Path.read_text`` reads with the same universal
+    newlines): each chunk is split with ``splitlines``, and a last line
+    that no line break ends is carried into the next chunk's first line.
+    Iterating the file object would split only at ``\\n`` and ``\\r``, not
+    at ``\\f``, ``\\v``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and
+    ``\\u2029``. A line is held once: ``strip`` returns a line without
+    surrounding blanks itself, not a copy."""
+    with Path(path).open() as file:
+        start, carry = 1, ""
+        while chunk := file.read(_TEXT_BLOCK):
+            lines = chunk.splitlines()
+            lines[0] = carry + lines[0]
+            carry = "" if chunk[-1] in _LINE_BREAKS else lines.pop()
+            del chunk
+            if numbered := _data_lines(lines, start):
+                yield numbered
+            start += len(lines)
+        if numbered := _data_lines([carry], start):
+            yield numbered
+
+
+def _data_lines(lines: list[str], start: int) -> list[tuple[int, str]]:
+    """``(lineno, stripped line)`` of the lines that are neither blank nor
+    comments, numbered from ``start``."""
+    return [
+        (lineno, stripped)
+        for lineno, line in enumerate(lines, start)
+        if (stripped := line.strip()) and not stripped.startswith("#")
+    ]
+
+
 def load_dataset(path, metric: MetricKind) -> Dataset:
     """Read a dataset file. The metric is supplied by the caller, never inferred.
 
-    Real-valued files are parsed whole by numpy's C parser
-    (``_parse_real_lines``). A file that it refuses, or with a value that
-    is not finite, is parsed again one row at a time, which takes what
-    ``float`` takes and otherwise names the first bad line and its reason.
-    So every file keeps the values and the refusal it would get from the
-    per-row parse alone.
+    The file is read in blocks of lines (``_data_line_blocks``), so its
+    whole text is never held. Each block of a real-valued file is parsed by
+    numpy's C parser (``_parse_real_lines``). A block that it refuses, that
+    has a value that is not finite, or whose column count differs from the
+    rows before it is parsed one row at a time (``_parse_rows``), which
+    takes what ``float`` takes and otherwise names the first bad line and
+    its reason; bit files are parsed that way throughout. The C parser
+    reads every block it accepts as the per-row parse does, so every file
+    keeps the values and the refusal it would get from the per-row parse of
+    the whole file.
+
+    The blocks are written into one array as they come, grown in place
+    (``ndarray.resize``, a ``realloc``) and cut to the rows read, so the
+    points are built in it and in the ``Dataset``'s copy alone.
     """
     bits = _check_metric(metric).uses_bits
-    text = Path(path).read_text()
-    numbered = [
-        (lineno, stripped)
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        if (stripped := line.strip()) and not stripped.startswith("#")
-    ]
-    if not numbered:
-        raise InvalidInputError(f"{path}: no data rows found")
-    points = None if bits else _parse_real_lines([line for _, line in numbered])
+    points, n = None, 0
+    for numbered in _data_line_blocks(path):
+        width = None if points is None else points.shape[1]
+        block = None if bits else _parse_real_lines([line for _, line in numbered])
+        if block is None or width not in (None, block.shape[1]):
+            block = _parse_rows(numbered, bits, width)
+        if points is None:
+            points = np.empty((0, block.shape[1]), dtype=block.dtype)
+        if n + len(block) > len(points):
+            # No view of the array outlives its statement; refcheck would
+            # also count a tracer's references to this frame's locals.
+            points.resize((max(2 * len(points), n + len(block)), points.shape[1]), refcheck=False)
+        points[n : n + len(block)] = block
+        n += len(block)
     if points is None:
-        rows = []
-        for lineno, line in numbered:
-            row = _parse_bit_row(line, lineno) if bits else _parse_real_row(line, lineno)
-            if rows and len(row) != len(rows[0]):
-                raise InvalidInputError(f"line {lineno}: row has {len(row)} coordinates, expected {len(rows[0])}")
-            rows.append(row)
-        points = np.asarray(rows, dtype=np.uint8 if bits else np.float64)
+        raise InvalidInputError(f"{path}: no data rows found")
+    points.resize((n, points.shape[1]), refcheck=False)
     return Dataset(points, metric)
 
 
+def format_point_blocks(ds: Dataset):
+    """The points of ``ds`` in the ingestion format (no header), in blocks
+    of whole rows of about ``_TEXT_BLOCK`` characters: a real row is its
+    values' ``repr``s (at most 24 characters each) joined by spaces, a bit
+    row its 0/1 characters, and every row ends in a newline."""
+    bits = ds.metric.uses_bits
+    step = max(1, _TEXT_BLOCK // ((ds.dim + 1) if bits else 25 * ds.dim))
+    for start in range(0, ds.n, step):
+        rows = ds.points[start : start + step]
+        if bits:
+            # Each 0/1 row as the characters "0"/"1", one newline column after.
+            chars = np.full((len(rows), ds.dim + 1), ord("\n"), dtype=np.uint8)
+            np.add(rows, ord("0"), out=chars[:, :-1])
+            yield str(chars.data, "ascii")
+        else:
+            yield "".join([" ".join(map(repr, row)) + "\n" for row in rows.tolist()])
+
+
 def format_points(ds: Dataset) -> str:
-    """Render points in the ingestion format (no header)."""
-    if ds.metric.uses_bits:
-        # Each 0/1 row as the characters "0"/"1", one newline column after.
-        chars = np.full((ds.n, ds.dim + 1), ord("\n"), dtype=np.uint8)
-        np.add(ds.points, ord("0"), out=chars[:, :-1])
-        return str(chars.data, "ascii")
-    lines = [" ".join(repr(float(v)) for v in row) for row in ds.points]
-    return "\n".join(lines) + "\n"
+    """Render points in the ingestion format (no header): the join of
+    ``format_point_blocks``."""
+    return "".join(format_point_blocks(ds))

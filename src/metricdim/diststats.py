@@ -14,10 +14,11 @@ with replacement. Full enumeration reads the row bands of the one pair
 engine in ``core`` (``all_pair_distances``): Hamming, Manhattan and
 Chebyshev values are the kernel's own, Euclidean values are within 1e-9
 relative of them and unchanged by translating the points. The sample is
-drawn, gathered and measured in chunks of a fixed byte budget, the leaves
-of numpy's pairwise-sum tree over the sample, on buffers made once per
-call and shared round-robin over a few threads (see ``_sample_leaves``).
-Neither the chunking nor the thread count changes a value: each draw is a
+drawn in chunks of a fixed byte budget, the leaves of numpy's pairwise-sum
+tree over the sample, and each leaf's rows are gathered and measured in
+tiles of 1 MiB a side, on buffers made once per call and shared
+round-robin over a few threads (see ``_sample_leaves``). Neither the
+chunking, the tiles nor the thread count changes a value: each draw is a
 pure function of its index, and the kernel measures each pair on its own.
 
 Enumerated distances are held in one copy, and a sample's moments hold
@@ -33,6 +34,7 @@ only ``pairwise_distances`` builds a sample vector.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Union
@@ -51,11 +53,14 @@ from .core import (
 )
 
 PAIR_BUDGET = 5_000_000
-# A chunk of sampled pairs gathers at most this many bytes of kernel rows
-# per side, and at least about half as many (see ``_sample_leaves``).
+# A leaf of sampled pairs spans at most this many bytes of kernel rows per
+# side, and at least about half as many (see ``_sample_leaves``).
 _CHUNK_BYTES = 2**22
+# A leaf is gathered and measured in tiles of at most this many bytes of
+# kernel rows per side (see ``_sample_leaves``).
+_TILE_BYTES = 2**20
 # At most this many threads share one pair sample. Each holds two gathered
-# blocks of up to _CHUNK_BYTES, and the chunks are memory-bound numpy calls.
+# tiles of up to _TILE_BYTES, and the tiles are memory-bound numpy calls.
 _MAX_WORKERS = 4
 # numpy's pairwise sum adds at most this many values in one unrolled loop
 # and splits every longer run (PW_BLOCKSIZE in its loops_utils).
@@ -215,16 +220,16 @@ def _merged(start: int, stop: int, leaves: dict) -> tuple[float, float]:
 
 
 def _sample_leaves(ds: Dataset, mode: SampledPairs, out: np.ndarray | None = None):
-    """Measure the pairs of ``mode`` in chunks, the leaves of numpy's
+    """Measure the pairs of ``mode`` leaf by leaf, the leaves of numpy's
     pairwise-sum tree over the m pairs that fit one chunk. With ``out`` (m
     values) each leaf's distances go to their slice of it; without, each
     worker measures a leaf into its own leaf buffer and writes the leaf's
     sum, M2, maximum and ``fmin`` into its row of a table (see
     ``_leaf_row``). Returns the leaves and the table (None with ``out``).
 
-    A chunk is sized by the bytes of kernel rows it gathers per side, not
-    by a pair count, because the cache sets the best size, so a pair count
-    would have to follow the row width. A leaf holds at most
+    A leaf is sized by the bytes of kernel rows it spans per side, not by a
+    pair count, because the cache sets the best size, so a pair count
+    would have to follow the row width. A leaf spans at most
     ``_CHUNK_BYTES`` of rows per side, and the tree's halving leaves it at
     least about half that: 19,531 pairs (2.4 MB) of 16 float64 columns or
     39,062 pairs of 512 bits packed into 64-byte rows, for 5M pairs. On two
@@ -232,6 +237,17 @@ def _sample_leaves(ds: Dataset, mode: SampledPairs, out: np.ndarray | None = Non
     as long (one thread ran both sizes alike). A leaf holds at least
     numpy's pairwise block of 128 pairs, below which numpy's tree does not
     split.
+
+    A leaf's pair indices are drawn whole (8 bytes a pair and side), and
+    its rows are gathered and measured in tiles of at most ``_TILE_BYTES``
+    of rows per side (8,192 pairs of 16 float64 columns), whose distances
+    go into the leaf's slice of values, so the leaves and every value are
+    the same whatever the tile. ``pair_moments`` over 5M pairs of 16
+    columns (10k rows, medians of 11 runs in shuffled order on 2 CPUs)
+    took 313 ms untiled and 326 ms in these tiles on one worker, 210 and
+    220 ms on two. Tiles that drew their own indices took two workers
+    about 290 ms: each tile then made about 20 numpy calls, and the
+    workers handed the interpreter lock over at each.
 
     The leaves go round-robin to one thread per usable CPU, at most
     ``_MAX_WORKERS`` and at most one per leaf; a single worker runs in the
@@ -244,6 +260,7 @@ def _sample_leaves(ds: Dataset, mode: SampledPairs, out: np.ndarray | None = Non
     rows = ds.kernel_rows
     leaves = _pairwise_leaves(0, mode.m, max(_PAIRWISE_BLOCK, _CHUNK_BYTES // rows[0].nbytes))
     size = max(stop - start for start, stop in leaves)
+    tile = min(size, max(1, _TILE_BYTES // rows[0].nbytes))
     workers = min(_usable_cpus(), len(leaves), _MAX_WORKERS)
     keys = (rng.stream_key(mode.seed, 0), rng.stream_key(mode.seed, 1))
     steps = rng._counter_steps(size)
@@ -252,7 +269,7 @@ def _sample_leaves(ds: Dataset, mode: SampledPairs, out: np.ndarray | None = Non
     jobs = []
     for w in range(workers):
         values = out if table is None else np.empty(size)
-        jobs.append((ds, keys, steps, numbered[w::workers], _chunk_buffers(rows, size), values, table))
+        jobs.append((ds, keys, steps, numbered[w::workers], _chunk_buffers(rows, size, tile), values, table))
     if workers == 1:
         _sample_chunks(*jobs[0])
     else:
@@ -266,10 +283,11 @@ def _sample_leaves(ds: Dataset, mode: SampledPairs, out: np.ndarray | None = Non
     return leaves, table
 
 
-def _chunk_buffers(rows: np.ndarray, size: int) -> tuple:
-    """One worker's buffers for chunks of ``size`` pairs: the i and j
-    draws, scratch words, and the two gathered row blocks."""
-    block = (size,) + rows.shape[1:]
+def _chunk_buffers(rows: np.ndarray, size: int, tile: int) -> tuple:
+    """One worker's buffers: the i and j draws and scratch words of leaves
+    of up to ``size`` pairs, and the two gathered row blocks of tiles of
+    ``tile`` pairs."""
+    block = (tile,) + rows.shape[1:]
     return (
         np.empty(size, dtype=np.int64),
         np.empty(size, dtype=np.int64),
@@ -280,11 +298,13 @@ def _chunk_buffers(rows: np.ndarray, size: int) -> tuple:
 
 
 def _sample_chunks(ds: Dataset, keys, steps: np.ndarray, leaves, buffers: tuple, out: np.ndarray, table) -> None:
-    """Measure the sampled pairs of each leaf ``(k, start, stop)`` on
-    ``buffers`` (see ``_chunk_buffers``) alone: into ``out[start:stop]``
-    when ``table`` is None, else into the head of ``out``, the worker's
-    leaf buffer, folded into ``table[k]`` by ``_leaf_row``. ``keys`` and
-    ``steps`` are the two streams' keys and their shared counter steps (see
+    """Measure the sampled pairs of each leaf ``(k, start, stop)``, its
+    indices drawn whole and its rows gathered in tiles of the row buffers'
+    length, on ``buffers`` (see ``_chunk_buffers``) alone:
+    into ``out[start:stop]`` when ``table`` is None, else into the head of
+    ``out``, the worker's leaf buffer, folded into ``table[k]`` by
+    ``_leaf_row`` once the leaf is measured. ``keys`` and ``steps`` are the
+    two streams' keys and their shared counter steps (see
     ``rng._draw_range``), read only.
 
     The gathers clip instead of checking their indices: every draw lies in
@@ -292,28 +312,37 @@ def _sample_chunks(ds: Dataset, keys, steps: np.ndarray, leaves, buffers: tuple,
     mode copies the block once more.
     """
     rows = ds.kernel_rows
+    draws_i, draws_j, words, tile_a, tile_b = buffers
+    tile = len(tile_a)
     for k, start, stop in leaves:
-        ii, jj, scratch, a, b = (buf[: stop - start] for buf in buffers)
+        m = stop - start
+        values = out[start:stop] if table is None else out[:m]
+        ii, jj, scratch = draws_i[:m], draws_j[:m], words[:m]
         rng._draw_range(keys[0], start, stop, ds.n, out=ii, scratch=scratch, steps=steps)
         rng._draw_range(keys[1], start, stop, ds.n - 1, out=jj, scratch=scratch, steps=steps)
         jj += np.greater_equal(jj, ii, out=scratch)
-        np.take(rows, ii, axis=0, out=a, mode="clip")
-        np.take(rows, jj, axis=0, out=b, mode="clip")
-        if table is None:
-            ds.distances(a, b, out=out[start:stop])
-        else:
-            table[k] = _leaf_row(ds.distances(a, b, out=out[: stop - start]))
+        for lo in range(0, m, tile):
+            hi = min(lo + tile, m)
+            a, b = tile_a[: hi - lo], tile_b[: hi - lo]
+            np.take(rows, ii[lo:hi], axis=0, out=a, mode="clip")
+            np.take(rows, jj[lo:hi], axis=0, out=b, mode="clip")
+            ds.distances(a, b, out=values[lo:hi])
+        if table is not None:
+            table[k] = _leaf_row(values)
 
 
 def _leaf_row(values: np.ndarray) -> tuple:
     """One leaf's sum (numpy's pairwise sum), squared deviations about its
     own mean, maximum and ``fmin`` with an initial 0 (negative exactly where
-    ``DistanceSample`` would refuse the values). Overwrites ``values``."""
-    total = np.add.reduce(values)
-    largest = np.maximum.reduce(values)
-    lowest = np.fmin.reduce(values, initial=0.0)
-    deviations = np.subtract(values, total / values.size, out=values)
-    return total, np.add.reduce(np.multiply(deviations, deviations, out=deviations)), largest, lowest
+    ``DistanceSample`` would refuse the values). Overwrites ``values``. A
+    sum or square beyond the doubles reads inf, as in ``moments``."""
+    # errstate is per thread, so it is entered here, in the worker.
+    with np.errstate(over="ignore"):
+        total = np.add.reduce(values)
+        largest = np.maximum.reduce(values)
+        lowest = np.fmin.reduce(values, initial=0.0)
+        deviations = np.subtract(values, total / values.size, out=values)
+        return total, np.add.reduce(np.multiply(deviations, deviations, out=deviations)), largest, lowest
 
 
 @dataclass(frozen=True)
@@ -394,9 +423,12 @@ def moments(sample) -> MomentSummary:
     values = _sample_values(sample)
     if values.size < 2:
         raise InvalidInputError("moments need at least 2 distance values")
-    mean = values.mean()
-    buffer = np.empty(min(values.size, _SCAN_BYTES // 8))
-    variance = _squared_deviations(values, mean, buffer) / (values.size - 1)
+    # A sum or square beyond the doubles reads inf, which cnbym_dimension
+    # refuses by name.
+    with np.errstate(over="ignore"):
+        mean = values.mean()
+        buffer = np.empty(min(values.size, _SCAN_BYTES // 8))
+        variance = _squared_deviations(values, mean, buffer) / (values.size - 1)
     return MomentSummary(float(mean), float(variance), int(values.size))
 
 
@@ -418,10 +450,17 @@ def cnbym_dimension(summary: MomentSummary):
     (exactly so for binary powers of two, which is why the square is a
     plain multiply: libm pow is not homogeneous under exact scaling).
     A zero-variance sample has unbounded dimension and yields DEGENERATE.
+    A squared mean or a doubled variance beyond the doubles (distances
+    near 1e154 and above) gives no dimension and is refused with
+    ``InvalidInputError``, before a zero variance is read.
     """
+    square = summary.mean * summary.mean
+    for name, value in (("squared mean", square), ("variance", 2.0 * summary.variance)):
+        if not math.isfinite(value):
+            raise InvalidInputError(f"the {name} of the pair distances overflows the doubles; the coordinates are too large")
     if summary.variance == 0.0:
         return DEGENERATE
-    return summary.mean * summary.mean / (2.0 * summary.variance)
+    return square / (2.0 * summary.variance)
 
 
 def dataset_cnbym(ds: Dataset, mode: PairMode | None = None):

@@ -197,12 +197,15 @@ def probe_rows(ds: Dataset, probes: int, seed: int = 0) -> list[ProbeRecord]:
     of the center against all distinct rows) on one operand of the
     distinct rows, made once for all probes. It lists the rows inside
     exactly as the kernel's ``<=`` decides them, so the balls are those of
-    a kernel scan per probe.
+    a kernel scan per probe. When every row is distinct, the probes read
+    ``ds`` itself, not a copy; otherwise a ``Dataset`` of the distinct
+    rows. The operand reads these rows in place (``ball_operand`` of a
+    slice), without a gathered copy.
     """
     if probes < 1:
         raise InvalidInputError("need at least one probe")
     keep = _distinct_rows(ds)
-    distinct = Dataset(ds.points[keep], ds.metric, ds.seed)
+    distinct = ds if keep.size == ds.n else Dataset(ds.points[keep], ds.metric, ds.seed)
     if distinct.n == 1:
         return [ProbeRecord(int(keep[0]), 0.0, 1) for _ in range(probes)]
 
@@ -214,7 +217,7 @@ def probe_rows(ds: Dataset, probes: int, seed: int = 0) -> list[ProbeRecord]:
 
     screen = _BallScreen(ds.metric, distinct.kernel_rows, ds.dim)
     rows = np.arange(distinct.n)
-    operand, reach = screen.ball_operand(rows)
+    operand, reach = screen.ball_operand(slice(None))
     out = np.empty((1, distinct.n))
     records = []
     for center, radius in zip(centers.tolist(), radii.tolist()):

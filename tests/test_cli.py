@@ -1,12 +1,18 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from metricdim import cli, core, diststats, rng
 from metricdim.core import EXACT_DIAMETER_LIMIT, InvariantViolation, MetricKind, load_dataset
+from metricdim.core import Dataset
 from metricdim.doubling import probe_rows
+from metricdim.generate import GeneratorSpec, generate
 
 
 def run_cli(args, capsys):
@@ -402,6 +408,101 @@ class TestGenerateCommand:
         loaded = load_dataset(tmp_path / "g.txt", MetricKind.EUCLIDEAN)
         direct = generate(GeneratorSpec(Family.GAUSSIAN, 1, 3, 42))
         np.testing.assert_array_equal(loaded.points, direct.points)
+
+
+def generate_header(family, d, n, seed, metric):
+    return "".join(
+        f"# {key}={value}\n"
+        for key, value in [
+            ("command", "generate"), ("family", family), ("d", d), ("n", n), ("seed", seed),
+            ("metric", metric), ("rng", "splitmix64-counter"), ("version", cli.__version__),
+        ]
+    )  # fmt: skip
+
+
+# Each family at one row, at the rows of one render block (core._TEXT_BLOCK
+# characters) less one, exactly and plus one, and over several blocks.
+GENERATE_CASES = [
+    (family, d, n)
+    for family, d, step in [("uniform-cube", 3, 3495), ("gaussian", 16, 655), ("hamming", 64, 4032)]
+    for n in (1, step - 1, step, step + 1, 3 * step + 5)
+]
+
+
+class TestStreamedGenerate:
+    @pytest.mark.parametrize("family, d, n", GENERATE_CASES, ids=lambda v: str(v))
+    def test_output_is_the_header_and_format_points(self, family, d, n, tmp_path, capsys):
+        ds = generate(GeneratorSpec(cli._FAMILIES[family], d, n, 5))
+        assert core._TEXT_BLOCK == 2**18  # the block rows above
+        expected = generate_header(family, d, n, 5, ds.metric.value) + core.format_points(ds)
+        args = ["generate", "--family", family, "--d", str(d), "--n", str(n), "--seed", "5"]
+        assert run_cli(args, capsys) == (0, expected, "")
+        path = tmp_path / "out.txt"
+        assert run_cli(args + ["--out", str(path), "--self-test"], capsys) == (0, "", "")
+        assert path.read_bytes() == expected.encode()
+
+    def test_a_refusal_leaves_no_file(self, tmp_path, capsys):
+        path = tmp_path / "out.txt"
+        code, out, err = run_cli(["generate", "--family", "gaussian", "--d", "0", "--n", "5", "--out", str(path)], capsys)
+        assert (code, out, err) == (1, "", "error: dimension must be >= 1, got 0\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("row", [0, 654, 1999], ids=["first-block", "first-block-end", "last-block"])
+    def test_self_test_compares_every_block(self, row, tmp_path, capsys, monkeypatch):
+        # The second draw differs in one row; nothing is written.
+        draws = []
+
+        def drifting(spec):
+            ds = generate(spec)
+            if draws:
+                points = ds.points.copy()
+                points[row, 0] = np.nextafter(points[row, 0], np.inf)
+                ds = Dataset(points, ds.metric, spec.seed)
+            draws.append(ds)
+            return ds
+
+        monkeypatch.setattr(cli, "generate", drifting)
+        path = tmp_path / "out.txt"
+        args = ["generate", "--family", "gaussian", "--d", "16", "--n", "2000", "--self-test"]
+        assert run_cli(args + ["--out", str(path)], capsys) == (2, "", "invariant violation: generation is not deterministic\n")
+        assert not path.exists() and len(draws) == 2
+        draws.clear()
+        assert run_cli(args, capsys)[:2] == (2, "")
+
+
+def overflow_file(path, rows):
+    path.write_text("".join(" ".join(repr(float(v)) for v in row) + "\n" for row in rows))
+    return str(path)
+
+
+# Files whose distances are finite but whose moments overflow the doubles,
+# each with the metric, the number of rows (at most 3,162 take all pairs,
+# more the sampled leaves) and the refusal.
+SQUARED_MEAN = "error: the squared mean of the pair distances overflows the doubles; the coordinates are too large\n"
+VARIANCE = "error: the variance of the pair distances overflows the doubles; the coordinates are too large\n"
+OVERFLOW_FILES = {
+    "manhattan-1e300-all-pairs": ("manhattan", lambda g: g.uniform(-1e300, 1e300, (50, 3)), SQUARED_MEAN),
+    "chebyshev-1e300-all-pairs": ("chebyshev", lambda g: g.uniform(-1e300, 1e300, (50, 3)), SQUARED_MEAN),
+    "manhattan-1e300-sampled": ("manhattan", lambda g: g.uniform(-1e300, 1e300, (4000, 3)), SQUARED_MEAN),
+    "chebyshev-1e300-sampled": ("chebyshev", lambda g: g.uniform(-1e300, 1e300, (4000, 3)), SQUARED_MEAN),
+    # Every distance near 1e160 within about 1e150: the square of the mean
+    # overflows, the variance (about 1e300) does not.
+    "squared-mean-only": ("chebyshev", lambda g: 1e160 * np.eye(3) + g.uniform(0, 1e150, (3, 3)), SQUARED_MEAN),
+    # The squared deviations sum beyond the doubles, the squared mean not.
+    "variance-only": ("chebyshev", lambda g: g.uniform(-1e154, 1e154, (50, 3)), VARIANCE),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOW_FILES)
+def test_overflowing_moments_are_refused_without_a_warning(name, tmp_path):
+    # Once this printed numpy's overflow warning and dim_cnbym nan (or 0.0).
+    metric, rows, message = OVERFLOW_FILES[name]
+    path = overflow_file(tmp_path / "huge.txt", rows(np.random.default_rng(0)))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    command = [sys.executable, "-W", "error", "-m", "metricdim", "estimate", "--metric", metric, "--in", path]
+    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
 
 
 class TestExitCodes:

@@ -813,6 +813,127 @@ class TestDatasetIO:
             ds.kernel_rows[0, 0] = 0
 
 
+def whole_text_load(path, metric):
+    """The loader before files were read in blocks: the whole text split by
+    ``splitlines``, every data row parsed on its own, then one array."""
+    bits = metric.uses_bits
+    rows = []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        row = core._parse_bit_row(stripped, lineno) if bits else core._parse_real_row(stripped, lineno)
+        if rows and len(row) != len(rows[0]):
+            raise InvalidInputError(f"line {lineno}: row has {len(row)} coordinates, expected {len(rows[0])}")
+        rows.append(row)
+    if not rows:
+        raise InvalidInputError(f"{path}: no data rows found")
+    return Dataset(np.asarray(rows, dtype=np.uint8 if bits else np.float64), metric)
+
+
+def load_outcome(load, path, metric):
+    """The loaded points' dtype, shape and bytes, or the refusal message."""
+    try:
+        points = load(path, metric).points
+    except InvalidInputError as exc:
+        return str(exc)
+    return points.dtype.str, points.shape, points.tobytes()
+
+
+# Short files whose chunks, at every block size from 1 character on, split
+# lines, CRLF pairs, comments and separators at every position.
+BLOCK_FILES = {
+    "lf": (EUCLID, "1 2\n3 4\n5 6\n"),
+    "no-final-newline": (EUCLID, "1 2\n3 4\n5 6"),
+    "comments-and-blanks": (EUCLID, "# head\n\n 1, 2 \n  \n# 3 4\n5\t6\n\n"),
+    "crlf": (EUCLID, "# x\r\n1 2\r\n\r\n3 4\r\n5 6\r\n"),
+    "bare-cr": (EUCLID, "1 2\r3 4\r\r5 6"),
+    "form-feed-in-a-line": (EUCLID, "1 2\f3 4\n5 6\n"),
+    "nel-in-a-line": (EUCLID, "1 2\x853 4\n5 6\n"),
+    "other-breaks": (EUCLID, "1 2\v3 4\x1c5 6\x1d7 8\x1e9 1\u20282 3\u20294 5\n"),
+    "c-parser-refuses-a-later-line": (EUCLID, "1 2\n3 4\n5 6\n1_000 7\n"),
+    "bad-later-line": (EUCLID, "1 2\n3 4\n5 6\n7 oops\n"),
+    "ragged-later-row": (EUCLID, "1 2\n3 4\n5 6\n7 8 9\n"),
+    "not-finite-later": (EUCLID, "1 2\n3 4\n5 6\n1e309 0\n"),
+    "commas-alone-later": (EUCLID, "1 2\n3 4\n,\n5 6\n"),
+    "commas-alone": (EUCLID, ",\n , \n"),
+    "bits": (HAMMING, "0110\r\n1,0,0,1\n# c\n0 0 0 1\n1111"),
+    "bits-ragged-later": (HAMMING, "0110\n1001\n0001\n11111\n"),
+    "bits-bad-later": (HAMMING, "0110\n1001\n0001\n1121\n"),
+    "only-comments": (EUCLID, "# a\n\n#b\n"),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_FILES)
+def test_block_loader_equals_the_whole_text_parse_at_every_chunk_boundary(name, tmp_path, monkeypatch):
+    metric, text = BLOCK_FILES[name]
+    path = tmp_path / "pts.txt"
+    path.write_bytes(text.encode())
+    expected = load_outcome(whole_text_load, path, metric)
+    for block in range(1, len(text) + 2):
+        monkeypatch.setattr(core, "_TEXT_BLOCK", block)
+        assert load_outcome(load_dataset, path, metric) == expected, block
+        assert load_outcome(per_row_load, path, metric) == expected, block
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("7 oops", "line 999: not a numeric row: could not convert string to float: 'oops'"),
+    ("7 8 9", "line 999: row has 3 coordinates, expected 2"),
+    ("inf 1", "line 999: coordinates must be finite"),
+])
+def test_a_bad_line_in_a_later_block_keeps_its_message(bad, message, tmp_path):
+    # About 900 characters a line: line 999 lies in the fourth block.
+    lines = [" ".join(["0.123456789012345"] * 2) + " " * 880 for _ in range(1200)]
+    lines[998] = bad
+    path = tmp_path / "pts.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert load_outcome(load_dataset, path, EUCLID) == load_outcome(whole_text_load, path, EUCLID) == message
+
+
+def test_a_file_of_many_blocks_loads_what_the_whole_text_parse_loads(tmp_path, monkeypatch):
+    # 20,000 CRLF rows in some 290 blocks of 4,096 characters: the array
+    # is grown in place many times, and lines and CRLF pairs fall across
+    # chunk ends.
+    points = rng.matrix_normals(3, 20_000, 3)
+    path = tmp_path / "pts.txt"
+    path.write_bytes(("# header\r\n" + format_points(Dataset(points, EUCLID)).replace("\n", "\r\n")).encode())
+    monkeypatch.setattr(core, "_TEXT_BLOCK", 2**12)
+    assert path.stat().st_size > 250 * core._TEXT_BLOCK
+    loaded = load_dataset(path, EUCLID)
+    assert loaded.points.tobytes() == whole_text_load(path, EUCLID).points.tobytes() == points.tobytes()
+
+
+def test_loading_holds_the_points_twice_and_a_block(tmp_path):
+    ds = Dataset(rng.matrix_normals(4, 20_000, 16), EUCLID)
+    path = tmp_path / "pts.txt"
+    path.write_text(format_points(ds))
+    # The array grown in place (room for twice the rows at most, cut to
+    # them before the Dataset's copy is made) and one block's text, lines
+    # and rows: 5.7 MB here, against 2.4 MB of points. The whole text alone
+    # takes 6.0 MB.
+    assert traced_peak(lambda: load_dataset(path, EUCLID)) < 2 * ds.points.nbytes + 2 * 2**20
+
+
+def reference_render(ds):
+    """The renderer before points were written in blocks."""
+    if ds.metric.uses_bits:
+        return "".join("".join(map(str, row)) + "\n" for row in ds.points.tolist())
+    return "\n".join(" ".join(repr(float(v)) for v in row) for row in ds.points) + "\n"
+
+
+@pytest.mark.parametrize("metric, dim", [(EUCLID, 1), (EUCLID, 16), (HAMMING, 64)], ids=["real-1", "real-16", "bits-64"])
+def test_point_blocks_are_whole_rows_that_join_to_the_reference_render(metric, dim):
+    width = dim + 1 if metric.uses_bits else 25 * dim
+    step = core._TEXT_BLOCK // width
+    for n in (1, step - 1, step, step + 1, 2 * step + 3):
+        points = rng.matrix_bits(6, n, dim) if metric.uses_bits else rng.matrix_normals(6, n, dim)
+        ds = Dataset(points, metric)
+        blocks = list(core.format_point_blocks(ds))
+        assert [block.count("\n") for block in blocks] == [min(step, n - k) for k in range(0, n, step)]
+        assert "".join(blocks) == format_points(ds) == reference_render(ds)
+        assert max(map(len, blocks)) <= core._TEXT_BLOCK
+
+
 # Every public entry point that takes an outside point validates it once,
 # at entry; the kernel behind it validates nothing.
 QUERY_ENTRY_POINTS = {

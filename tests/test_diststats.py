@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import tracemalloc
@@ -327,10 +328,12 @@ class TestOneCopyOfTheDistances:
 
     def test_sampled_pair_moments_hold_no_sample_vector(self, monkeypatch):
         # One worker's buffers and the leaf table, against the 40 MB that
-        # pairwise_distances holds for the same sample.
+        # pairwise_distances holds for the same sample: two 1 MiB tiles of
+        # gathered rows and three leaf-sized index arrays, 2.85 MB in all
+        # (5.6 MB when whole leaves were gathered).
         monkeypatch.setattr(diststats, "_usable_cpus", lambda: 1)
         ds = Dataset(rng.matrix_normals(5, 10_000, 16), EUCLID)
-        assert traced_peak(lambda: pair_moments(ds, SampledPairs(5_000_000, 0))) < 8 * 2**20
+        assert traced_peak(lambda: pair_moments(ds, SampledPairs(5_000_000, 0))) < 3.5 * 2**20
 
 
 def fold_dataset(metric):
@@ -363,6 +366,33 @@ def test_pair_moments_fold_the_sample(metric, size, workers, monkeypatch):
     expected = float(values.var(ddof=1))
     assert abs(summary.variance - expected) <= 1e-15 * expected
     assert largest == float(values.max())
+
+
+def tile_limit(ds):
+    return max(1, diststats._TILE_BYTES // ds.kernel_rows[0].nbytes)
+
+
+# Each metric at its own tile (8,192 pairs of 16 float64 columns, 65,536 of
+# 70 bits in two words) and one pair either side, and many leaves of
+# several tiles.
+TILE_CASES = [(metric, size) for metric in MetricKind for size in ["tile-1", "tile", "tile+1", 300_007]]
+
+
+@pytest.mark.parametrize("metric, size", TILE_CASES, ids=lambda c: getattr(c, "value", str(c)))
+def test_tiles_change_no_value(metric, size, monkeypatch):
+    ds = fold_dataset(metric)
+    m = tile_limit(ds) + {"tile-1": -1, "tile": 0, "tile+1": 1}[size] if isinstance(size, str) else size
+    mode = SampledPairs(m, 23)
+    tiled = pairwise_distances(ds, mode).values
+    tiled_moments = pair_moments(ds, mode)
+    # Tiles as large as the largest leaf: one tile a leaf.
+    monkeypatch.setattr(diststats, "_TILE_BYTES", diststats._CHUNK_BYTES)
+    assert pairwise_distances(ds, mode).values.tobytes() == tiled.tobytes()
+    assert pair_moments(ds, mode) == tiled_moments
+    ii = rng.integers(23, m, ds.n, stream=0)
+    jj = rng.integers(23, m, ds.n - 1, stream=1)
+    jj = jj + (jj >= ii)
+    assert pair_distances(metric, ds.points[ii], ds.points[jj]).tobytes() == tiled.tobytes()
 
 
 @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.value)
@@ -408,6 +438,30 @@ class TestCnbym:
 
     def test_constant_sample_degenerate(self):
         assert cnbym_dimension(moments(np.array([2.0, 2.0, 2.0]))) is DEGENERATE
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "values, name",
+        [
+            ([1e300, 3e300, 2e300], "squared mean"),  # the squares of the deviations overflow too
+            ([1e160, 1e160, 1e160], "squared mean"),  # zero variance: refused before it reads degenerate
+            ([1e160, 1e160 + 1e150, 1e160 - 1e150], "squared mean"),  # a finite variance
+            ([0.0, 1e154, 2e154, 1e154], "variance"),
+        ],
+        ids=["both", "zero-variance", "finite-variance", "variance-only"],
+    )
+    def test_moments_beyond_the_doubles_are_refused(self, values, name):
+        summary = moments(np.array(values))
+        with pytest.raises(InvalidInputError, match=f"^the {name} of the pair distances overflows the doubles"):
+            cnbym_dimension(summary)
+
+    @pytest.mark.filterwarnings("error")
+    def test_sampled_moments_beyond_the_doubles_are_refused(self):
+        ds = Dataset(np.random.default_rng(0).uniform(-1e300, 1e300, (400, 3)), MetricKind.MANHATTAN)
+        summary, largest = pair_moments(ds, SampledPairs(1000, 0))
+        assert math.isinf(summary.variance) and math.isfinite(largest)
+        with pytest.raises(InvalidInputError, match="^the squared mean of the pair distances overflows"):
+            cnbym_dimension(summary)
 
     @given(
         values=st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=3, max_size=50),

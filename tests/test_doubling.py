@@ -160,6 +160,32 @@ def test_probe_rows_equal_the_reference_cover_records(family, monkeypatch):
     assert got == probe_rows(ds, probes=24, seed=5)
 
 
+@pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
+def test_probe_rows_read_distinct_rows_in_place(kind, monkeypatch):
+    if kind.uses_bits:
+        ds = generate(GeneratorSpec(Family.HAMMING_UNIFORM, 64, 600, seed=12))
+    else:
+        ds = Dataset(generate(GeneratorSpec(Family.GAUSSIAN, 8, 600, seed=12)).points, kind)
+    # Copies of every seventh row after all the rows: the distinct rows are
+    # the first 600, at their own indices, and the diameter is the same.
+    doubled = Dataset(np.concatenate([ds.points, ds.points[::7]]), kind)
+    with_duplicates = probe_rows(doubled, probes=24, seed=5)
+    assert len(core._distinct_rows(ds)) == ds.n
+    built, operands = [], []
+    ball_operand = core._BallScreen.ball_operand
+
+    def recorded_operand(self, ib):
+        operands.append(ib)
+        return ball_operand(self, ib)
+
+    monkeypatch.setattr(doubling, "Dataset", lambda *args: built.append(args))
+    monkeypatch.setattr(core._BallScreen, "ball_operand", recorded_operand)
+    assert probe_rows(ds, probes=24, seed=5) == with_duplicates
+    # No copy of the rows, and the probes' operand reads them in place.
+    assert built == []
+    assert operands[0] == slice(None)
+
+
 def recorded_cover(monkeypatch, ds, subset, radius):
     """``greedy_cover(ds, subset, radius)`` with the reach of its operand
     (None where the blocks are the kernel's, with no band), the point
