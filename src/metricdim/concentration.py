@@ -1,4 +1,4 @@
-"""Empirical concentration function, its closed-form bound on bit cubes,
+"""Empirical concentration function, its closed-form bounds on bit cubes,
 and the concentration-dimension integral.
 
 The empirical curve watches a family of witness functions f_a = d(a, .)
@@ -9,10 +9,22 @@ curve and the dimension derived from it are a lower bound on alpha and
 hence an upper bound on the dimension of the underlying distance-witness
 family. The gap to the full Lipschitz class is not quantified here.
 
-For the d-bit cube under the normalized Hamming metric the curve is
-dominated by exp(-2 * eps^2 * d), which serves as an analytic reference.
+Two closed forms on the d-bit cube under the normalized Hamming metric
+cover two different curves:
 
-Slack used when checking empirical curves against that reference:
+- ``chernoff_alpha``, min(1, exp(-2 * eps^2 * d)), bounds the one-sided
+  concentration function alpha of the cube. It is the analytic reference
+  ``fig-c`` prints. It does not bound the two-sided witness curve at
+  small or odd d: for a 1-Lipschitz f only mu(|f - M| > eps) <=
+  2 alpha(eps) holds (Ledoux, "The Concentration of Measure Phenomenon",
+  ch. 1).
+- ``two_sided_alpha``, min(1, 2 * exp(-2 * d * (eps - 1/(2d))_+^2)),
+  bounds the witness curve. A witness d(a, .) on uniform bits is a
+  Binomial(d, 1/2) / d variable: Hoeffding bounds its two-sided deviation
+  from the mean 1/2, and its median lies within 1/(2d) of that mean.
+  ``fig-c --self-test`` holds every curve to it.
+
+Slack used when checking empirical curves against a reference:
 3 * sqrt(ln(2 * grid * k) / (2n)) -- a Hoeffding deviation for each of
 the grid * k (anchor, eps) cells, union-bounded over cells and doubled
 for the two tail sides, at three standard errors.
@@ -123,6 +135,13 @@ def chernoff_alpha(d: int, eps: float) -> float:
     if d < 1:
         raise InvalidInputError("dimension must be >= 1")
     return min(1.0, math.exp(-2.0 * eps * eps * d))
+
+
+def two_sided_alpha(d: int, eps: float) -> float:
+    """min(1, 2 * exp(-2 * d * (eps - 1/(2d))_+^2)), the witness curve's
+    bound on the d-bit cube (see the module docstring)."""
+    shifted = max(0.0, eps - 0.5 / d)
+    return min(1.0, 2.0 * math.exp(-2.0 * d * shifted * shifted))
 
 
 def chernoff_curve(d: int, grid_size: int = DEFAULT_GRID_SIZE) -> ConcentrationCurve:

@@ -83,6 +83,7 @@ centred, so a translation does not cancel them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import warnings
@@ -781,11 +782,8 @@ def first_occurrence_indices(points: np.ndarray) -> np.ndarray:
 # (separators tolerated). Lines starting with '#' are header/comment lines.
 # ---------------------------------------------------------------------------
 
-# A file is read, and points are rendered, in blocks of about this many
-# characters. A text file's read of n characters holds about 4n bytes (the
-# bytes read, which it keeps for ``tell``, the decoded characters and their
-# copy returned): ``tracemalloc`` read 4.0 MB for reads of 2**20 characters
-# and 1.0 MB for 2**18, and a 10k x 16 file loaded in the same time either way.
+# Points are rendered in blocks of about this many characters, so
+# ``generate`` never holds the whole text.
 _TEXT_BLOCK = 2**18
 
 
@@ -809,120 +807,80 @@ def _parse_bit_row(line: str, lineno: int) -> np.ndarray:
     return bits
 
 
-def _parse_real_lines(lines: list[str]) -> np.ndarray | None:
-    """The rows of ``lines`` (stripped data lines) as numpy's C parser
-    reads them, commas read as spaces, or None where it refuses a line,
-    skips one (a line of commas alone) or reads a value that is not finite.
-    It reads a number as Python's ``float`` does (both call CPython's
-    ``PyOS_string_to_double``), but refuses some that ``float`` takes, such
-    as ``1_000`` and non-ASCII digits."""
+def _parse_real_lines(lines) -> np.ndarray | None:
+    """The rows of ``lines`` (an iterable of stripped data lines) as one
+    ``np.loadtxt`` call reads them, commas read as spaces, or None where it
+    refuses a line, skips one (a line of commas alone), reads a value that
+    is not finite or reads no row. It reads a number as Python's ``float``
+    does (both call CPython's ``PyOS_string_to_double``), but refuses some
+    that ``float`` takes, such as ``1_000`` and non-ASCII digits."""
+    counter = itertools.count()  # advanced once per line handed over
     try:
         with warnings.catch_warnings():
             # Lines of commas alone read as no data, which numpy warns of;
             # the row count below refuses them.
             warnings.simplefilter("ignore", UserWarning)
-            points = np.loadtxt([line.replace(",", " ") for line in lines], ndmin=2, comments=None)
+            spaced = (line.replace(",", " ") for line, _ in zip(lines, counter))
+            points = np.loadtxt(spaced, ndmin=2, comments=None)
     except ValueError:
         return None
-    if points.shape[0] != len(lines) or not np.isfinite(points).all():
+    if not len(points) or len(points) != next(counter) or not np.isfinite(points).all():
         return None
     return points
 
 
-def _parse_rows(numbered: list[tuple[int, str]], bits: bool, width: int | None) -> np.ndarray:
-    """The per-row parse of ``(lineno, stripped line)`` data lines: each
-    row as ``float`` (or the 0/1 characters) reads it, every row ``width``
-    values long (the first row's length when ``width`` is None), or
-    ``InvalidInputError`` naming the first bad line and its reason."""
+def _parse_rows(path, bits: bool) -> np.ndarray:
+    """The per-row parse of the file at ``path``: each data row as
+    ``float`` (or the 0/1 characters) reads it, every row as long as the
+    first, or ``InvalidInputError`` naming the first bad line and its
+    reason."""
     rows = []
-    for lineno, line in numbered:
+    for lineno, line in _data_lines(path):
         row = _parse_bit_row(line, lineno) if bits else _parse_real_row(line, lineno)
-        width = len(row) if width is None else width
-        if len(row) != width:
-            raise InvalidInputError(f"line {lineno}: row has {len(row)} coordinates, expected {width}")
+        if rows and len(row) != len(rows[0]):
+            raise InvalidInputError(f"line {lineno}: row has {len(row)} coordinates, expected {len(rows[0])}")
         rows.append(row)
+    if not rows:
+        raise InvalidInputError(f"{path}: no data rows found")
     return np.asarray(rows, dtype=np.uint8 if bits else np.float64)
 
 
-# The characters at which ``str.splitlines`` breaks lines, but for "\r":
-# files are read with universal newlines, which turn "\r\n" and "\r" into
-# "\n", also where a chunk ends between "\r" and "\n".
-_LINE_BREAKS = "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-
-
-def _data_line_blocks(path):
-    """The data lines of the file at ``path``, as lists of ``(lineno,
-    stripped line)``, one list per ``_TEXT_BLOCK`` characters read.
+def _data_lines(path):
+    """``(lineno, stripped line)`` of each line of the UTF-8 file at
+    ``path`` that is neither blank nor a comment, streamed.
 
     The lines and their numbers are those of ``text.splitlines()`` over the
-    whole text (which ``Path.read_text`` reads with the same universal
-    newlines): each chunk is split with ``splitlines``, and a last line
-    that no line break ends is carried into the next chunk's first line.
-    Iterating the file object would split only at ``\\n`` and ``\\r``, not
-    at ``\\f``, ``\\v``, ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and
-    ``\\u2029``. A line is held once: ``strip`` returns a line without
-    surrounding blanks itself, not a copy."""
-    with Path(path).open() as file:
-        start, carry = 1, ""
-        while chunk := file.read(_TEXT_BLOCK):
-            lines = chunk.splitlines()
-            lines[0] = carry + lines[0]
-            carry = "" if chunk[-1] in _LINE_BREAKS else lines.pop()
-            del chunk
-            if numbered := _data_lines(lines, start):
-                yield numbered
-            start += len(lines)
-        if numbered := _data_lines([carry], start):
-            yield numbered
-
-
-def _data_lines(lines: list[str], start: int) -> list[tuple[int, str]]:
-    """``(lineno, stripped line)`` of the lines that are neither blank nor
-    comments, numbered from ``start``."""
-    return [
-        (lineno, stripped)
-        for lineno, line in enumerate(lines, start)
-        if (stripped := line.strip()) and not stripped.startswith("#")
-    ]
+    whole text read with universal newlines: iterating the file object
+    splits only at ``\\n`` and ``\\r``, so each of its lines is split
+    again with ``splitlines``, which also breaks at ``\\f``, ``\\v``,
+    ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and ``\\u2029``. Bytes that
+    are not UTF-8 are refused with ``InvalidInputError`` naming the file."""
+    try:
+        with Path(path).open(encoding="utf-8") as file:
+            for lineno, line in enumerate(itertools.chain.from_iterable(map(str.splitlines, file)), 1):
+                if (stripped := line.strip()) and not stripped.startswith("#"):
+                    yield lineno, stripped
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path}: not UTF-8 text: {exc.reason}") from None
 
 
 def load_dataset(path, metric: MetricKind) -> Dataset:
     """Read a dataset file. The metric is supplied by the caller, never inferred.
 
-    The file is read in blocks of lines (``_data_line_blocks``), so its
-    whole text is never held. Each block of a real-valued file is parsed by
-    numpy's C parser (``_parse_real_lines``). A block that it refuses, that
-    has a value that is not finite, or whose column count differs from the
-    rows before it is parsed one row at a time (``_parse_rows``), which
-    takes what ``float`` takes and otherwise names the first bad line and
-    its reason; bit files are parsed that way throughout. The C parser
-    reads every block it accepts as the per-row parse does, so every file
-    keeps the values and the refusal it would get from the per-row parse of
-    the whole file.
-
-    The blocks are written into one array as they come, grown in place
-    (``ndarray.resize``, a ``realloc``) and cut to the rows read, so the
-    points are built in it and in the ``Dataset``'s copy alone.
+    The file is read as one stream of data lines (``_data_lines``), so its
+    whole text is never held. A real-valued file is parsed by one call of
+    numpy's C parser over that stream (``_parse_real_lines``), which grows
+    the points' array itself. A file that it refuses, or in which it reads
+    a value that is not finite, is read again and parsed one row at a time
+    (``_parse_rows``), which takes what ``float`` takes and otherwise names
+    the first bad line and its reason; bit files are always parsed that
+    way. The C parser reads every file it accepts as the per-row parse
+    does, so every file keeps the values and the refusal of the per-row
+    parse.
     """
     bits = _check_metric(metric).uses_bits
-    points, n = None, 0
-    for numbered in _data_line_blocks(path):
-        width = None if points is None else points.shape[1]
-        block = None if bits else _parse_real_lines([line for _, line in numbered])
-        if block is None or width not in (None, block.shape[1]):
-            block = _parse_rows(numbered, bits, width)
-        if points is None:
-            points = np.empty((0, block.shape[1]), dtype=block.dtype)
-        if n + len(block) > len(points):
-            # No view of the array outlives its statement; refcheck would
-            # also count a tracer's references to this frame's locals.
-            points.resize((max(2 * len(points), n + len(block)), points.shape[1]), refcheck=False)
-        points[n : n + len(block)] = block
-        n += len(block)
-    if points is None:
-        raise InvalidInputError(f"{path}: no data rows found")
-    points.resize((n, points.shape[1]), refcheck=False)
-    return Dataset(points, metric)
+    points = None if bits else _parse_real_lines(line for _, line in _data_lines(path))
+    return Dataset(_parse_rows(path, bits) if points is None else points, metric)
 
 
 def format_point_blocks(ds: Dataset):

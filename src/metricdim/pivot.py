@@ -67,20 +67,18 @@ class QueryStats:
     result_size: int
 
 
-def _select_farthest_first(ds: Dataset, k: int, seed: int, oracle: CountingOracle | None) -> np.ndarray:
+def _select_farthest_first(ds: Dataset, k: int, seed: int) -> np.ndarray:
     first = int(rng.distinct_indices(seed, 1, ds.n)[0])
     chosen = [first]
-    min_dist = _distances_from(ds, first, oracle)
+    min_dist = _distances_from(ds, first)
     for _ in range(k - 1):
         nxt = int(np.argmax(min_dist))  # argmax takes the lowest index on ties
         chosen.append(nxt)
-        np.minimum(min_dist, _distances_from(ds, nxt, oracle), out=min_dist)
+        np.minimum(min_dist, _distances_from(ds, nxt), out=min_dist)
     return np.asarray(chosen, dtype=np.int64)
 
 
-def _distances_from(ds: Dataset, index: int, oracle: CountingOracle | None) -> np.ndarray:
-    if oracle is not None:
-        oracle.add(ds.n)
+def _distances_from(ds: Dataset, index: int) -> np.ndarray:
     return ds.distances(ds.kernel_rows[index], ds.kernel_rows)
 
 
@@ -90,17 +88,19 @@ def build_pivot_index(ds: Dataset, k: int, policy: PivotPolicy, oracle: Counting
     RandomPivots draws k distinct seeded indices; FarthestFirst grows the
     pivot set by always adding the point farthest from it (lowest index on
     ties). The table costs exactly n * k counted distances, plus n per
-    selection round for FarthestFirst.
+    selection round for FarthestFirst, charged to ``oracle`` at once.
     """
     if not 1 <= k <= ds.n:
         raise InvalidInputError(f"pivot count must be in [1, {ds.n}], got {k}")
     if isinstance(policy, RandomPivots):
-        pivots = rng.distinct_indices(policy.seed, k, ds.n)
+        pivots, rounds = rng.distinct_indices(policy.seed, k, ds.n), 0
     else:
-        pivots = _select_farthest_first(ds, k, policy.seed, oracle)
+        pivots, rounds = _select_farthest_first(ds, k, policy.seed), k
     table = np.empty((k, ds.n)).T
     for j, p in enumerate(pivots.tolist()):
-        table[:, j] = _distances_from(ds, p, oracle)
+        table[:, j] = _distances_from(ds, p)
+    if oracle is not None:
+        oracle.add(ds.n * (k + rounds))
     return PivotIndex(pivots, table, policy)
 
 

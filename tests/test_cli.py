@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from metricdim import cli, core, diststats, rng
+from metricdim.concentration import ConcentrationCurve, two_sided_alpha, union_bound_slack
 from metricdim.core import EXACT_DIAMETER_LIMIT, InvariantViolation, MetricKind, load_dataset
 from metricdim.core import Dataset
 from metricdim.doubling import probe_rows
@@ -505,6 +506,34 @@ def test_overflowing_moments_are_refused_without_a_warning(name, tmp_path):
     assert (done.returncode, done.stdout, done.stderr) == (1, "", message)
 
 
+def run_module(args, **env):
+    """``python -m metricdim args`` in a child process, with this checkout's
+    package on the path: its exit status, stdout and stderr."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""), **env)
+    done = subprocess.run([sys.executable, "-m", "metricdim", *args], capture_output=True, text=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("metric, text", [("euclidean", b"1 2\n3 4\n\xff\xfe 5\n"), ("hamming", b"01\n10\n\xff\n")], ids=["real", "bits"])
+def test_a_file_that_is_not_utf8_exits_one_with_one_error_line(metric, text, tmp_path):
+    # Once a UnicodeDecodeError traceback.
+    path = tmp_path / "latin.txt"
+    path.write_bytes(text)
+    code, out, err = run_module(["estimate", "--metric", metric, "--in", str(path)])
+    assert (code, out, err) == (1, "", f"error: {path}: not UTF-8 text: invalid start byte\n")
+
+
+def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    # Under an ASCII locale the decoding once followed the locale and
+    # refused the header's "é".
+    path = tmp_path / "pts.txt"
+    path.write_text("# café\n0 1\n3 5\n", encoding="utf-8")
+    args = ["estimate", "--metric", "manhattan", "--in", str(path)]
+    ascii_locale = run_module(args, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    assert ascii_locale[0] == 0 and ascii_locale == run_module(args)
+
+
 class TestExitCodes:
     def test_unknown_flag_is_invalid_input(self, capsys):
         assert run_cli(["fig-a", "--bogus", "1"], capsys)[0] == 1
@@ -589,6 +618,23 @@ class TestSelfTestChecks:
         code, out, err = run_cli(self.FIG_C + ["--self-test"], capsys)
         assert (code, out) == (2, "")
         assert "exceeds the Chernoff bound plus slack" in err
+
+    def test_fig_c_passes_at_every_d_from_1_to_16(self, capsys):
+        # The one-sided exp(-2 eps^2 d) is exceeded at d = 1, 2, 3 and 9,
+        # the two-sided, median-shifted reference nowhere.
+        args = ["fig-c", "--d", ",".join(map(str, range(1, 17)))]
+        plain = run_cli(args, capsys)
+        assert run_cli(args + ["--self-test"], capsys) == plain and plain[0] == 0
+
+    @pytest.mark.parametrize("excess, code", [(0.0, 0), (1e-9, 2)])
+    def test_fig_c_curve_at_and_above_the_two_sided_reference(self, excess, code, capsys, monkeypatch):
+        def raised(ds, k, grid_size, seed):
+            grid = np.linspace(0.0, 1.0, grid_size)
+            slack = union_bound_slack(ds.n, k, grid_size)
+            return ConcentrationCurve(grid, [min(1.0, two_sided_alpha(ds.dim, eps) + slack + excess) for eps in grid])
+
+        monkeypatch.setattr(cli, "empirical_concentration", raised)
+        assert run_cli(["fig-c", "--d", "1,9", "--n", "200", "--self-test"], capsys)[0] == code
 
     @pytest.mark.parametrize(
         "name, patch, message",

@@ -12,6 +12,7 @@ from metricdim.concentration import (
     concentration_dimension,
     empirical_concentration,
     select_witnesses,
+    two_sided_alpha,
     union_bound_slack,
     witness_curve,
     WitnessFamily,
@@ -131,6 +132,22 @@ class TestChernoff:
     def test_invalid_dimension(self):
         with pytest.raises(InvalidInputError):
             chernoff_alpha(0, 0.1)
+
+
+class TestTwoSidedReference:
+    @pytest.mark.parametrize("d", range(1, 33))
+    def test_bounds_the_two_sided_tail_of_a_witness_about_any_median(self, d):
+        # A witness d(a, .) on uniform d-bit points is Binomial(d, 1/2) / d,
+        # and every median of it lies in [floor(d/2), ceil(d/2)] / d.
+        mass = [math.comb(d, j) / 2**d for j in range(d + 1)]
+        for median in {d // 2 / d, 0.5, -(-d // 2) / d}:
+            for eps in np.linspace(0.0, 1.0, 201).tolist():
+                tail = math.fsum(p for j, p in enumerate(mass) if abs(j / d - median) > eps)
+                assert tail <= two_sided_alpha(d, eps) + 1e-12
+
+    def test_the_one_sided_reference_is_no_bound_on_the_two_sided_tail(self):
+        # At d = 1 a witness is 0 or 1, 1/2 from its median everywhere.
+        assert two_sided_alpha(1, 0.49) == 1.0 > chernoff_alpha(1, 0.49)
 
 
 class TestConcentrationDimension:

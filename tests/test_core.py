@@ -914,6 +914,59 @@ def test_loading_holds_the_points_twice_and_a_block(tmp_path):
     assert traced_peak(lambda: load_dataset(path, EUCLID)) < 2 * ds.points.nbytes + 2 * 2**20
 
 
+# Every break of ``str.splitlines``, with CR and CRLF, which universal
+# newlines turn into LF.
+SPLITLINES_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@given(data=st.data(), width=st.integers(1, 3), metric=st.sampled_from([EUCLID, HAMMING]))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_the_line_stream_loads_what_the_whole_text_parse_loads(data, width, metric, tmp_path):
+    fields = ["0", "1"] if metric.uses_bits else ["0", "1", "-2.5", "1e3", "7"]
+    separators = ["", " ", ",", "\t"] if metric.uses_bits else [" ", ",", "\t", ", "]
+    row = st.lists(st.sampled_from(fields), min_size=width, max_size=width + 1).flatmap(
+        lambda row: st.sampled_from(separators).map(lambda separator: separator.join(row))
+    )
+    line = st.one_of(
+        row,
+        st.sampled_from(["", " ", "\t", "# c", "  #1 2", ",", " , ", "\t1"]),
+        st.text(alphabet="01 \t,#.e-5", max_size=6),
+    )
+    lines = data.draw(st.lists(line, max_size=8))
+    text = "".join(line + data.draw(st.sampled_from(SPLITLINES_BREAKS)) for line in lines)
+    if data.draw(st.booleans()):
+        text += data.draw(row)  # a last line that no break ends
+    # A comment that puts its break, CRLF included, across the text
+    # reader's 8 KiB buffer.
+    pad = data.draw(st.sampled_from([0, 8189, 8190, 8191, 8192]))
+    if pad:
+        text = "#" + "x" * (pad - 1) + data.draw(st.sampled_from(["\r\n", "\r", "\n"])) + text
+    path = tmp_path / "pts.txt"
+    path.write_bytes(text.encode())
+    expected = load_outcome(whole_text_load, path, metric)
+    assert load_outcome(load_dataset, path, metric) == expected
+    assert load_outcome(per_row_load, path, metric) == expected
+
+
+def test_a_real_file_is_parsed_by_one_loadtxt_call(tmp_path, monkeypatch):
+    points = rng.matrix_normals(5, 20_000, 16)
+    path = tmp_path / "pts.txt"
+    path.write_text("# header\n" + format_points(Dataset(points, EUCLID)))
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(1) or loadtxt(*args, **kwargs))
+    assert load_dataset(path, EUCLID).points.tobytes() == points.tobytes()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("metric, text", [(EUCLID, b"1 2\n3 4\n\xff\xfe 5\n"), (HAMMING, b"01\n10\n\x81\n")], ids=["real", "bits"])
+def test_bytes_that_are_not_utf8_are_refused_naming_the_file(metric, text, tmp_path):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(text)
+    with pytest.raises(InvalidInputError, match=f"^{path}: not UTF-8 text: invalid start byte$"):
+        load_dataset(path, metric)
+
+
 def reference_render(ds):
     """The renderer before points were written in blocks."""
     if ds.metric.uses_bits:

@@ -53,6 +53,15 @@ class TestBuild:
         build_pivot_index(ds, 32, RandomPivots(seed=2), oracle)
         assert oracle.count == 32_000
 
+    @pytest.mark.parametrize("policy, rounds", [(RandomPivots(seed=2), 0), (FarthestFirst(seed=2), 8)], ids=["random", "farthest-first"])
+    def test_a_build_charges_its_oracle_once(self, policy, rounds):
+        ds = generate(GeneratorSpec(Family.UNIFORM_CUBE, 3, 200, seed=5))
+        charges = []
+        oracle = CountingOracle(ds.metric)
+        oracle.add = charges.append
+        build_pivot_index(ds, 8, policy, oracle)
+        assert charges == [200 * (8 + rounds)]
+
     def test_farthest_first_build_cost(self):
         ds = generate(GeneratorSpec(Family.UNIFORM_CUBE, 3, 200, seed=5))
         oracle = CountingOracle(ds.metric)

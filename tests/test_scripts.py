@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under scripts/, in process and at small sizes."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -31,3 +32,18 @@ def test_index_showdown(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 4  # configuration, column header, one row per d
     assert [line.split()[0] for line in lines[2:]] == ["1", "8"]
+
+
+def test_peak_memory(tmp_path, capsys, monkeypatch):
+    src = str(SCRIPTS.parent / "src")
+    monkeypatch.setenv("PYTHONPATH", src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    script = load_script("peak_memory")
+    args = ["--estimate-n", "300", "--generate-n", "2000", "--dir", str(tmp_path)]
+    assert script.main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["estimate", "generate"]
+    generated = (tmp_path / "gauss-generate.txt").read_text().splitlines()
+    assert sum(not line.startswith("#") for line in generated) == 2000
+    monkeypatch.setattr(script, "ESTIMATE_MB", -1)
+    assert script.main(args) == 1
+    assert capsys.readouterr().err == "estimate peaks more than -1 MB above import\n"
