@@ -4,10 +4,10 @@
 Each command runs in a child process, and its peak RSS (``ru_maxrss`` from
 ``os.wait4``) is compared with that of a child that only imports
 ``metricdim.cli``. `estimate` runs on a Gaussian 16-column file of
-``--estimate-n`` rows, written first with `generate` to
-``gauss-estimate.txt``; `generate` then writes ``--generate-n`` rows to
-``gauss-generate.txt``. The script fails (exit 1) when either
-command peaks more than its bound above the import:
+``ESTIMATE_N`` rows, written first with `generate` to
+``gauss-estimate.txt`` in the current directory; `generate` then writes
+``GENERATE_N`` rows to ``gauss-generate.txt``. The script fails (exit 1)
+when either command peaks more than its bound above the import:
 
 - `estimate` reads its file as one stream of lines parsed in C, folds the
   moments of its sampled pairs leaf by leaf in 1 MiB tiles and probes the
@@ -19,18 +19,15 @@ command peaks more than its bound above the import:
   35 MB (about 27 MB measured).
 
 Usage:
-    python scripts/peak_memory.py [--estimate-n 10000] [--generate-n 100000]
-                                  [--dir .]
+    python scripts/peak_memory.py
 """
 
-import argparse
 import os
 import subprocess
 import sys
-from pathlib import Path
 
-ESTIMATE_MB = 12
-GENERATE_MB = 35
+ESTIMATE_N, ESTIMATE_MB = 10_000, 12
+GENERATE_N, GENERATE_MB = 100_000, 35
 
 
 def peak_mb(*args) -> float:
@@ -42,20 +39,13 @@ def peak_mb(*args) -> float:
     return usage.ru_maxrss / 1024
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--estimate-n", type=int, default=10_000)
-    parser.add_argument("--generate-n", type=int, default=100_000)
-    parser.add_argument("--dir", type=Path, default=Path("."), help="the directory of the two Gaussian files")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     gauss = ["generate", "--family", "gaussian", "--d", "16"]
-    estimate_in, generate_out = args.dir / "gauss-estimate.txt", args.dir / "gauss-generate.txt"
-    peak_mb("-m", "metricdim", *gauss, "--n", str(args.estimate_n), "--out", str(estimate_in))
+    peak_mb("-m", "metricdim", *gauss, "--n", str(ESTIMATE_N), "--out", "gauss-estimate.txt")
     base = peak_mb("-c", "import metricdim.cli")
     runs = [
-        ("estimate", ESTIMATE_MB, ["estimate", "--metric", "euclidean", "--in", str(estimate_in)]),
-        ("generate", GENERATE_MB, [*gauss, "--n", str(args.generate_n), "--out", str(generate_out)]),
+        ("estimate", ESTIMATE_MB, ["estimate", "--metric", "euclidean", "--in", "gauss-estimate.txt"]),
+        ("generate", GENERATE_MB, [*gauss, "--n", str(GENERATE_N), "--out", "gauss-generate.txt"]),
     ]
     failed = False
     for name, bound, command in runs:

@@ -87,6 +87,7 @@ import itertools
 import math
 import threading
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -833,16 +834,20 @@ def _parse_rows(path, bits: bool) -> np.ndarray:
     """The per-row parse of the file at ``path``: each data row as
     ``float`` (or the 0/1 characters) reads it, every row as long as the
     first, or ``InvalidInputError`` naming the first bad line and its
-    reason."""
-    rows = []
-    for lineno, line in _data_lines(path):
+    reason. The rows go into one flat ``array`` of doubles or bytes, so a
+    value costs its 8 bytes (or 1), not a Python float in a list."""
+    flat, width, n = array("B" if bits else "d"), None, 0
+    for n, (lineno, line) in enumerate(_data_lines(path), 1):
         row = _parse_bit_row(line, lineno) if bits else _parse_real_row(line, lineno)
-        if rows and len(row) != len(rows[0]):
-            raise InvalidInputError(f"line {lineno}: row has {len(row)} coordinates, expected {len(rows[0])}")
-        rows.append(row)
-    if not rows:
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise InvalidInputError(f"line {lineno}: row has {len(row)} coordinates, expected {width}")
+        # A bit row is a uint8 array, a real row a list of floats.
+        flat.frombytes(row) if bits else flat.extend(row)
+    if not n:
         raise InvalidInputError(f"{path}: no data rows found")
-    return np.asarray(rows, dtype=np.uint8 if bits else np.float64)
+    return np.frombuffer(flat, np.uint8 if bits else np.float64).reshape(n, width)
 
 
 def _data_lines(path):
@@ -868,18 +873,19 @@ def load_dataset(path, metric: MetricKind) -> Dataset:
     """Read a dataset file. The metric is supplied by the caller, never inferred.
 
     The file is read as one stream of data lines (``_data_lines``), so its
-    whole text is never held. A real-valued file is parsed by one call of
-    numpy's C parser over that stream (``_parse_real_lines``), which grows
-    the points' array itself. A file that it refuses, or in which it reads
-    a value that is not finite, is read again and parsed one row at a time
-    (``_parse_rows``), which takes what ``float`` takes and otherwise names
-    the first bad line and its reason; bit files are always parsed that
-    way. The C parser reads every file it accepts as the per-row parse
-    does, so every file keeps the values and the refusal of the per-row
-    parse.
+    whole text is never held. A real-valued regular file is parsed by one
+    call of numpy's C parser over that stream (``_parse_real_lines``),
+    which grows the points' array itself. A file that it refuses, or in
+    which it reads a value that is not finite, is read again and parsed one
+    row at a time (``_parse_rows``), which takes what ``float`` takes and
+    otherwise names the first bad line and its reason. Bit files, and
+    inputs that can be read only once (a pipe, a FIFO, ``/dev/stdin``), are
+    always parsed that way. The C parser reads every file it accepts as
+    the per-row parse does, so every file keeps the values and the refusal
+    of the per-row parse.
     """
     bits = _check_metric(metric).uses_bits
-    points = None if bits else _parse_real_lines(line for _, line in _data_lines(path))
+    points = None if bits or not Path(path).is_file() else _parse_real_lines(line for _, line in _data_lines(path))
     return Dataset(_parse_rows(path, bits) if points is None else points, metric)
 
 

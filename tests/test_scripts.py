@@ -37,13 +37,15 @@ def test_index_showdown(capsys):
 def test_peak_memory(tmp_path, capsys, monkeypatch):
     src = str(SCRIPTS.parent / "src")
     monkeypatch.setenv("PYTHONPATH", src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    monkeypatch.chdir(tmp_path)
     script = load_script("peak_memory")
-    args = ["--estimate-n", "300", "--generate-n", "2000", "--dir", str(tmp_path)]
-    assert script.main(args) == 0
+    monkeypatch.setattr(script, "ESTIMATE_N", 300)
+    monkeypatch.setattr(script, "GENERATE_N", 2000)
+    assert script.main() == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == ["estimate", "generate"]
     generated = (tmp_path / "gauss-generate.txt").read_text().splitlines()
     assert sum(not line.startswith("#") for line in generated) == 2000
     monkeypatch.setattr(script, "ESTIMATE_MB", -1)
-    assert script.main(args) == 1
+    assert script.main() == 1
     assert capsys.readouterr().err == "estimate peaks more than -1 MB above import\n"
