@@ -6,8 +6,9 @@ lines echoing the full effective configuration (seeds included; the
 default seed is 42). All output is CSV; plotting is left to external
 tools.
 
-Exit status: 0 on success, 1 on invalid input, 2 when a --self-test
-invariant check fails.
+Exit status: 0 on success, and when the reader closes stdout early (as
+``| head`` does; nothing is printed); 1 on invalid input, 2 when a
+--self-test invariant check fails.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 
 import numpy as np
@@ -29,6 +31,7 @@ from .concentration import (
 )
 from .core import (
     DEGENERATE,
+    _PAIR_TOLERANCE,
     Dataset,
     InvalidInputError,
     InvariantViolation,
@@ -265,10 +268,6 @@ def run_generate(family, d, n, seed=DEFAULT_SEED, self_test=False):
 
 
 NN_QUERY_CAP = 200
-# A Euclidean all-pairs value is within this relative distance of the
-# kernel's (``core.all_pair_distances``), and the exact diameter is the
-# kernel's.
-_PAIR_TOLERANCE = 1e-9
 
 
 def run_estimate(path, metric: MetricKind, seed=DEFAULT_SEED, k=32, grid_size=201, probes=64, self_test=False) -> str:
@@ -537,10 +536,16 @@ def main(argv=None) -> int:
                 out.writelines(blocks)
         else:
             sys.stdout.writelines(blocks)
+            sys.stdout.flush()
         return 0
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``), which is no input error.
+        # Stdout now writes to devnull, so the final flush stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,13 +17,15 @@ and calls the same kernel.
 
 Pairs of rows are enumerated in one place, the ball screen
 ``_BallScreen``. It is built from kernel rows and prepares them once per
-use: for Euclidean, centred rows whose Gram values come with a rounding
-band, and for Hamming, Manhattan, Chebyshev and every Euclidean block
-outside the screen's range, the kernel's values in row chunks. So Hamming
-distances have one implementation, the popcount kernel, whatever the row
-width. Pairs the Euclidean band cannot decide go back to the kernel, and
-only the screen knows where its bands lie and what its Gram operand
-holds. These uses read the screen:
+use: for Euclidean, one centred (d+2)-row operand whose Gram values come
+from one product with one rounding band (``ball_operand`` and
+``_gram_gap``; the error argument is ``within_radius``'s), and for
+Hamming, Manhattan, Chebyshev and every Euclidean operand outside the
+screen's range, the kernel's values in row chunks. So Hamming distances
+have one implementation, the popcount kernel, whatever the row width.
+Pairs the Euclidean band cannot decide go back to the kernel, and only
+the screen knows where its bands lie and what its Gram operand holds.
+These uses read the screen:
 
 - Ball membership ``pair_distances(...) <= radius``, equal to the
   kernel's answer element by element (the screen decides the pairs its
@@ -36,7 +38,8 @@ holds. These uses read the screen:
   reads each block from it, and ``within_radius`` makes one of its two
   blocks and alone builds a dense matrix, at this public edge.
 - ``all_pair_distances`` takes the upper triangles of the screen's row
-  bands (rows i..i+B-1 against the rows after i).
+  bands (rows i..i+B-1 against the rows after i), which read the ball
+  operand of all the rows at radius 0.
 - One pass over the same bands takes both extremes, the exact diameter
   and each row's nearest distance, equal to the kernel's bit for bit (the
   kernel re-measures, in one call per band, the Euclidean pairs near
@@ -76,9 +79,9 @@ coordinate differences below sqrt of the smallest normal double
 range the metric axioms hold exactly. Ball membership, the exact
 diameter and the nearest-neighbour distances equal the kernel's answers
 bit for bit. ``all_pair_distances`` equals the kernel's values bit for bit
-for Hamming, Manhattan and Chebyshev, and within 1e-9 relative for
-Euclidean, wherever the points lie short of overflow: the Gram values are
-centred, so a translation does not cancel them.
+for Hamming, Manhattan and Chebyshev, and within ``_PAIR_TOLERANCE``
+(1e-9) relative for Euclidean, wherever the points lie short of overflow:
+the Gram values are centred, so a translation does not cancel them.
 """
 
 from __future__ import annotations
@@ -287,6 +290,10 @@ def _chunked_matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None)
 # below the band.
 _SCREEN_RANGE = (2.0**-256, 2.0**256)
 _UNIT_ROUNDOFF = 2.0**-53
+# A Euclidean value of ``all_pair_distances`` is within this relative
+# distance of the kernel's; ``estimate --self-test`` holds its largest
+# pair distance to the exact diameter with it.
+_PAIR_TOLERANCE = 1e-9
 
 # A row band of the ball screen (all pairs, the extremes, nearest
 # neighbours) holds at most this many bytes, 16 a pair: a float64 value and
@@ -322,11 +329,12 @@ class _BallScreen:
     and their length ``dim`` (the bit length for Hamming). A caller makes
     one operand of the rows its balls range over (``ball_operand``: for
     Euclidean a (d+2)-term Gram operand, see ``within_radius``) and asks
-    ``members`` about any block of them at any radius. The band pass
-    centres the Euclidean rows on ``rows[0]`` once and reads their squared
-    norms beside them. Pairs that a Euclidean band leaves open are
-    measured again by the kernel. Blocks that the kernel measures run on
-    one scratch buffer that the screen keeps.
+    ``members`` about any block of them at any radius. The band pass makes
+    one operand of all the rows and reads its Gram values through the
+    product that ``members`` reads (``_gram_gap``) at radius 0, so the
+    screen has one Gram form and one band. Pairs that a Euclidean band
+    leaves open are measured again by the kernel. Blocks that the kernel
+    measures run on one scratch buffer that the screen keeps.
     """
 
     def __init__(self, metric: MetricKind, rows: np.ndarray, dim: int):
@@ -379,6 +387,20 @@ class _BallScreen:
                 return operand, reach
         return block, None
 
+    def _gram_gap(self, operand: np.ndarray, reach: float, picks, start: int, t: float, out: np.ndarray) -> float:
+        """``out`` (a C-ordered float64 array of the block's shape) filled
+        with g - t^2 for the Euclidean operand's points at positions
+        ``picks`` against its points from position ``start`` on, by one
+        product: the rows [-2 x_i', |x_i'|^2 - t^2, 1] times the operand's
+        columns [x_j', 1, |x_j'|^2]. Returns the band 8 (d + 8) u (R^2 + t^2)
+        of the operand's reach R (see ``within_radius``)."""
+        d = self.dim
+        left = np.ones((len(picks), d + 2))
+        np.multiply(operand[:d, picks].T, -2.0, out=left[:, :d])
+        np.subtract(operand[d + 1, picks], t * t, out=left[:, d])
+        _chunked_matmul(left, operand[:, start:], out)
+        return 8.0 * (d + 8) * _UNIT_ROUNDOFF * (reach * reach + t * t)
+
     def members(
         self,
         held: np.ndarray,
@@ -398,24 +420,17 @@ class _BallScreen:
         of the block's shape) receives the block's values.
 
         For Euclidean, with t = radius inside ``_SCREEN_RANGE``, the block is
-        one product: the rows [-2 x_i', |x_i'|^2 - t^2, 1] of the picks times
-        the operand give g - t^2. A pair below minus the band
-        8 (d + 8) u (R^2 + t^2) (see ``within_radius``) is inside, one above
-        the band outside, and the kernel decides the pairs in between.
-        Every other block is the kernel's distances, compared with the
-        radius."""
+        g - t^2 from one product (``_gram_gap``). A pair below minus the band
+        is inside, one above the band outside, and the kernel decides the
+        pairs in between. Every other block is the kernel's distances,
+        compared with the radius."""
         t = float(radius)
         lo, hi = _SCREEN_RANGE
         if reach is None or not lo <= t <= hi:
             b = operand[start:] if reach is None else self.rows[held[start:]]
             return (self._kernel_block(self.rows[held[picks]], b, out) <= radius).ravel().nonzero()[0]
-        d = self.dim
-        left = np.empty((len(picks), d + 2))
-        np.multiply(operand[:d, picks].T, -2.0, out=left[:, :d])
-        np.subtract(operand[d + 1, picks], t * t, out=left[:, d])
-        left[:, d + 1] = 1.0
-        values = _chunked_matmul(left, operand[:, start:], out).ravel()
-        band = 8.0 * (d + 8) * _UNIT_ROUNDOFF * (reach * reach + t * t)
+        band = self._gram_gap(operand, reach, picks, start, t, out)
+        values = out.ravel()
         hits = (values <= band).nonzero()[0]
         open_ = (values[hits] >= -band).nonzero()[0]
         if open_.size:
@@ -442,23 +457,16 @@ class _BallScreen:
         band before it asks for the next.
 
         With ``band`` None, ``values`` are the kernel's distances: for
-        Hamming, Manhattan, Chebyshev and a Euclidean band whose reach R =
-        max |a'| + max |b'| lies outside ``_SCREEN_RANGE``, x' = x - rows[0]
-        (the rows are centred once, for the pass). Otherwise they are the
-        squared distances g = |a'|^2 + |b'|^2 - 2 a'.b' and ``band`` is
-        4 (d + 8) u R^2, with u = 2**-53: g errs from the exact square by at
-        most 3 u R^2 (the centring) and gamma_d R^2 + 2 u R^2 (the product
-        and its two additions), a quarter of the band to first order, and
-        the kernel's square errs by at most gamma_{d+6} R^2, so g lies
-        within half the band of the kernel's square."""
+        Hamming, Manhattan and Chebyshev, and for Euclidean rows whose
+        operand (``ball_operand`` of all the rows, made once for the pass)
+        has no reach. Otherwise they are the squared distances g of
+        ``_gram_gap`` at t = 0, and ``band`` is its band: g lies within a
+        quarter of it of the exact square and within half of it of the
+        kernel's (see ``within_radius``)."""
         n = self.rows.shape[0]
         stop = n - 1 if split is None else split
         buffer = np.empty(max(_SCAN_BYTES // 16, n))
-        if self.metric is MetricKind.EUCLIDEAN:
-            with np.errstate(over="ignore", invalid="ignore"):
-                form = np.subtract(self.rows, self.rows[:1], dtype=np.float64)
-                norms = np.einsum("ij,ij->i", form, form)
-        lo, hi = _SCREEN_RANGE
+        operand, reach = self.ball_operand(slice(None))
         i = 0
         while i < stop:
             first = i + 1 if split is None else split
@@ -466,19 +474,9 @@ class _BallScreen:
             ia, ib = np.arange(i, min(i + step, stop)), np.arange(first, n)
             out = buffer[: ia.size * ib.size].reshape(ia.size, ib.size)
             i += step
-            if self.metric is MetricKind.EUCLIDEAN:
-                na, nb = norms[ia], norms[first:]
-                reach = math.sqrt(na.max()) + math.sqrt(nb.max())
-                if lo <= reach <= hi:
-                    # |x - y|^2 = |x|^2 + |y|^2 - 2 x.y
-                    ac = form[ia]
-                    ac *= -2.0
-                    gap = _chunked_matmul(ac, form[first:].T, out)
-                    gap += na[:, None]
-                    gap += nb[None, :]
-                    yield ia, ib, gap, 4.0 * (self.dim + 8) * _UNIT_ROUNDOFF * (reach * reach)
-                    continue
-            yield ia, ib, self._kernel_block(self.rows[ia], self.rows[first:], out), None
+            if reach is None:
+                self._kernel_block(self.rows[ia], self.rows[first:], out)
+            yield ia, ib, out, None if reach is None else self._gram_gap(operand, reach, ia, first, 0.0, out)
 
     def extremes(self) -> tuple[float, np.ndarray]:
         """The largest distance between two rows, and each row's distance to
@@ -585,6 +583,19 @@ def within_radius(metric: MetricKind, a: np.ndarray, b: np.ndarray, radius: floa
     screen value is finite; outside it (a zero, subnormal or infinite
     radius, coordinates near overflow, all points equal to c) every pair
     goes to the kernel.
+
+    The row bands (``_BallScreen._bands``) read the same product at t = 0,
+    the band then being 8 (d + 8) u R^2. The subtraction of t^2 is exact,
+    so g errs from the exact square by at most gamma_{d+2} R^2 (the
+    product), gamma_d R^2 (the norms) and 3 u R^2 (the centring), that is
+    (2 d + 5) u R^2 to first order:
+
+    - g lies within a quarter of the band of the exact square, so where g
+      is at least band / (2 tol) its square root errs by less than 0.3 tol
+      relative, as ``all_pair_distances`` needs (tol = ``_PAIR_TOLERANCE``);
+    - adding the kernel's gamma_{d+6} R^2, g lies within half the band of
+      the kernel's square, as ``_BallScreen.extremes`` and
+      ``_BallScreen.nearest`` need.
     """
     screen = _BallScreen(metric, _kernel_form(metric, np.concatenate([a, b])), a.shape[1])
     rows = np.arange(len(a) + len(b))
@@ -599,12 +610,11 @@ def all_pair_distances(metric: MetricKind, points: np.ndarray) -> np.ndarray:
     the upper triangle of each of the ball screen's row bands in turn.
 
     Hamming, Manhattan and Chebyshev values are the kernel's own, bit for
-    bit. A Euclidean value is sqrt(g) from the centred Gram value g
-    and is within 1e-9 relative of the kernel's: g errs by at most a
-    quarter of the band at t = 0, so where g is at least band / 2e-9 the
-    square root errs by less than 3e-10 relative, and every smaller g (near
-    duplicates, and a whole band outside ``_SCREEN_RANGE``) is measured by
-    the kernel.
+    bit. A Euclidean value is sqrt(g) from the band's Gram value g and is
+    within ``_PAIR_TOLERANCE`` relative of the kernel's: every g below
+    band / (2 ``_PAIR_TOLERANCE``) (near duplicates) is measured by the
+    kernel, as is every pair of rows whose operand has no reach, and the
+    error argument for the rest is ``within_radius``'s at t = 0.
 
     The output is one float64 vector of n(n-1)/2 values, allocated first;
     each band's triangle is copied into its place as soon as the band is
@@ -619,7 +629,7 @@ def all_pair_distances(metric: MetricKind, points: np.ndarray) -> np.ndarray:
     for ia, ib, values, band in screen._bands():
         upper = ib > ia[:, None]
         if band is not None:
-            ii, jj, measured = screen._remeasure(ia, ib, upper & (values < band / 2e-9))
+            ii, jj, measured = screen._remeasure(ia, ib, upper & (values < band / (2 * _PAIR_TOLERANCE)))
             np.sqrt(np.maximum(values, 0.0, out=values), out=values)
             values[ii, jj] = measured
         triangle = values[upper]

@@ -67,14 +67,16 @@ class QueryStats:
     result_size: int
 
 
-def _select_farthest_first(ds: Dataset, k: int, seed: int) -> np.ndarray:
-    first = int(rng.distinct_indices(seed, 1, ds.n)[0])
-    chosen = [first]
-    min_dist = _distances_from(ds, first)
-    for _ in range(k - 1):
-        nxt = int(np.argmax(min_dist))  # argmax takes the lowest index on ties
-        chosen.append(nxt)
-        np.minimum(min_dist, _distances_from(ds, nxt), out=min_dist)
+def _select_farthest_first(ds: Dataset, table: np.ndarray, seed: int) -> np.ndarray:
+    """The pivots chosen farthest-first, one per column of ``table``, each
+    column filled with its pivot's distances as the pivot is chosen."""
+    chosen = [int(rng.distinct_indices(seed, 1, ds.n)[0])]
+    table[:, 0] = _distances_from(ds, chosen[0])
+    min_dist = table[:, 0].copy()
+    for j in range(1, table.shape[1]):
+        chosen.append(int(np.argmax(min_dist)))  # argmax takes the lowest index on ties
+        table[:, j] = _distances_from(ds, chosen[-1])
+        np.minimum(min_dist, table[:, j], out=min_dist)
     return np.asarray(chosen, dtype=np.int64)
 
 
@@ -87,20 +89,21 @@ def build_pivot_index(ds: Dataset, k: int, policy: PivotPolicy, oracle: Counting
 
     RandomPivots draws k distinct seeded indices; FarthestFirst grows the
     pivot set by always adding the point farthest from it (lowest index on
-    ties). The table costs exactly n * k counted distances, plus n per
-    selection round for FarthestFirst, charged to ``oracle`` at once.
+    ties), and its table is the columns measured for that choice. Either
+    way the build costs exactly n * k counted distances, charged to
+    ``oracle`` at once.
     """
     if not 1 <= k <= ds.n:
         raise InvalidInputError(f"pivot count must be in [1, {ds.n}], got {k}")
-    if isinstance(policy, RandomPivots):
-        pivots, rounds = rng.distinct_indices(policy.seed, k, ds.n), 0
-    else:
-        pivots, rounds = _select_farthest_first(ds, k, policy.seed), k
     table = np.empty((k, ds.n)).T
-    for j, p in enumerate(pivots.tolist()):
-        table[:, j] = _distances_from(ds, p)
+    if isinstance(policy, RandomPivots):
+        pivots = rng.distinct_indices(policy.seed, k, ds.n)
+        for j, p in enumerate(pivots.tolist()):
+            table[:, j] = _distances_from(ds, p)
+    else:
+        pivots = _select_farthest_first(ds, table, policy.seed)
     if oracle is not None:
-        oracle.add(ds.n * (k + rounds))
+        oracle.add(ds.n * k)
     return PivotIndex(pivots, table, policy)
 
 

@@ -517,6 +517,19 @@ def run_module(args, stdin=None, **env):
     return done.returncode, done.stdout, done.stderr
 
 
+def test_a_stdout_closed_early_exits_zero_with_nothing_on_stderr():
+    # As ``generate ... | head -2`` closes it. Once "error: [Errno 32]
+    # Broken pipe" and status 1, as for bad input.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    argv = [sys.executable, "-m", "metricdim", "generate", "--family", "gaussian", "--d", "16", "--n", "100000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+        assert child.stdout.read(64).startswith(b"# command=generate")
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (child.wait(timeout=120), err) == (0, b"")
+
+
 @pytest.mark.parametrize("metric, text", [("euclidean", b"1 2\n3 4\n\xff\xfe 5\n"), ("hamming", b"01\n10\n\xff\n")], ids=["real", "bits"])
 def test_a_file_that_is_not_utf8_exits_one_with_one_error_line(metric, text, tmp_path):
     # Once a UnicodeDecodeError traceback.

@@ -22,6 +22,7 @@ from metricdim.core import (
     pair_distances,
     within_radius,
 )
+from metricdim.diststats import nn_statistics
 from metricdim.nettree import build_net_tree, net_range_query
 from metricdim.pivot import RandomPivots, build_pivot_index, calibrate_eps, range_query, sequential_scan
 from test_diststats import traced_peak
@@ -284,11 +285,14 @@ def test_screen_counts_every_bit_of_rows_wider_than_float32_counts():
 # Layouts for the prepared screen: "offset" needs the centring, "scaled"
 # lies far inside the unit box, and "far-centre" moves row 0 away from the
 # rest, so an operand that holds it has a large reach, wherever it is
-# centred.
+# centred. "far-row" moves the last row away instead: the reach of a row
+# band's operand is set by a row that is not its centre, and often not in
+# the band.
 SCREEN_LAYOUTS = {
     "offset": lambda g, shape: 1e8 + g.random(shape),
     "scaled": lambda g, shape: 1e-3 * g.standard_normal(shape),
     "far-centre": lambda g, shape: g.random(shape) + 1e4 * (np.arange(shape[0]) == 0)[:, None],
+    "far-row": lambda g, shape: g.random(shape) + 1e4 * (np.arange(shape[0]) == shape[0] - 1)[:, None],
 }
 
 
@@ -376,6 +380,32 @@ def test_all_pair_distances_equal_the_joined_band_triangles(kind, n):
     got = core.all_pair_distances(kind, points)
     assert got.dtype == np.float64 and got.shape == (n * (n - 1) // 2,)
     assert got.tobytes() == concatenated_band_triangles(kind, points).tobytes()
+
+
+@pytest.mark.parametrize("band_pass", ["extremes", "all-pairs", "nearest"])
+def test_a_band_pass_builds_one_euclidean_operand(band_pass, monkeypatch):
+    # Many bands (a small band budget) and one operand of all the pass's
+    # rows: the ball operand that members reads, with a reach.
+    monkeypatch.setattr(core, "_SCAN_BYTES", 3000)
+    points = 1e8 + np.random.default_rng(7).standard_normal((60, 5))
+    ds, queries = Dataset(points, EUCLID), Dataset(points[:9] + 0.5, EUCLID)
+    operands = []
+    ball_operand = core._BallScreen.ball_operand
+
+    def recorded_operand(self, ib):
+        operand, reach = ball_operand(self, ib)
+        operands.append((ib, operand.shape, reach is not None))
+        return operand, reach
+
+    monkeypatch.setattr(core._BallScreen, "ball_operand", recorded_operand)
+    band_passes = {
+        "extremes": lambda: core._extremes(ds),
+        "all-pairs": lambda: core.all_pair_distances(EUCLID, points),
+        # A given characteristic size starts no second pass.
+        "nearest": lambda: nn_statistics(ds, queries, characteristic=1.0),
+    }
+    band_passes[band_pass]()
+    assert operands == [(slice(None), (5 + 2, 69 if band_pass == "nearest" else 60), True)]
 
 
 def test_pair_engine_reads_integer_rows_as_reals():

@@ -53,21 +53,21 @@ class TestBuild:
         build_pivot_index(ds, 32, RandomPivots(seed=2), oracle)
         assert oracle.count == 32_000
 
-    @pytest.mark.parametrize("policy, rounds", [(RandomPivots(seed=2), 0), (FarthestFirst(seed=2), 8)], ids=["random", "farthest-first"])
-    def test_a_build_charges_its_oracle_once(self, policy, rounds):
+    @pytest.mark.parametrize("policy", [RandomPivots(seed=2), FarthestFirst(seed=2)], ids=["random", "farthest-first"])
+    def test_a_build_charges_its_oracle_once(self, policy):
         ds = generate(GeneratorSpec(Family.UNIFORM_CUBE, 3, 200, seed=5))
         charges = []
         oracle = CountingOracle(ds.metric)
         oracle.add = charges.append
         build_pivot_index(ds, 8, policy, oracle)
-        assert charges == [200 * (8 + rounds)]
+        assert charges == [200 * 8]
 
     def test_farthest_first_build_cost(self):
         ds = generate(GeneratorSpec(Family.UNIFORM_CUBE, 3, 200, seed=5))
         oracle = CountingOracle(ds.metric)
         build_pivot_index(ds, 8, FarthestFirst(seed=2), oracle)
-        # n * k table entries plus n per selection round
-        assert oracle.count == 200 * 8 + 200 * 8
+        # n * k table entries, each measured once: the selection's columns are the table
+        assert oracle.count == 200 * 8
 
     def test_k_beyond_n_rejected(self):
         with pytest.raises(InvalidInputError):
