@@ -6,6 +6,10 @@ lines echoing the full effective configuration (seeds included; the
 default seed is 42). All output is CSV; plotting is left to external
 tools.
 
+A command's defaults are those of its ``run_*`` function: the parser
+sets no default, so an omitted flag leaves the function's own. A list flag
+that does not parse is refused with a message that names the flag.
+
 Exit status: 0 on success, and when the reader closes stdout early (as
 ``| head`` does; nothing is printed); 1 on invalid input, 2 when a
 --self-test invariant check fails.
@@ -104,7 +108,7 @@ def _render(command: str, config: list[tuple[str, object]], columns: list[str], 
 # ---------------------------------------------------------------------------
 
 
-def run_fig_a(d_list, n=100, seeds=(DEFAULT_SEED,), self_test=False) -> str:
+def run_fig_a(d_list=(2, 20, 200, 2000), n=100, seeds=(DEFAULT_SEED,), self_test=False) -> str:
     """Boxplot statistics of diameter-normalized pairwise distances per d."""
     if not d_list:
         raise InvalidInputError("need at least one dimension")
@@ -125,8 +129,13 @@ def run_fig_a(d_list, n=100, seeds=(DEFAULT_SEED,), self_test=False) -> str:
     return _render("fig-a", config, columns, rows)
 
 
-def run_fig_b(d_values, n=3000, seeds=(DEFAULT_SEED,), self_test=False) -> str:
-    """Dispersion dimension of Gaussian samples per d."""
+def run_fig_b(d_values=None, d_max=50, n=3000, seeds=(DEFAULT_SEED,), self_test=False) -> str:
+    """Dispersion dimension of Gaussian samples per d, for d in ``d_values``
+    or, when that is None, for d = 1..``d_max``."""
+    if d_values is None:
+        if d_max < 1:
+            raise InvalidInputError(f"--d-max must be >= 1, got {d_max}")
+        d_values = range(1, d_max + 1)
     rows = []
     for seed in seeds:
         for d in d_values:
@@ -139,7 +148,7 @@ def run_fig_b(d_values, n=3000, seeds=(DEFAULT_SEED,), self_test=False) -> str:
     return _render("fig-b", config, ["seed", "d", "dim_cnbym"], rows)
 
 
-def run_fig_c(d_list, n=20000, k=32, grid_size=201, seed=DEFAULT_SEED, self_test=False) -> str:
+def run_fig_c(d_list=(16, 128, 256), n=20000, k=32, grid_size=201, seed=DEFAULT_SEED, self_test=False) -> str:
     """Empirical concentration curves on bit-cube workloads, with the
     exp(-2 eps^2 d) reference and the dimension integral of each curve.
     That reference bounds the one-sided concentration function, not the
@@ -168,7 +177,19 @@ def run_fig_c(d_list, n=20000, k=32, grid_size=201, seed=DEFAULT_SEED, self_test
     return _render("fig-c", config, ["d", "eps", "alpha_hat", "chernoff_bound"], rows)
 
 
-def run_pivot_sweep(workloads, n, k, target, queries, seed, policy_kind=RandomPivots, command="pivot-sweep", self_test=False) -> str:
+def run_pivot_sweep(
+    family, d_list, n=10000, k=32, target=10, queries=50, seed=DEFAULT_SEED, policy="random", self_test=False
+) -> str:
+    workloads = [(Family(family), d) for d in d_list]
+    return _sweep("pivot-sweep", workloads, n, k, target, queries, seed, policy, self_test)
+
+
+def run_fig_d(n=10000, k=32, target=10, queries=50, seed=DEFAULT_SEED, self_test=False) -> str:
+    return _sweep("fig-d", DEFAULT_LADDER, n, k, target, queries, seed, "random", self_test)
+
+
+def _sweep(command, workloads, n, k, target, queries, seed, policy, self_test) -> str:
+    policy_kind = FarthestFirst if policy == "farthest-first" else RandomPivots
     rows_out = []
     for row in degradation_sweep(workloads, n, k, target, queries, seed, policy_kind):
         if self_test and not 0.0 <= row.mean_discarded_fraction <= 1.0:
@@ -192,7 +213,7 @@ def run_pivot_sweep(workloads, n, k, target, queries, seed, policy_kind=RandomPi
         ("k", k),
         ("target", target),
         ("queries", queries),
-        ("policy", "random" if policy_kind is RandomPivots else "farthest-first"),
+        ("policy", policy),
         ("workloads", ",".join(f"{f.value}:{d}" for f, d in workloads)),
     ]
     columns = [
@@ -207,11 +228,10 @@ def run_pivot_sweep(workloads, n, k, target, queries, seed, policy_kind=RandomPi
     return _render(command, config, columns, rows_out)
 
 
-def run_fig_d(n=10000, k=32, target=10, queries=50, seed=DEFAULT_SEED, self_test=False) -> str:
-    return run_pivot_sweep(DEFAULT_LADDER, n, k, target, queries, seed, RandomPivots, "fig-d", self_test)
-
-
-def run_nettree_stats(workloads, n=2000, queries=50, probes=64, target=10, seed=DEFAULT_SEED, self_test=False) -> str:
+def run_nettree_stats(
+    workloads=((Family.UNIFORM_CUBE, 1), (Family.UNIFORM_CUBE, 8), (Family.HAMMING_UNIFORM, 64)),
+    n=2000, queries=50, probes=64, target=10, seed=DEFAULT_SEED, self_test=False
+) -> str:
     rows = []
     for w_idx, (family, d) in enumerate(workloads):
         ds = generate(GeneratorSpec(family, d, n, rng.derive_seed(seed, 1, w_idx)))
@@ -248,7 +268,7 @@ def run_generate(family, d, n, seed=DEFAULT_SEED, self_test=False):
     The dataset is made before this returns, and with ``self_test`` it is
     made again and the two renders are compared block by block, so a
     refusal or a failed check comes before any output."""
-    spec = GeneratorSpec(family, d, n, seed)
+    spec = GeneratorSpec(Family(family), d, n, seed)
     ds = generate(spec)
     if self_test:
         for block, again in itertools.zip_longest(format_point_blocks(ds), format_point_blocks(generate(spec))):
@@ -256,7 +276,7 @@ def run_generate(family, d, n, seed=DEFAULT_SEED, self_test=False):
                 raise InvariantViolation("generation is not deterministic")
     header = [
         "# command=generate",
-        f"# family={family.value}",
+        f"# family={spec.family.value}",
         f"# d={d}",
         f"# n={n}",
         f"# seed={seed}",
@@ -270,7 +290,7 @@ def run_generate(family, d, n, seed=DEFAULT_SEED, self_test=False):
 NN_QUERY_CAP = 200
 
 
-def run_estimate(path, metric: MetricKind, seed=DEFAULT_SEED, k=32, grid_size=201, probes=64, self_test=False) -> str:
+def run_estimate(path, metric, seed=DEFAULT_SEED, k=32, grid_size=201, probes=64, self_test=False) -> str:
     """One report with every estimator applied to a dataset file.
 
     Distances are in the file's units. The concentration curve divides
@@ -280,6 +300,7 @@ def run_estimate(path, metric: MetricKind, seed=DEFAULT_SEED, k=32, grid_size=20
     bound and ``rho_hat`` to log2 of the number of distinct rows, the most
     centers a cover can need.
     """
+    metric = MetricKind(metric)
     ds = load_dataset(path, metric)
     rows: list[list] = [["n", ds.n], ["dim", ds.dim], ["metric", metric.value], ["scale", 1.0]]
 
@@ -308,7 +329,7 @@ def run_estimate(path, metric: MetricKind, seed=DEFAULT_SEED, k=32, grid_size=20
             query_idx = rng.distinct_indices(rng.derive_seed(seed, 11), NN_QUERY_CAP, ds.n)
         queries = Dataset(ds.points[query_idx], ds.metric)
         rows.append(["nn_queries", queries.n])
-        if (ds.points == ds.points[0]).all():
+        if _distinct_rows(ds).size == 1:
             rows.append(["mean_eps_nn", DEGENERATE])
             rows.append(["nn_ratio", DEGENERATE])
             rows.append(["note", "all points identical; leave-one-out leaves no nearest neighbor"])
@@ -379,17 +400,13 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInputError(message)
 
 
-_FAMILIES = {f.value: f for f in Family}
-_METRICS = {m.value: m for m in MetricKind}
-
-
 def _int_list(text: str) -> list[int]:
     try:
         out = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise InvalidInputError(f"expected a comma-separated integer list, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}") from None
     if not out:
-        raise InvalidInputError(f"expected a non-empty comma-separated integer list, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a non-empty comma-separated integer list, got {text!r}")
     return out
 
 
@@ -400,140 +417,122 @@ def _workload_list(text: str):
             continue
         try:
             name, d = part.split(":")
-            out.append((_FAMILIES[name], int(d)))
-        except (ValueError, KeyError):
-            raise InvalidInputError(f"expected family:dim entries, got {part!r}") from None
+            out.append((Family(name), int(d)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected family:dim entries, got {part!r}") from None
     if not out:
-        raise InvalidInputError("workload list is empty")
+        raise argparse.ArgumentTypeError("workload list is empty")
     return out
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``metricdim`` parser. Each command's parse holds ``run``, its
+    ``run_*`` function, and only the flags given: no flag has a default
+    here, so an omitted flag keeps the function's own."""
     parser = _Parser(prog="metricdim", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    families = sorted(f.value for f in Family)
 
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def add(name, run, help_text):
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.set_defaults(run=run)
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--self-test", action="store_true", help="run invariant checks; exit 2 on violation")
         return p
 
-    p = add("generate", "write a synthetic dataset in the ingestion format (one point per row)")
-    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
+    p = add("generate", run_generate, "write a synthetic dataset in the ingestion format (one point per row)")
+    p.add_argument("--family", choices=families, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int)
 
-    p = add("estimate", "all dimension estimators applied to a dataset file; rows statistic,value")
+    p = add("estimate", run_estimate, "all dimension estimators applied to a dataset file; rows statistic,value")
     p.add_argument("--in", dest="path", required=True)
-    p.add_argument("--metric", choices=sorted(_METRICS), required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--k", type=int, default=32, help="witness anchors for the concentration curve")
-    p.add_argument("--grid", type=int, default=201)
-    p.add_argument("--probes", type=int, default=64, help="doubling-estimate probe balls")
+    p.add_argument("--metric", choices=sorted(m.value for m in MetricKind), required=True)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--k", type=int, help="witness anchors for the concentration curve")
+    p.add_argument("--grid", dest="grid_size", metavar="GRID", type=int)
+    p.add_argument("--probes", type=int, help="doubling-estimate probe balls")
 
     p = add(
         "fig-a",
+        run_fig_a,
         "boxplots of normalized cube distances; columns "
         "seed,d,median,q1,q3,whisker_low,whisker_high,outlier_count",
     )
-    p.add_argument("--d", default="2,20,200,2000")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--seeds", default=str(DEFAULT_SEED))
+    p.add_argument("--d", dest="d_list", metavar="D", type=_int_list)
+    p.add_argument("--n", type=int)
+    p.add_argument("--seeds", type=_int_list)
 
-    p = add("fig-b", "Gaussian dispersion dimension; columns seed,d,dim_cnbym")
-    p.add_argument("--d", default=None, help="explicit d list; overrides --d-max")
-    p.add_argument("--d-max", type=int, default=50)
-    p.add_argument("--n", type=int, default=3000)
-    p.add_argument("--seeds", default=str(DEFAULT_SEED))
+    p = add("fig-b", run_fig_b, "Gaussian dispersion dimension; columns seed,d,dim_cnbym")
+    p.add_argument("--d", dest="d_values", metavar="D", type=_int_list, help="explicit d list; overrides --d-max")
+    p.add_argument("--d-max", type=int)
+    p.add_argument("--n", type=int)
+    p.add_argument("--seeds", type=_int_list)
 
     p = add(
         "fig-c",
+        run_fig_c,
         "bit-cube concentration curves; columns d,eps,alpha_hat,chernoff_bound; "
         "per-d dim_alpha in the header",
     )
-    p.add_argument("--d", default="16,128,256")
-    p.add_argument("--n", type=int, default=20000)
-    p.add_argument("--k", type=int, default=32)
-    p.add_argument("--grid", type=int, default=201)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--d", dest="d_list", metavar="D", type=_int_list)
+    p.add_argument("--n", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--grid", dest="grid_size", metavar="GRID", type=int)
+    p.add_argument("--seed", type=int)
 
     sweep_columns = (
         "columns family,d,k,mean_discarded_fraction,mean_distance_computations,"
         "mean_result_size,scan_cost"
     )
-    p = add("fig-d", f"pruning degradation across the canonical dimension ladder; {sweep_columns}")
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--k", type=int, default=32)
-    p.add_argument("--target", type=int, default=10)
-    p.add_argument("--queries", type=int, default=50)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p = add("fig-d", run_fig_d, f"pruning degradation across the canonical dimension ladder; {sweep_columns}")
+    p.add_argument("--n", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--target", type=int)
+    p.add_argument("--queries", type=int)
+    p.add_argument("--seed", type=int)
 
-    p = add("pivot-sweep", f"pruning statistics for a chosen family and d list; {sweep_columns}")
-    p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
-    p.add_argument("--d", required=True)
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--k", type=int, default=32)
-    p.add_argument("--policy", choices=["random", "farthest-first"], default="random")
-    p.add_argument("--target", type=int, default=10)
-    p.add_argument("--queries", type=int, default=50)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p = add("pivot-sweep", run_pivot_sweep, f"pruning statistics for a chosen family and d list; {sweep_columns}")
+    p.add_argument("--family", choices=families, required=True)
+    p.add_argument("--d", dest="d_list", metavar="D", type=_int_list, required=True)
+    p.add_argument("--n", type=int)
+    p.add_argument("--k", type=int)
+    p.add_argument("--policy", choices=["random", "farthest-first"])
+    p.add_argument("--target", type=int)
+    p.add_argument("--queries", type=int)
+    p.add_argument("--seed", type=int)
 
     p = add(
         "nettree-stats",
+        run_nettree_stats,
         "net-tree shape and query cost per workload; columns "
         "family,d,rho_hat,max_degree,depth,mean_distance_computations",
     )
-    p.add_argument("--workloads", default="uniform-cube:1,uniform-cube:8,hamming:64")
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--queries", type=int, default=50)
-    p.add_argument("--probes", type=int, default=64)
-    p.add_argument("--target", type=int, default=10)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--workloads", type=_workload_list)
+    p.add_argument("--n", type=int)
+    p.add_argument("--queries", type=int)
+    p.add_argument("--probes", type=int)
+    p.add_argument("--target", type=int)
+    p.add_argument("--seed", type=int)
 
     return parser
-
-
-def _dispatch(args):
-    """The output of the command ``args`` names, as an iterable of text
-    blocks: ``generate``'s as it is rendered, every other command's whole."""
-    if args.command == "generate":
-        return run_generate(_FAMILIES[args.family], args.d, args.n, args.seed, args.self_test)
-    return [_report(args)]
-
-
-def _report(args) -> str:
-    if args.command == "estimate":
-        return run_estimate(args.path, _METRICS[args.metric], args.seed, args.k, args.grid, args.probes, args.self_test)
-    if args.command == "fig-a":
-        return run_fig_a(_int_list(args.d), args.n, _int_list(args.seeds), args.self_test)
-    if args.command == "fig-b":
-        if args.d_max < 1:
-            raise InvalidInputError(f"--d-max must be >= 1, got {args.d_max}")
-        d_values = _int_list(args.d) if args.d is not None else list(range(1, args.d_max + 1))
-        return run_fig_b(d_values, args.n, _int_list(args.seeds), args.self_test)
-    if args.command == "fig-c":
-        return run_fig_c(_int_list(args.d), args.n, args.k, args.grid, args.seed, args.self_test)
-    if args.command == "fig-d":
-        return run_fig_d(args.n, args.k, args.target, args.queries, args.seed, args.self_test)
-    if args.command == "pivot-sweep":
-        workloads = [(_FAMILIES[args.family], d) for d in _int_list(args.d)]
-        policy = RandomPivots if args.policy == "random" else FarthestFirst
-        return run_pivot_sweep(workloads, args.n, args.k, args.target, args.queries, args.seed, policy, "pivot-sweep", args.self_test)
-    if args.command == "nettree-stats":
-        return run_nettree_stats(_workload_list(args.workloads), args.n, args.queries, args.probes, args.target, args.seed, args.self_test)
-    raise InvalidInputError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        blocks = _dispatch(args)
-        if args.out:
+        params = vars(parser.parse_args(argv))
+        del params["command"]
+        out, run = params.pop("out", None), params.pop("run")
+        text = run(**params)
+        # generate's output comes as an iterator of text blocks, every
+        # other command's as one string.
+        blocks = [text] if isinstance(text, str) else text
+        if out:
             # Opened only now: a refusal leaves no file.
-            with open(args.out, "w", encoding="utf-8") as out:
-                out.writelines(blocks)
+            with open(out, "w", encoding="utf-8") as stream:
+                stream.writelines(blocks)
         else:
             sys.stdout.writelines(blocks)
             sys.stdout.flush()

@@ -86,7 +86,7 @@ def test_c03_gaussian_dimension_growth():
         3,
         monotone_seeds == 10 and d1_ok,
         f"strictly increasing for {monotone_seeds}/10 seeds; d=1 estimates "
-        f"[{min(d1_values):.3f}, {max(d1_values):.3f}] in [0.8, 1.2] (analytic 0.873)",
+        f"[{min(d1_values):.3f}, {max(d1_values):.3f}] in [0.8, 1.2] (analytic 0.876)",
     )
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import math
 import os
@@ -13,7 +14,7 @@ from metricdim.concentration import ConcentrationCurve, two_sided_alpha, union_b
 from metricdim.core import EXACT_DIAMETER_LIMIT, InvariantViolation, MetricKind, load_dataset
 from metricdim.core import Dataset
 from metricdim.doubling import probe_rows
-from metricdim.generate import GeneratorSpec, generate
+from metricdim.generate import Family, GeneratorSpec, generate
 
 
 def run_cli(args, capsys):
@@ -99,6 +100,14 @@ class TestFigB:
         _, rows = parse_csv(out)
         dims = {int(r["d"]): float(r["dim_cnbym"]) for r in rows}
         assert dims[1] < dims[8]
+
+    def test_d_list_overrides_d_max(self, capsys):
+        # --d-max is not read when --d is given; it was once checked first,
+        # and the command exited 1.
+        code, out, err = run_cli(["fig-b", "--d", "3", "--d-max", "0", "--n", "100"], capsys)
+        assert (code, err) == (0, "")
+        assert header_lines(out)["d"] == "3"
+        assert [r["d"] for r in parse_csv(out)[1]] == ["3"]
 
     def test_doubling_n_shrinks_seed_spread(self, capsys):
         # Monte-Carlo check, ~20s: the estimator's seed-to-seed variance
@@ -244,9 +253,9 @@ class TestEstimate:
             "two-point dataset; one pair distance has no variance"
         ]
 
-    def test_all_identical_dataset_reports(self, tmp_path, capsys):
+    def test_all_identical_dataset_reports(self, tmp_path, capsys, text="1 2 3\n" * 4):
         data = tmp_path / "same.txt"
-        data.write_text("1 2 3\n" * 4)
+        data.write_text(text)
         code, out, _ = run_cli(["estimate", "--in", str(data), "--metric", "euclidean", "--probes", "3"], capsys)
         assert code == 0
         _, rows = parse_csv(out)
@@ -258,6 +267,10 @@ class TestEstimate:
         assert [r["value"] for r in rows if r["statistic"] == "note"] == [
             "all points identical; leave-one-out leaves no nearest neighbor"
         ]
+
+    def test_signed_zeros_are_one_point(self, tmp_path, capsys):
+        # -0 equals 0, so these rows are one point repeated.
+        self.test_all_identical_dataset_reports(tmp_path, capsys, text="0 1\n-0 1\n0 1\n")
 
 
 class TestDiameterScans:
@@ -433,7 +446,7 @@ GENERATE_CASES = [
 class TestStreamedGenerate:
     @pytest.mark.parametrize("family, d, n", GENERATE_CASES, ids=lambda v: str(v))
     def test_output_is_the_header_and_format_points(self, family, d, n, tmp_path, capsys):
-        ds = generate(GeneratorSpec(cli._FAMILIES[family], d, n, 5))
+        ds = generate(GeneratorSpec(Family(family), d, n, 5))
         assert core._TEXT_BLOCK == 2**18  # the block rows above
         expected = generate_header(family, d, n, 5, ds.metric.value) + core.format_points(ds)
         args = ["generate", "--family", family, "--d", str(d), "--n", str(n), "--seed", "5"]
@@ -582,14 +595,14 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args, message",
         [
-            (["fig-a", "--d", ""], "non-empty"),
-            (["fig-a", "--seeds", ","], "non-empty"),
-            (["fig-b", "--d", ""], "non-empty"),
-            (["fig-b", "--seeds", ""], "non-empty"),
+            (["fig-a", "--d", ""], "argument --d: expected a non-empty"),
+            (["fig-a", "--seeds", ","], "argument --seeds: expected a non-empty"),
+            (["fig-b", "--d", ""], "argument --d: expected a non-empty"),
+            (["fig-b", "--seeds", ""], "argument --seeds: expected a non-empty"),
             (["fig-b", "--d-max", "0"], "--d-max must be >= 1"),
             (["fig-b", "--d-max", "-3"], "--d-max must be >= 1"),
-            (["fig-c", "--d", ""], "non-empty"),
-            (["pivot-sweep", "--family", "uniform-cube", "--d", ""], "non-empty"),
+            (["fig-c", "--d", ""], "argument --d: expected a non-empty"),
+            (["pivot-sweep", "--family", "uniform-cube", "--d", ""], "argument --d: expected a non-empty"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else "",
     )
@@ -597,6 +610,18 @@ class TestExitCodes:
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["fig-a", "--d", "x"], "argument --d: expected a comma-separated integer list, got 'x'"),
+            (["nettree-stats", "--workloads", "nope:zz"], "argument --workloads: expected family:dim entries, got 'nope:zz'"),
+            (["nettree-stats", "--workloads", ","], "argument --workloads: workload list is empty"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else "",
+    )
+    def test_a_bad_list_is_refused_with_its_flag(self, args, message, capsys):
+        assert run_cli(args, capsys) == (1, "", f"error: {message}\n")
 
     def test_invariant_violation_maps_to_two(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
@@ -608,6 +633,33 @@ class TestExitCodes:
     def test_self_test_flag_accepted(self, capsys):
         code, _, _ = run_cli(["fig-a", "--d", "2,8", "--n", "30", "--seeds", "1", "--self-test"], capsys)
         assert code == 0
+
+
+class TestDefaults:
+    """A command's defaults are its run_* function's: the parser sets none."""
+
+    COMMANDS = ["generate", "estimate", "fig-a", "fig-b", "fig-c", "fig-d", "pivot-sweep", "nettree-stats"]
+
+    @staticmethod
+    def subparsers():
+        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        return sub.choices
+
+    def test_every_command_is_listed(self):
+        assert list(self.subparsers()) == self.COMMANDS
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_parse_holds_only_the_required_flags(self, command):
+        required = [a for a in self.subparsers()[command]._actions if a.required]
+        argv = [command]
+        for action in required:
+            argv += [action.option_strings[0], sorted(action.choices)[0] if action.choices else "2"]
+        params = vars(cli.build_parser().parse_args(argv))
+        assert sorted(params) == sorted(["command", "run", *(a.dest for a in required)])
+        assert params["run"] is getattr(cli, "run_" + command.replace("-", "_"))
+
+    def test_fig_a_at_defaults_is_run_fig_a(self, capsys):
+        assert run_cli(["fig-a"], capsys) == (0, cli.run_fig_a(), "")
 
 
 class TestSelfTestChecks:
