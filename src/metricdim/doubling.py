@@ -17,11 +17,17 @@ blocks: the lowest-index uncovered points are screened against every
 uncovered point, the greedy order inside the block is settled from the
 sparse list of pairs inside the radius, and the covered points leave the
 operand held. The centers are those of the one-center-at-a-time loop.
+
+``probe_rows`` covers every probed ball in full. ``doubling_estimate``
+reads only the largest count, so it covers only the balls that can still
+raise it and stops a cover as soon as it cannot (its centers plus its
+uncovered points bound its count); its result is that of the full covers.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +88,29 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
     ``subset`` holds integer point indices in [0, n); duplicates count once,
     and a strictly ascending subset is taken as it is, without a sort.
     Centers ascend, so a point's owner is its lowest-index center in reach.
+    The cover is built in blocks (``_cover``).
+    """
+    idx = np.asarray(subset)
+    if idx.ndim != 1:
+        raise InvalidInputError(f"subset must be a 1-d index sequence, got shape {idx.shape}")
+    if idx.size == 0:
+        raise InvalidInputError("cannot cover an empty subset")
+    if idx.dtype.kind not in "iu":
+        raise InvalidInputError(f"subset indices must be integers, got dtype {idx.dtype}")
+    if idx.min() < 0 or idx.max() >= ds.n:
+        raise InvalidInputError(f"subset indices must lie in [0, {ds.n})")
+    if not radius > 0:
+        raise InvalidInputError("cover radius must be positive")
+    subset = idx if (idx[1:] > idx[:-1]).all() else np.unique(idx)
+    return _cover(ds, subset.astype(np.int64, copy=False), radius, 0)
+
+
+def _cover(ds: Dataset, subset: np.ndarray, radius: float, need: int) -> CoverResult | None:
+    """``greedy_cover`` of a strictly ascending integer ``subset``, or None
+    as soon as the cover can no longer reach ``need`` centers: each
+    uncovered point adds at most one center, so the count is at most the
+    centers so far plus the points left. With ``need`` 0 the cover runs to
+    the end.
 
     The subset's rows are prepared for the ball screen once
     (``core._BallScreen.ball_operand``): for Euclidean one C-ordered Gram
@@ -108,19 +137,6 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
     most ``_BLOCK_ENTRIES`` entries against the points held. The values of
     every block go into one buffer made for the cover.
     """
-    idx = np.asarray(subset)
-    if idx.ndim != 1:
-        raise InvalidInputError(f"subset must be a 1-d index sequence, got shape {idx.shape}")
-    if idx.size == 0:
-        raise InvalidInputError("cannot cover an empty subset")
-    if idx.dtype.kind not in "iu":
-        raise InvalidInputError(f"subset indices must be integers, got dtype {idx.dtype}")
-    if idx.min() < 0 or idx.max() >= ds.n:
-        raise InvalidInputError(f"subset indices must lie in [0, {ds.n})")
-    if not radius > 0:
-        raise InvalidInputError("cover radius must be positive")
-    subset = idx if (idx[1:] > idx[:-1]).all() else np.unique(idx)
-    subset = subset.astype(np.int64, copy=False)
     m = subset.size
     screen = _BallScreen(ds.metric, ds.kernel_rows, ds.dim)
     operand, reach = screen.ball_operand(subset)
@@ -135,7 +151,7 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
     owners = np.empty(m, dtype=np.int64)
     centers = []
     size = 1
-    while remaining:
+    while remaining and len(centers) + remaining >= need:
         dead = held.size - remaining
         if dead and (reach is None or 4 * dead >= held.size):
             keep = live.nonzero()[0]
@@ -166,6 +182,8 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
         live[covered] = False
         remaining -= covered.size
         size = 2 * picks.size
+    if len(centers) < need:
+        return None
     return CoverResult(np.asarray(centers, dtype=np.int64), radius, m, owners)
 
 
@@ -183,31 +201,35 @@ def _pick_centers(size: int, later: np.ndarray, earlier: np.ndarray) -> np.ndarr
     return np.array(picked)
 
 
-def probe_rows(ds: Dataset, probes: int, seed: int = 0) -> list[ProbeRecord]:
-    """Per-probe cover counts over seeded (center, radius) balls.
+def _probe_balls(ds: Dataset, probes: int, seed: int) -> tuple[Dataset, Iterator[tuple[int, float, np.ndarray | None]]]:
+    """The distinct rows of ``ds`` and a generator of the seeded probes, in
+    probe order: (center, radius, ball), with the center an original point
+    index and the ball the ascending indices of the distinct rows inside.
 
     Duplicate points are collapsed before probing: they are covered for
     free by their first occurrence, so they cannot change any cover count,
-    and collapsing makes the records invariant under duplication. Centers
-    are reported as original point indices. Radii scale with the diameter
-    bound of ``ds`` itself, the one its other estimators read: the first
-    probe's radius is ``diameter_upper_bound(ds)``.
+    and collapsing makes the probes invariant under duplication. Radii
+    scale with the diameter bound of ``ds`` itself, the one its other
+    estimators read: the first probe's radius is
+    ``diameter_upper_bound(ds)``. With one distinct row every probe is that
+    row at radius 0, with no ball (None): its cover count is 1.
 
-    Every probe's ball is one sparse call (``core._BallScreen.members``
-    of the center against all distinct rows) on one operand of the
-    distinct rows, made once for all probes. It lists the rows inside
-    exactly as the kernel's ``<=`` decides them, so the balls are those of
-    a kernel scan per probe. When every row is distinct, the probes read
-    ``ds`` itself, not a copy; otherwise a ``Dataset`` of the distinct
-    rows. The operand reads these rows in place (``ball_operand`` of a
-    slice), without a gathered copy.
+    Every ball is one sparse call (``core._BallScreen.members`` of the
+    center against all distinct rows) on one operand of the distinct rows,
+    made once for all probes. It lists the rows inside exactly as the
+    kernel's ``<=`` decides them, so the balls are those of a kernel scan
+    per probe. When every row is distinct, the probes read ``ds`` itself,
+    not a copy; otherwise a ``Dataset`` of the distinct rows. The operand
+    reads these rows in place (``ball_operand`` of a slice), without a
+    gathered copy. A ball is made only when the generator reaches it, so
+    one is held at a time.
     """
     if probes < 1:
         raise InvalidInputError("need at least one probe")
     keep = _distinct_rows(ds)
     distinct = ds if keep.size == ds.n else Dataset(ds.points[keep], ds.metric, ds.seed)
     if distinct.n == 1:
-        return [ProbeRecord(int(keep[0]), 0.0, 1) for _ in range(probes)]
+        return distinct, ((int(keep[0]), 0.0, None) for _ in range(probes))
 
     bound = diameter_upper_bound(ds)
     centers = rng.integers(seed, probes, distinct.n, stream=0)
@@ -219,16 +241,45 @@ def probe_rows(ds: Dataset, probes: int, seed: int = 0) -> list[ProbeRecord]:
     rows = np.arange(distinct.n)
     operand, reach = screen.ball_operand(slice(None))
     out = np.empty((1, distinct.n))
-    records = []
-    for center, radius in zip(centers.tolist(), radii.tolist()):
-        ball = screen.members(rows, np.array([center]), operand, reach, radius, out)
-        cover = greedy_cover(distinct, ball, radius / 2.0)
-        records.append(ProbeRecord(int(keep[center]), float(radius), len(cover.centers)))
-    return records
+    balls = (
+        (int(keep[center]), radius, screen.members(rows, np.array([center]), operand, reach, radius, out))
+        for center, radius in zip(centers.tolist(), radii.tolist())
+    )
+    return distinct, balls
+
+
+def probe_rows(ds: Dataset, probes: int, seed: int = 0) -> list[ProbeRecord]:
+    """Per-probe cover counts over seeded (center, radius) balls
+    (``_probe_balls``): each ball is covered in full by ``greedy_cover``
+    with half its radius."""
+    distinct, balls = _probe_balls(ds, probes, seed)
+    return [
+        ProbeRecord(center, radius, 1 if ball is None else len(greedy_cover(distinct, ball, radius / 2.0).centers))
+        for center, radius, ball in balls
+    ]
 
 
 def doubling_estimate(ds: Dataset, probes: int, seed: int = 0) -> DoublingEstimate:
-    """Worst observed log2 half-radius cover count over seeded probe balls."""
-    records = probe_rows(ds, probes, seed)
-    worst = max(records, key=lambda r: r.cover_count)  # max() keeps the earliest on ties
-    return DoublingEstimate(math.log2(worst.cover_count), probes, (worst.center, worst.radius))
+    """Worst observed log2 half-radius cover count over seeded probe balls:
+    log2 of the largest ``probe_rows`` count, at the earliest probe that
+    reaches it.
+
+    Only the largest count is read, so the probes are walked in order with
+    the best count so far, and a cover that cannot pass it is not finished.
+    A ball's count is at most its size, so a ball of at most ``best``
+    points is not covered; any other cover stops once its centers plus its
+    uncovered points fall below ``best + 1`` (``_cover``). A later probe
+    must exceed ``best`` strictly, so ties keep the earliest probe, as
+    ``max`` over the records does. The result is exactly the one from
+    every full cover.
+    """
+    distinct, balls = _probe_balls(ds, probes, seed)
+    best, worst = 0, None
+    for center, radius, ball in balls:
+        count = 1 if ball is None else ball.size
+        if count > best and ball is not None:
+            cover = _cover(distinct, ball, radius / 2.0, best + 1)
+            count = 0 if cover is None else len(cover.centers)
+        if count > best:
+            best, worst = count, (center, radius)
+    return DoublingEstimate(math.log2(best), probes, worst)

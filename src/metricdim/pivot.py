@@ -165,7 +165,10 @@ def calibrate_eps(ds: Dataset, q, target_result_size: int) -> float:
     """Binary-search an eps whose exact result size approximates the target.
 
     Runs CALIBRATION_ITERATIONS bisection steps against one held-out scan
-    of the true distances (not charged to any oracle).
+    of the true distances (not charged to any oracle). A step asks whether
+    fewer than ``target_result_size`` distances lie below its midpoint,
+    which holds exactly when the target-th smallest distance is not below
+    it, so every step reads that one order statistic (one partition).
     """
     if target_result_size < 1:
         raise InvalidInputError("target result size must be >= 1")
@@ -174,12 +177,14 @@ def calibrate_eps(ds: Dataset, q, target_result_size: int) -> float:
     dv = ds.distances(ds.check_query(q), ds.kernel_rows)
     lo = 0.0
     hi = max(float(dv.max()) * 2.0, 1e-300)
+    dv.partition(target_result_size - 1)
+    kth = float(dv[target_result_size - 1])
     for _ in range(CALIBRATION_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        if int((dv < mid).sum()) < target_result_size:
-            lo = mid
-        else:
+        if kth < mid:
             hi = mid
+        else:
+            lo = mid
     return hi
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from metricdim import core, doubling
 from metricdim.core import Dataset, InvalidInputError, MetricKind, distance, pair_distances
 from metricdim.diststats import dataset_cnbym
-from metricdim.doubling import CoverResult, doubling_estimate, greedy_cover, probe_rows
+from metricdim.doubling import CoverResult, DoublingEstimate, doubling_estimate, greedy_cover, probe_rows
 from metricdim.generate import Family, GeneratorSpec, generate
 from metricdim import rng
 
@@ -293,6 +293,98 @@ def test_probe_balls_are_the_kernel_scan_balls(kind, offset, monkeypatch):
     probe_rows(ds, probes=32, seed=3)
     assert got == balls
 
+
+
+@pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_cover_cut_short_is_none_exactly_below_its_need(kind, data):
+    ds, subset, radius = data.draw(cover_inputs(kind))
+    subset = np.unique(subset).astype(np.int64)
+    full = greedy_cover(ds, subset, radius)
+    need = data.draw(st.integers(0, subset.size + 1))
+    got = doubling._cover(ds, subset, radius, need)
+    if len(full.centers) < need:
+        assert got is None
+    else:
+        assert_same_cover(got, full)
+
+
+def reference_estimate(ds, probes, seed):
+    """The estimate from every full cover: log2 of the largest
+    ``probe_rows`` count, at the earliest probe that reaches it."""
+    records = probe_rows(ds, probes, seed)
+    top = max(r.cover_count for r in records)
+    worst = next(r for r in records if r.cover_count == top)
+    return DoublingEstimate(math.log2(top), probes, (worst.center, worst.radius))
+
+
+# Layouts for the estimate: the cover layouts (duplicates in "pool", tied
+# counts in "grid"), one distinct row and two points.
+ESTIMATE_LAYOUTS = {
+    **COVER_LAYOUTS,
+    "one": lambda g, shape: np.broadcast_to(g.random(shape[1]), shape).copy(),
+    "two": lambda g, shape: g.random((2, shape[1])),
+}
+
+
+@pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_estimate_equals_the_estimate_from_every_full_cover(kind, data):
+    g = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n, dim = data.draw(st.integers(1, 120)), data.draw(st.integers(1, 5))
+    layout = data.draw(st.sampled_from(sorted(ESTIMATE_LAYOUTS)))
+    if kind is MetricKind.HAMMING:
+        # Bits above the median value: equal rows stay equal.
+        points = ESTIMATE_LAYOUTS[layout](g, (n, 4 * dim))
+        points = (points > np.median(points)).astype(np.uint8)
+    else:
+        points = ESTIMATE_LAYOUTS[layout](g, (n, dim))
+    ds = Dataset(points, kind)
+    probes, seed = data.draw(st.integers(1, 40)), data.draw(st.integers(0, 2**20))
+    assert doubling_estimate(ds, probes, seed) == reference_estimate(ds, probes, seed)
+
+
+@pytest.mark.parametrize("kind", list(MetricKind), ids=lambda k: k.value)
+def test_tied_counts_keep_the_earliest_probe(kind):
+    # Rows of a 3 x 3 x 3 grid (a cube of 8 bits for Hamming), repeated:
+    # several probes after the first share the largest count.
+    g = np.random.default_rng(3)
+    if kind.uses_bits:
+        ds, seed = Dataset(g.integers(0, 2, (400, 8)).astype(np.uint8), kind), 17
+    else:
+        ds, seed = Dataset(g.integers(0, 3, (400, 3)).astype(np.float64), kind), 1
+    records = probe_rows(ds, probes=48, seed=seed)
+    top = max(r.cover_count for r in records)
+    tied = [r for r in records if r.cover_count == top]
+    assert len(tied) > 1 and tied[0] is not records[0]
+    est = doubling_estimate(ds, probes=48, seed=seed)
+    assert est.worst_ball == (tied[0].center, tied[0].radius)
+    assert est.rho_hat == math.log2(top)
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_estimate_screens_fewer_blocks_than_the_full_covers(family, monkeypatch):
+    # Every ball and every cover block is one members call: the estimate
+    # skips the balls too small to pass the best count and cuts the covers
+    # that cannot pass it, so it makes fewer calls than covering every ball.
+    ds = generate(GeneratorSpec(family, 8 if family is not Family.HAMMING_UNIFORM else 64, 600, seed=12))
+    calls = []
+    members = core._BallScreen.members
+
+    def counted_members(self, *args, **kwargs):
+        calls.append(1)
+        return members(self, *args, **kwargs)
+
+    monkeypatch.setattr(core._BallScreen, "members", counted_members)
+    probe_rows(ds, probes=64, seed=5)
+    full = len(calls)
+    calls.clear()
+    est = doubling_estimate(ds, probes=64, seed=5)
+    monkeypatch.undo()
+    assert len(calls) < full
+    assert est == reference_estimate(ds, 64, 5)
 
 class TestGreedyCover:
     def test_single_point(self):

@@ -13,6 +13,7 @@ from metricdim.core import (
 )
 from metricdim.generate import Family, GeneratorSpec, generate
 from metricdim.pivot import (
+    CALIBRATION_ITERATIONS,
     PRUNE_WIDENING,
     FarthestFirst,
     QueryStats,
@@ -249,6 +250,39 @@ class TestCalibration:
         eps = calibrate_eps(ds, q, 25)
         size = len(sequential_scan(ds, q, eps))
         assert abs(size - 25) <= 1
+
+    @staticmethod
+    def counting_bisection(dv, target):
+        """The bisection that counts the distances below each midpoint."""
+        lo, hi = 0.0, max(float(dv.max()) * 2.0, 1e-300)
+        for _ in range(CALIBRATION_ITERATIONS):
+            mid = 0.5 * (lo + hi)
+            if int((dv < mid).sum()) < target:
+                lo = mid
+            else:
+                hi = mid
+        return hi
+
+    @given(
+        xs=st.lists(st.sampled_from([0.0, 1e-300, 0.3, 1.0, 1.0 + 2**-52, 2.5]) | st.floats(0.0, 1e6), min_size=1, max_size=60),
+        q=st.sampled_from([0.0, 1.0, -0.5]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_counting_bisection(self, xs, q, data):
+        # Repeated values tie distances; targets 1 and n are the ends.
+        ds = line_dataset(xs)
+        target = data.draw(st.sampled_from([1, ds.n]) | st.integers(1, ds.n))
+        dv = pair_distances(EUCLID, np.array([q]), ds.points)
+        assert calibrate_eps(ds, np.array([q]), target) == self.counting_bisection(dv, target)
+
+    @pytest.mark.parametrize("target", [1, 7, 300])
+    def test_equals_the_counting_bisection_on_bits(self, target):
+        # 16-bit rows: distances take 17 values, so nearly every one ties.
+        ds = generate(GeneratorSpec(Family.HAMMING_UNIFORM, 16, 300, seed=4))
+        q = ds.points[5]
+        dv = pair_distances(ds.metric, q, ds.points)
+        assert calibrate_eps(ds, q, target) == self.counting_bisection(dv, target)
 
     def test_target_validation(self):
         ds = line_dataset([0.0, 1.0])
