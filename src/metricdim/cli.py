@@ -47,7 +47,6 @@ from .core import (
     load_dataset,
 )
 from .diststats import (
-    ALL_PAIRS,
     boxplot_summary,
     cnbym_dimension,
     dataset_cnbym,
@@ -117,7 +116,7 @@ def run_fig_a(d_list=(2, 20, 200, 2000), n=100, seeds=(DEFAULT_SEED,), self_test
         for d in d_list:
             ds = generate(GeneratorSpec(Family.UNIFORM_CUBE, d, n, rng.derive_seed(seed, d)))
             bound = diameter_upper_bound(ds)
-            values = pairwise_distances(ds, ALL_PAIRS).values / (bound or 1.0)
+            values = pairwise_distances(ds).values / (bound or 1.0)
             box = boxplot_summary(values)
             if self_test:
                 _check_boxplot(box, values)
@@ -296,6 +295,8 @@ def run_estimate(path, metric, seed=DEFAULT_SEED, k=32, grid_size=201, probes=64
     Distances are in the file's units. The concentration curve divides
     them by the diameter bound (by nothing when the bound is 0, all rows
     equal). The ``scale`` row is always 1.0: the units are never changed.
+    It stays because the benchmark checks every ``estimate`` row it names
+    (``ESTIMATE_ROWS`` in ``perfbench/child.py``), ``scale`` among them.
     The self-test holds the largest sampled pair distance to the diameter
     bound and ``rho_hat`` to log2 of the number of distinct rows, the most
     centers a cover can need.
@@ -313,7 +314,7 @@ def run_estimate(path, metric, seed=DEFAULT_SEED, k=32, grid_size=201, probes=64
             summary, largest = pair_moments(ds, mode)
             characteristic = summary.mean
         else:
-            characteristic = largest = float(pairwise_distances(ds, mode).values[0])
+            characteristic = largest = float(pairwise_distances(ds).values[0])
         if self_test and largest > bound * (1.0 + _PAIR_TOLERANCE):
             raise InvariantViolation("a sampled pair distance exceeds the diameter bound")
         rows.append(["characteristic_size", characteristic])

@@ -647,7 +647,12 @@ def distance(metric: MetricKind, x, y) -> float:
 def distances_to(metric: MetricKind, x, points: np.ndarray) -> np.ndarray:
     """Distances from one point to every row of a point matrix. The matrix
     is checked as a ``Dataset``'s points are, and the point as that
-    dataset's query."""
+    dataset's query.
+
+    No module of the package calls it; it stays because the benchmark
+    traces it by name (the ``core.distances_to`` spans of
+    ``perfbench/spec.py``), and the benchmark's own tests fail on a span
+    that names no function."""
     ds = Dataset(points, metric)
     return ds.distances(ds.check_query(x), ds.kernel_rows)
 
@@ -688,9 +693,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-    def point(self, i: int) -> np.ndarray:
-        return self.points[i]
 
     def check_query(self, q) -> np.ndarray:
         """``q`` validated against this dataset's metric and dimension, in
@@ -754,8 +756,9 @@ def _diameter(ds: Dataset) -> float:
 
 
 def _distinct_rows(ds: Dataset) -> np.ndarray:
-    """``first_occurrence_indices(ds.points)``, computed once per dataset."""
-    return _cached(ds, "distinct", lambda ds: first_occurrence_indices(ds.points))
+    """Indices of the first occurrence of each distinct row of ``ds``,
+    ascending, computed once per dataset."""
+    return _cached(ds, "distinct", lambda ds: np.sort(np.unique(ds.points, axis=0, return_index=True)[1]))
 
 
 def diameter_upper_bound(ds: Dataset) -> float:
@@ -779,12 +782,6 @@ def diameter_upper_bound(ds: Dataset) -> float:
 
 def diameter_is_exact(n: int) -> bool:
     return n <= EXACT_DIAMETER_LIMIT
-
-
-def first_occurrence_indices(points: np.ndarray) -> np.ndarray:
-    """Indices of the first occurrence of each distinct row, ascending."""
-    _, first = np.unique(points, axis=0, return_index=True)
-    return np.sort(first)
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,14 @@ round-robin over a few threads (see ``_sample_leaves``). Neither the
 chunking, the tiles nor the thread count changes a value: each draw is a
 pure function of its index, and the kernel measures each pair on its own.
 
-Enumerated distances are held in one copy, and a sample's moments hold
-none. Full enumeration writes each band's triangle into the one output
-vector, and ``moments`` takes the variance's second pass in leaf-sized
-pieces, with numpy's own summation tree, so its value is
+Enumerated distances are held in one copy, and a sample is never held.
+Full enumeration (``pairwise_distances``) writes each band's triangle into
+the one output vector, and ``moments`` takes the variance's second pass in
+leaf-sized pieces, with numpy's own summation tree, so its value is
 ``values.var(ddof=1)`` to the bit. ``pair_moments`` folds a sample leaf by
 leaf instead, into a table of one row per leaf: its mean is the sample's
 ``values.mean()`` to the bit, its variance within a few ulps of
-``values.var(ddof=1)``. ``estimate`` reads its pair statistics there, so
-only ``pairwise_distances`` builds a sample vector.
+``values.var(ddof=1)``.
 """
 
 from __future__ import annotations
@@ -96,8 +95,9 @@ def default_mode(n: int, seed: int = 0) -> PairMode:
 
 @dataclass(frozen=True)
 class DistanceSample:
+    """The n(n-1)/2 distances of every unordered pair of n points."""
+
     values: np.ndarray
-    mode: PairMode
     n: int
 
     def __post_init__(self):
@@ -106,59 +106,47 @@ class DistanceSample:
         # comparison does, and the initial 0 covers an empty sample.
         if np.fmin.reduce(values, axis=None, initial=0.0) < 0:
             raise InvalidInputError("distances cannot be negative")
-        if isinstance(self.mode, AllPairs) and values.size != self.n * (self.n - 1) // 2:
+        if values.size != self.n * (self.n - 1) // 2:
             raise InvalidInputError("full enumeration must hold exactly n(n-1)/2 values")
-        if isinstance(self.mode, SampledPairs) and values.size != self.mode.m:
-            raise InvalidInputError("sampled enumeration must hold exactly m values")
         object.__setattr__(self, "values", values)
 
 
-def pairwise_distances(ds: Dataset, mode: PairMode | None = None) -> DistanceSample:
-    """Distances of unordered point pairs, enumerated or sampled per ``mode``.
+def pairwise_distances(ds: Dataset) -> DistanceSample:
+    """Distances of every unordered point pair, in (i, j>i) order, from the
+    row bands of ``all_pair_distances``.
 
-    Sampled pairs are uniform over ordered pairs i != j, with replacement,
-    then read as unordered: pair k takes i from draw k of counter stream 0
-    and j from draw k of stream 1, shifted past i. The sample is built in
-    chunks of consecutive pair indices (see ``_sample_leaves``). Each chunk
-    draws its own counters, gathers its rows and writes its distances into
-    the output, so neither whole index array nor a gathered block of the
-    whole sample is held. Only the output vector is full-size; statistics
-    that need just the moments and the largest value read ``pair_moments``,
-    which holds no such vector.
-
-    The values depend neither on the chunking nor on the worker count:
-    every draw is a pure function of its index, and the kernel measures
-    each pair on its own.
+    The n(n-1)/2 values are held in one vector. Statistics that need just
+    the moments and the largest value read ``pair_moments``, which samples
+    the pairs beyond ``PAIR_BUDGET`` and holds no sample.
     """
     if ds.n < 2:
         raise InvalidInputError("pairwise distances need at least 2 points")
-    if mode is None:
-        mode = default_mode(ds.n, seed=ds.seed if ds.seed is not None else 0)
-    if isinstance(mode, AllPairs):
-        return DistanceSample(all_pair_distances(ds.metric, ds.points), mode, ds.n)
-    out = np.empty(mode.m)
-    _sample_leaves(ds, mode, out)
-    return DistanceSample(out, mode, ds.n)
+    return DistanceSample(all_pair_distances(ds.metric, ds.points), ds.n)
 
 
 def pair_moments(ds: Dataset, mode: PairMode | None = None) -> tuple[MomentSummary, float]:
-    """``moments`` of the distances ``pairwise_distances(ds, mode)`` holds,
-    and their largest value, without a full-size vector for sampled pairs.
+    """``moments`` of the distances of the pairs ``mode`` names (by default
+    ``default_mode``), and their largest value, without a vector of sampled
+    pairs.
 
-    For ``AllPairs`` this is ``moments`` of the enumerated vector and its
-    maximum. For ``SampledPairs`` the sample is measured leaf by leaf (see
-    ``_sample_leaves``): the leaves are the nodes of numpy's pairwise-sum
-    tree over the m values that fit one chunk, each worker measures a leaf
-    into its own leaf buffer and writes the leaf's sum (``np.add.reduce``,
-    numpy's own tree below the leaf), its squared deviations about the
-    leaf mean (M2), its maximum and its ``fmin`` into the leaf's row of a
-    small table. Once the workers are done, ``_merged`` adds the sums back
-    up the same tree, so the mean is ``values.mean()`` of the vector
-    ``pairwise_distances`` would build, bit for bit, and merges the M2s by
-    Chan, Golub and LeVeque's pairwise update ("Algorithms for computing
-    the sample variance", Am. Stat. 1983). The variance is then within a
-    few ulps of ``values.var(ddof=1)``, not equal to it bit for bit. None
-    of the three depends on the worker count.
+    For ``AllPairs`` this is ``moments`` of ``pairwise_distances`` and its
+    maximum. ``SampledPairs`` are uniform over ordered pairs i != j, with
+    replacement, then read as unordered: pair k takes i from draw k of
+    counter stream 0 and j from draw k of stream 1, shifted past i. The
+    sample is measured leaf by leaf (see ``_sample_leaves``): the leaves
+    are the nodes of numpy's pairwise-sum tree over the m values that fit
+    one chunk, each worker measures a leaf into its own leaf buffer and
+    writes the leaf's sum (``np.add.reduce``, numpy's own tree below the
+    leaf), its squared deviations about the leaf mean (M2), its maximum and
+    its ``fmin`` into the leaf's row of a small table. Once the workers are
+    done, ``_merged`` adds the sums back up the same tree, so the mean is
+    ``values.mean()`` of the sample's vector, bit for bit, and merges the
+    M2s by Chan, Golub and LeVeque's pairwise update ("Algorithms for
+    computing the sample variance", Am. Stat. 1983). The variance is then
+    within a few ulps of ``values.var(ddof=1)``, not equal to it bit for
+    bit. None of the three depends on the chunking, the tiles or the
+    worker count: every draw is a pure function of its index, and the
+    kernel measures each pair on its own.
 
     A negative distance is refused as ``DistanceSample`` refuses it, and
     fewer than 2 values as ``moments`` refuses them.
@@ -168,7 +156,7 @@ def pair_moments(ds: Dataset, mode: PairMode | None = None) -> tuple[MomentSumma
     if mode is None:
         mode = default_mode(ds.n, seed=ds.seed if ds.seed is not None else 0)
     if isinstance(mode, AllPairs):
-        values = pairwise_distances(ds, mode).values
+        values = pairwise_distances(ds).values
         return moments(values), float(values.max())
     if mode.m < 2:
         raise InvalidInputError("moments need at least 2 distance values")
@@ -219,13 +207,12 @@ def _merged(start: int, stop: int, leaves: dict) -> tuple[float, float]:
     return sa + sb, qa + qb + delta * delta * (na * nb / (stop - start))
 
 
-def _sample_leaves(ds: Dataset, mode: SampledPairs, out: np.ndarray | None = None):
+def _sample_leaves(ds: Dataset, mode: SampledPairs):
     """Measure the pairs of ``mode`` leaf by leaf, the leaves of numpy's
-    pairwise-sum tree over the m pairs that fit one chunk. With ``out`` (m
-    values) each leaf's distances go to their slice of it; without, each
-    worker measures a leaf into its own leaf buffer and writes the leaf's
-    sum, M2, maximum and ``fmin`` into its row of a table (see
-    ``_leaf_row``). Returns the leaves and the table (None with ``out``).
+    pairwise-sum tree over the m pairs that fit one chunk: each worker
+    measures a leaf into its own leaf buffer and writes the leaf's sum, M2,
+    maximum and ``fmin`` into its row of a table (see ``_leaf_row``).
+    Returns the leaves and the table.
 
     A leaf is sized by the bytes of kernel rows it spans per side, not by a
     pair count, because the cache sets the best size, so a pair count
@@ -241,8 +228,8 @@ def _sample_leaves(ds: Dataset, mode: SampledPairs, out: np.ndarray | None = Non
     A leaf's pair indices are drawn whole (8 bytes a pair and side), and
     its rows are gathered and measured in tiles of at most ``_TILE_BYTES``
     of rows per side (8,192 pairs of 16 float64 columns), whose distances
-    go into the leaf's slice of values, so the leaves and every value are
-    the same whatever the tile. ``pair_moments`` over 5M pairs of 16
+    go into the leaf buffer, so the leaves and every value are the same
+    whatever the tile. ``pair_moments`` over 5M pairs of 16
     columns (10k rows, medians of 11 runs in shuffled order on 2 CPUs)
     took 313 ms untiled and 326 ms in these tiles on one worker, 210 and
     220 ms on two. Tiles that drew their own indices took two workers
@@ -255,7 +242,7 @@ def _sample_leaves(ds: Dataset, mode: SampledPairs, out: np.ndarray | None = Non
     one set of buffers (see ``_sample_chunks``), so no leaf allocates. The
     buffers are allocated here, in the calling thread: glibc would keep a
     worker's own allocations in that thread's arena, which showed as peak
-    memory. Workers write disjoint slices of ``out`` and rows of the table.
+    memory. Workers write disjoint rows of the table.
     """
     rows = ds.kernel_rows
     leaves = _pairwise_leaves(0, mode.m, max(_PAIRWISE_BLOCK, _CHUNK_BYTES // rows[0].nbytes))
@@ -264,12 +251,9 @@ def _sample_leaves(ds: Dataset, mode: SampledPairs, out: np.ndarray | None = Non
     workers = min(_usable_cpus(), len(leaves), _MAX_WORKERS)
     keys = (rng.stream_key(mode.seed, 0), rng.stream_key(mode.seed, 1))
     steps = rng._counter_steps(size)
-    table = None if out is not None else np.empty((len(leaves), 4))
+    table = np.empty((len(leaves), 4))
     numbered = [(k, start, stop) for k, (start, stop) in enumerate(leaves)]
-    jobs = []
-    for w in range(workers):
-        values = out if table is None else np.empty(size)
-        jobs.append((ds, keys, steps, numbered[w::workers], _chunk_buffers(rows, size, tile), values, table))
+    jobs = [(ds, keys, steps, numbered[w::workers], _chunk_buffers(rows, size, tile), table) for w in range(workers)]
     if workers == 1:
         _sample_chunks(*jobs[0])
     else:
@@ -284,11 +268,12 @@ def _sample_leaves(ds: Dataset, mode: SampledPairs, out: np.ndarray | None = Non
 
 
 def _chunk_buffers(rows: np.ndarray, size: int, tile: int) -> tuple:
-    """One worker's buffers: the i and j draws and scratch words of leaves
-    of up to ``size`` pairs, and the two gathered row blocks of tiles of
-    ``tile`` pairs."""
+    """One worker's buffers: the distances, the i and j draws and scratch
+    words of leaves of up to ``size`` pairs, and the two gathered row blocks
+    of tiles of ``tile`` pairs."""
     block = (tile,) + rows.shape[1:]
     return (
+        np.empty(size),
         np.empty(size, dtype=np.int64),
         np.empty(size, dtype=np.int64),
         np.empty(size, dtype=np.int64),
@@ -297,27 +282,24 @@ def _chunk_buffers(rows: np.ndarray, size: int, tile: int) -> tuple:
     )
 
 
-def _sample_chunks(ds: Dataset, keys, steps: np.ndarray, leaves, buffers: tuple, out: np.ndarray, table) -> None:
+def _sample_chunks(ds: Dataset, keys, steps: np.ndarray, leaves, buffers: tuple, table: np.ndarray) -> None:
     """Measure the sampled pairs of each leaf ``(k, start, stop)``, its
     indices drawn whole and its rows gathered in tiles of the row buffers'
-    length, on ``buffers`` (see ``_chunk_buffers``) alone:
-    into ``out[start:stop]`` when ``table`` is None, else into the head of
-    ``out``, the worker's leaf buffer, folded into ``table[k]`` by
-    ``_leaf_row`` once the leaf is measured. ``keys`` and ``steps`` are the
-    two streams' keys and their shared counter steps (see
-    ``rng._draw_range``), read only.
+    length, into the head of the worker's leaf buffer, on ``buffers`` (see
+    ``_chunk_buffers``) alone, and fold the leaf into ``table[k]`` by
+    ``_leaf_row``. ``keys`` and ``steps`` are the two streams' keys and
+    their shared counter steps (see ``rng._draw_range``), read only.
 
     The gathers clip instead of checking their indices: every draw lies in
-    [0, bound) (see ``rng._draw_range``), and with ``out`` numpy's checked
-    mode copies the block once more.
+    [0, bound) (see ``rng._draw_range``), and with an ``out`` array numpy's
+    checked mode copies the block once more.
     """
     rows = ds.kernel_rows
-    draws_i, draws_j, words, tile_a, tile_b = buffers
+    leaf, draws_i, draws_j, words, tile_a, tile_b = buffers
     tile = len(tile_a)
     for k, start, stop in leaves:
         m = stop - start
-        values = out[start:stop] if table is None else out[:m]
-        ii, jj, scratch = draws_i[:m], draws_j[:m], words[:m]
+        values, ii, jj, scratch = leaf[:m], draws_i[:m], draws_j[:m], words[:m]
         rng._draw_range(keys[0], start, stop, ds.n, out=ii, scratch=scratch, steps=steps)
         rng._draw_range(keys[1], start, stop, ds.n - 1, out=jj, scratch=scratch, steps=steps)
         jj += np.greater_equal(jj, ii, out=scratch)
@@ -327,14 +309,13 @@ def _sample_chunks(ds: Dataset, keys, steps: np.ndarray, leaves, buffers: tuple,
             np.take(rows, ii[lo:hi], axis=0, out=a, mode="clip")
             np.take(rows, jj[lo:hi], axis=0, out=b, mode="clip")
             ds.distances(a, b, out=values[lo:hi])
-        if table is not None:
-            table[k] = _leaf_row(values)
+        table[k] = _leaf_row(values)
 
 
 def _leaf_row(values: np.ndarray) -> tuple:
     """One leaf's sum (numpy's pairwise sum), squared deviations about its
     own mean, maximum and ``fmin`` with an initial 0 (negative exactly where
-    ``DistanceSample`` would refuse the values). Overwrites ``values``. A
+    ``DistanceSample`` refuses values). Overwrites ``values``. A
     sum or square beyond the doubles reads inf, as in ``moments``."""
     # errstate is per thread, so it is entered here, in the worker.
     with np.errstate(over="ignore"):
@@ -417,8 +398,8 @@ def moments(sample) -> MomentSummary:
     numpy's block and up to 5,000,000 values.
 
     This needs the values held; ``pair_moments`` gives the same summary of
-    a dataset's pairs without holding a sampled vector, its variance within
-    a few ulps of this one.
+    a dataset's sampled pairs without holding them, its variance within a
+    few ulps of this one.
     """
     values = _sample_values(sample)
     if values.size < 2:

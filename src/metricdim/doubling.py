@@ -72,8 +72,7 @@ class DoublingEstimate:
 @dataclass(frozen=True)
 class ProbeRecord:
     """One probed ball: its center point index, radius, and the number of
-    half-radius balls the greedy cover needed. CSV consumers emit these as
-    (center, radius, cover_count) rows next to the summary estimate."""
+    half-radius balls the greedy cover needed (see ``probe_rows``)."""
 
     center: int
     radius: float
@@ -212,7 +211,11 @@ def _probe_balls(ds: Dataset, probes: int, seed: int) -> tuple[Dataset, Iterator
     scale with the diameter bound of ``ds`` itself, the one its other
     estimators read: the first probe's radius is
     ``diameter_upper_bound(ds)``. With one distinct row every probe is that
-    row at radius 0, with no ball (None): its cover count is 1.
+    row at radius 0, with no ball (None): its cover count is 1. A bound of
+    0 over several distinct rows is refused with ``InvalidInputError``: the
+    Euclidean kernel reads 0 between distinct rows when every squared
+    coordinate difference underflows (differences below about 1e-162), and
+    no radius would tell those rows apart.
 
     Every ball is one sparse call (``core._BallScreen.members`` of the
     center against all distinct rows) on one operand of the distinct rows,
@@ -232,6 +235,8 @@ def _probe_balls(ds: Dataset, probes: int, seed: int) -> tuple[Dataset, Iterator
         return distinct, ((int(keep[0]), 0.0, None) for _ in range(probes))
 
     bound = diameter_upper_bound(ds)
+    if bound == 0.0:
+        raise InvalidInputError("the diameter bound of distinct rows underflows to 0; the coordinates are too small")
     centers = rng.integers(seed, probes, distinct.n, stream=0)
     log_span = math.log(MIN_RADIUS_FRACTION)
     radii = bound * np.exp(log_span * (1.0 - rng.uniform01(seed, probes, stream=1)))
@@ -251,7 +256,13 @@ def _probe_balls(ds: Dataset, probes: int, seed: int) -> tuple[Dataset, Iterator
 def probe_rows(ds: Dataset, probes: int, seed: int = 0) -> list[ProbeRecord]:
     """Per-probe cover counts over seeded (center, radius) balls
     (``_probe_balls``): each ball is covered in full by ``greedy_cover``
-    with half its radius."""
+    with half its radius.
+
+    No command reads it: ``doubling_estimate`` gives the largest count
+    without covering every ball. It stays as the full-cover reference of
+    the tests and because the benchmark traces it by name (the
+    ``doubling.probe_rows`` span of ``perfbench/spec.py``), whose own tests
+    fail on a span that names no function."""
     distinct, balls = _probe_balls(ds, probes, seed)
     return [
         ProbeRecord(center, radius, 1 if ball is None else len(greedy_cover(distinct, ball, radius / 2.0).centers))

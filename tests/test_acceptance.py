@@ -22,11 +22,8 @@ from metricdim.concentration import (
 from metricdim.core import Dataset, MetricKind
 from metricdim.diststats import (
     SampledPairs,
-    cnbym_dimension,
     dataset_cnbym,
-    moments,
     nn_statistics,
-    pairwise_distances,
 )
 from metricdim.doubling import doubling_estimate
 from metricdim.generate import Family, GeneratorSpec, generate
@@ -53,8 +50,7 @@ def test_c01_uniform_segment_dimension():
     """1-d uniform workload has dispersion dimension 1 (E=1/3, var=1/18)."""
     pts = rng.matrix_uniform01(42, 20_000, 1)
     ds = Dataset(pts, EUCLID, seed=42)
-    sample = pairwise_distances(ds, SampledPairs(5_000_000, seed=7))
-    dim = cnbym_dimension(moments(sample))
+    dim = dataset_cnbym(ds, SampledPairs(5_000_000, seed=7))
     report(1, 0.95 <= dim <= 1.05, f"uniform segment dim_cnbym={dim:.4f}, analytic 1.0, band [0.95, 1.05]")
 
 

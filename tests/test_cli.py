@@ -222,6 +222,24 @@ class TestEstimate:
         assert (code, out) == (1, "")
         assert err == "error: the diameter bound overflows to inf; the coordinates are too large\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("metric", ["euclidean", "manhattan", "chebyshev"])
+    def test_underflowing_diameter_fails_cleanly(self, metric, tmp_path, capsys):
+        # Every squared difference of coordinates near 1e-300 underflows, so
+        # the Euclidean bound over 50 distinct rows is 0; once this printed
+        # rho_hat,0.0 and exited 0. Manhattan and Chebyshev distances do not
+        # underflow: their probes see 50 distinct rows.
+        pts = np.random.default_rng(0).uniform(-1e-300, 1e-300, (50, 3))
+        data = tmp_path / "tiny.txt"
+        data.write_text("".join(" ".join(repr(float(v)) for v in row) + "\n" for row in pts))
+        code, out, err = run_cli(["estimate", "--in", str(data), "--metric", metric], capsys)
+        if metric == "euclidean":
+            assert (code, out) == (1, "")
+            assert err == "error: the diameter bound of distinct rows underflows to 0; the coordinates are too small\n"
+        else:
+            assert (code, err) == (0, "")
+            assert "\nrho_hat,3.584962500721156\n" in out
+
     def test_parse_error_names_line(self, tmp_path, capsys):
         data = tmp_path / "bad.txt"
         data.write_text("1.0\nnope\n")

@@ -492,6 +492,19 @@ class TestDoublingEstimate:
         with pytest.raises(InvalidInputError):
             doubling_estimate(line_dataset([0.0, 1.0]), probes=0)
 
+    @pytest.mark.parametrize("probe", [doubling_estimate, probe_rows])
+    def test_an_underflowing_diameter_bound_is_refused(self, probe):
+        # Every squared difference of coordinates near 1e-300 underflows: 50
+        # distinct rows with a Euclidean diameter bound of 0, which every
+        # probe radius would make one ball of one center.
+        pts = np.random.default_rng(0).uniform(-1e-300, 1e-300, (50, 3))
+        ds = Dataset(pts, EUCLID)
+        assert core.diameter_upper_bound(ds) == 0.0
+        with pytest.raises(InvalidInputError, match="^the diameter bound of distinct rows underflows to 0"):
+            probe(ds, probes=8)
+        # Their Manhattan distances do not underflow.
+        assert doubling_estimate(Dataset(pts, MetricKind.MANHATTAN), probes=8).rho_hat > 0
+
     def test_probe_rows_back_the_estimate(self):
         ds = generate(GeneratorSpec(Family.UNIFORM_CUBE, 2, 200, seed=6))
         records = probe_rows(ds, probes=30, seed=3)

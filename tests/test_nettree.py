@@ -10,7 +10,6 @@ from metricdim.core import (
     InvariantViolation,
     MetricKind,
     diameter_upper_bound,
-    first_occurrence_indices,
     pair_distances,
 )
 from metricdim.doubling import greedy_cover
@@ -55,7 +54,7 @@ def reference_net_tree(ds):
             parents[pos] = int(np.flatnonzero(within)[0])
         return parents
 
-    n_distinct = first_occurrence_indices(ds.points).size
+    n_distinct = np.unique(ds.points, axis=0).shape[0]
     if ds.metric.uses_bits:
         top_radius = 1.0
     else:
