@@ -25,7 +25,6 @@ from .diststats import (
     ALL_PAIRS,
     AllPairs,
     BoxplotSummary,
-    DistanceSample,
     MomentSummary,
     NNStats,
     SampledPairs,
@@ -40,7 +39,6 @@ from .diststats import (
 )
 from .concentration import (
     ConcentrationCurve,
-    WitnessFamily,
     chernoff_alpha,
     chernoff_curve,
     concentration_dimension,

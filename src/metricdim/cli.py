@@ -116,7 +116,7 @@ def run_fig_a(d_list=(2, 20, 200, 2000), n=100, seeds=(DEFAULT_SEED,), self_test
         for d in d_list:
             ds = generate(GeneratorSpec(Family.UNIFORM_CUBE, d, n, rng.derive_seed(seed, d)))
             bound = diameter_upper_bound(ds)
-            values = pairwise_distances(ds).values / (bound or 1.0)
+            values = pairwise_distances(ds) / (bound or 1.0)
             box = boxplot_summary(values)
             if self_test:
                 _check_boxplot(box, values)
@@ -314,7 +314,7 @@ def run_estimate(path, metric, seed=DEFAULT_SEED, k=32, grid_size=201, probes=64
             summary, largest = pair_moments(ds, mode)
             characteristic = summary.mean
         else:
-            characteristic = largest = float(pairwise_distances(ds).values[0])
+            characteristic = largest = float(pairwise_distances(ds)[0])
         if self_test and largest > bound * (1.0 + _PAIR_TOLERANCE):
             raise InvariantViolation("a sampled pair distance exceeds the diameter bound")
         rows.append(["characteristic_size", characteristic])

@@ -42,6 +42,7 @@ from .core import (
     DEGENERATE,
     Dataset,
     InvalidInputError,
+    _check_indices,
     diameter_upper_bound,
 )
 
@@ -71,23 +72,11 @@ class ConcentrationCurve:
         object.__setattr__(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
-class WitnessFamily:
-    """Indices of the anchor points whose distance functions are watched."""
-
-    anchors: np.ndarray
-
-    def __post_init__(self):
-        anchors = np.asarray(self.anchors, dtype=np.int64)
-        if anchors.ndim != 1 or anchors.size < 1:
-            raise InvalidInputError("witness family needs at least one anchor")
-        object.__setattr__(self, "anchors", anchors)
-
-
-def select_witnesses(ds: Dataset, k: int, seed: int) -> WitnessFamily:
+def select_witnesses(ds: Dataset, k: int, seed: int) -> np.ndarray:
+    """``k`` distinct seeded anchor indices; a larger ``k`` extends the draw."""
     if not 1 <= k <= ds.n:
         raise InvalidInputError(f"witness count must be in [1, {ds.n}], got {k}")
-    return WitnessFamily(rng.distinct_indices(seed, k, ds.n))
+    return rng.distinct_indices(seed, k, ds.n)
 
 
 def _check_length(ds: Dataset, length: float) -> None:
@@ -99,21 +88,25 @@ def _check_length(ds: Dataset, length: float) -> None:
         )
 
 
-def witness_curve(ds: Dataset, family: WitnessFamily, grid_size: int, length: float = 1.0) -> ConcentrationCurve:
+def witness_curve(ds: Dataset, anchors, grid_size: int, length: float = 1.0) -> ConcentrationCurve:
     """Evaluate max-over-anchors deviation fractions on a uniform eps grid.
 
-    For anchor a with values f_a = d(a, .) / length over all points and
-    interpolated median m_a, the curve at eps is the largest fraction of
-    points with |f_a - m_a| strictly greater than eps. ``length`` is the
-    normalizing length, at least the diameter bound, so every f_a lies in
-    [0, 1]; normalized Hamming distances already do, at the default 1.
+    ``anchors`` is a non-empty 1-d array of integer point indices in
+    [0, n), such as ``select_witnesses`` draws; anything else is refused
+    with ``InvalidInputError``. For anchor a with values
+    f_a = d(a, .) / length over all points and interpolated median m_a,
+    the curve at eps is the largest fraction of points with |f_a - m_a|
+    strictly greater than eps. ``length`` is the normalizing length, at
+    least the diameter bound, so every f_a lies in [0, 1]; normalized
+    Hamming distances already do, at the default 1.
     """
+    anchors = _check_indices(anchors, ds.n, "the witness anchors")
     if grid_size < 2:
         raise InvalidInputError("grid size must be >= 2")
     _check_length(ds, length)
     grid = np.linspace(0.0, 1.0, grid_size)
     alpha = np.zeros(grid_size)
-    for anchor in family.anchors:
+    for anchor in anchors:
         f = ds.distances(ds.kernel_rows[anchor], ds.kernel_rows)
         f /= length
         median = float(np.quantile(f, 0.5))

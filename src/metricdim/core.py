@@ -188,6 +188,19 @@ def _check_point(metric: MetricKind, x, dim: int | None = None) -> np.ndarray:
     return _check_rows(metric, arr, "bit vectors")
 
 
+def _check_indices(indices, n: int, what: str) -> np.ndarray:
+    """``indices`` as an array, refused unless it is a non-empty 1-d array
+    of integer point indices in [0, n); ``what`` names it."""
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or idx.size == 0:
+        raise InvalidInputError(f"{what} must be a non-empty 1-d index sequence, got shape {idx.shape}")
+    if idx.dtype.kind not in "iu":
+        raise InvalidInputError(f"{what} must hold integer indices, got dtype {idx.dtype}")
+    if idx.min() < 0 or idx.max() >= n:
+        raise InvalidInputError(f"{what} must hold indices in [0, {n})")
+    return idx
+
+
 def _pack_bits(bits: np.ndarray) -> np.ndarray:
     """0/1 rows (the last axis) packed into uint64 words, the last word
     zero-padded. Equal rows give equal words, and the XOR of two rows' words
@@ -267,9 +280,14 @@ def pair_distances(metric: MetricKind, a: np.ndarray, b: np.ndarray) -> np.ndarr
 
 
 # OpenBLAS runs a matrix product of at most 2**18 multiply-adds on the
-# calling thread and wakes its worker threads for a larger one. For products
-# issued one after another with other work between them, that wake-up cost
-# about 15 ms a call on a 2-CPU machine, 200x the 0.07 ms product itself.
+# calling thread and splits a larger one over its worker threads, which may
+# sum in another order. Chunks of this size keep the printed bytes
+# independent of the BLAS thread count: with one product a call, fig-a
+# --d 200,2000 printed other last digits under OPENBLAS_NUM_THREADS=1 than
+# under 2 (numpy 2.4.6, OpenBLAS 0.3.31, 2 CPUs); a tier-1 test holds this.
+# The chunks were first made for speed, against a worker wake-up of about
+# 15 ms a product. On that machine it no longer shows: nettree-stats took
+# 185.8 ms chunked and 175.8 ms unchunked (medians of 10).
 _GRAM_CHUNK = 2**18
 
 

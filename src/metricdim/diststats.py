@@ -23,12 +23,13 @@ pure function of its index, and the kernel measures each pair on its own.
 
 Enumerated distances are held in one copy, and a sample is never held.
 Full enumeration (``pairwise_distances``) writes each band's triangle into
-the one output vector, and ``moments`` takes the variance's second pass in
-leaf-sized pieces, with numpy's own summation tree, so its value is
-``values.var(ddof=1)`` to the bit. ``pair_moments`` folds a sample leaf by
-leaf instead, into a table of one row per leaf: its mean is the sample's
-``values.mean()`` to the bit, its variance within a few ulps of
-``values.var(ddof=1)``.
+one plain float64 vector, and ``moments`` takes the variance's second pass
+over it leaf by leaf: the leaves of numpy's pairwise-sum tree, cut by
+``_pairwise_leaves`` and added back up by ``_merged``, so its value is
+``values.var(ddof=1)`` to the bit. ``pair_moments`` folds a sample over
+the same tree walk instead, into a table of one row per leaf: its mean is
+the sample's ``values.mean()`` to the bit, its variance within a few ulps
+of ``values.var(ddof=1)``.
 """
 
 from __future__ import annotations
@@ -93,35 +94,17 @@ def default_mode(n: int, seed: int = 0) -> PairMode:
     return ALL_PAIRS if n * (n - 1) // 2 <= PAIR_BUDGET else SampledPairs(PAIR_BUDGET, seed)
 
 
-@dataclass(frozen=True)
-class DistanceSample:
-    """The n(n-1)/2 distances of every unordered pair of n points."""
-
-    values: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        # (values < 0).any() without its boolean array: fmin skips NaN as the
-        # comparison does, and the initial 0 covers an empty sample.
-        if np.fmin.reduce(values, axis=None, initial=0.0) < 0:
-            raise InvalidInputError("distances cannot be negative")
-        if values.size != self.n * (self.n - 1) // 2:
-            raise InvalidInputError("full enumeration must hold exactly n(n-1)/2 values")
-        object.__setattr__(self, "values", values)
-
-
-def pairwise_distances(ds: Dataset) -> DistanceSample:
+def pairwise_distances(ds: Dataset) -> np.ndarray:
     """Distances of every unordered point pair, in (i, j>i) order, from the
     row bands of ``all_pair_distances``.
 
-    The n(n-1)/2 values are held in one vector. Statistics that need just
+    The n(n-1)/2 values are one float64 vector. Statistics that need just
     the moments and the largest value read ``pair_moments``, which samples
     the pairs beyond ``PAIR_BUDGET`` and holds no sample.
     """
     if ds.n < 2:
         raise InvalidInputError("pairwise distances need at least 2 points")
-    return DistanceSample(all_pair_distances(ds.metric, ds.points), ds.n)
+    return all_pair_distances(ds.metric, ds.points)
 
 
 def pair_moments(ds: Dataset, mode: PairMode | None = None) -> tuple[MomentSummary, float]:
@@ -148,15 +131,15 @@ def pair_moments(ds: Dataset, mode: PairMode | None = None) -> tuple[MomentSumma
     worker count: every draw is a pure function of its index, and the
     kernel measures each pair on its own.
 
-    A negative distance is refused as ``DistanceSample`` refuses it, and
-    fewer than 2 values as ``moments`` refuses them.
+    A negative sampled distance (a kernel fault) is refused, and fewer than
+    2 values as ``moments`` refuses them.
     """
     if ds.n < 2:
         raise InvalidInputError("pairwise distances need at least 2 points")
     if mode is None:
         mode = default_mode(ds.n, seed=ds.seed if ds.seed is not None else 0)
     if isinstance(mode, AllPairs):
-        values = pairwise_distances(ds).values
+        values = pairwise_distances(ds)
         return moments(values), float(values.max())
     if mode.m < 2:
         raise InvalidInputError("moments need at least 2 distance values")
@@ -314,9 +297,10 @@ def _sample_chunks(ds: Dataset, keys, steps: np.ndarray, leaves, buffers: tuple,
 
 def _leaf_row(values: np.ndarray) -> tuple:
     """One leaf's sum (numpy's pairwise sum), squared deviations about its
-    own mean, maximum and ``fmin`` with an initial 0 (negative exactly where
-    ``DistanceSample`` refuses values). Overwrites ``values``. A
-    sum or square beyond the doubles reads inf, as in ``moments``."""
+    own mean, maximum and ``fmin`` with an initial 0, negative exactly where
+    ``(values < 0).any()`` is true: ``fmin`` skips NaN as the comparison
+    does. Overwrites ``values``. A sum or square beyond the doubles reads
+    inf, as in ``moments``."""
     # errstate is per thread, so it is entered here, in the worker.
     with np.errstate(over="ignore"):
         total = np.add.reduce(values)
@@ -340,18 +324,10 @@ class BoxplotSummary:
         return self.q3 - self.q1
 
 
-def _sample_values(sample) -> np.ndarray:
-    if isinstance(sample, DistanceSample):
-        return sample.values
-    return np.asarray(sample, dtype=np.float64)
-
-
-def boxplot_summary(sample) -> BoxplotSummary:
-    """Tukey box statistics: type-7 quartiles, 1.5*IQR whisker fences.
-
-    Accepts a DistanceSample or any array of values.
-    """
-    values = _sample_values(sample)
+def boxplot_summary(values) -> BoxplotSummary:
+    """Tukey box statistics of an array of values: type-7 quartiles,
+    1.5*IQR whisker fences."""
+    values = np.asarray(values, dtype=np.float64)
     if values.size < 5:
         raise InvalidInputError(f"boxplot needs at least 5 values, got {values.size}")
     q1, median, q3 = (float(q) for q in np.quantile(values, [0.25, 0.5, 0.75]))
@@ -376,32 +352,33 @@ class MomentSummary:
     count: int
 
 
-def moments(sample) -> MomentSummary:
-    """Arithmetic mean and unbiased (count - 1) variance of the distances.
+def moments(values) -> MomentSummary:
+    """Arithmetic mean and unbiased (count - 1) variance of an array of
+    distances.
 
-    Accepts a DistanceSample or any array of values. The results equal
-    ``float(values.mean())`` and ``float(values.var(ddof=1))`` bit for bit,
-    but the variance's second pass holds no full-size temporary:
-    ``values.var`` squares ``values - mean`` into a new array as large as
-    the sample before summing it.
+    The results equal ``float(values.mean())`` and
+    ``float(values.var(ddof=1))`` bit for bit, but the variance's second
+    pass holds no full-size temporary: ``values.var`` squares
+    ``values - mean`` into a new array as large as the sample before
+    summing it.
 
-    Here the squared deviations are summed by ``_squared_deviations``, which
-    splits the vector as numpy's ``pairwise_sum`` splits a contiguous one
-    (``_pairwise_half``) until a piece fits one leaf-sized buffer of
-    ``core._SCAN_BYTES // 8`` values. Each
-    leaf's deviations are squared into that buffer and summed by
-    ``np.add.reduce``, which runs ``pairwise_sum`` on the leaf, and the
-    partial sums are added back up the same tree. Any leaf of at least
-    numpy's 128-value pairwise block gives numpy's own tree, so the sum
-    is numpy's to the last bit. ``test_moments_equal_numpy_bit_for_bit``
-    pins this on the installed numpy, for sizes around the leaf and
-    numpy's block and up to 5,000,000 values.
+    Here the vector is cut at the leaves of numpy's pairwise-sum tree that
+    fit one buffer of ``core._SCAN_BYTES // 8`` values (``_pairwise_leaves``,
+    as ``pair_moments`` cuts its sample). Each leaf's deviations are squared
+    into that buffer and summed by ``np.add.reduce``, which runs
+    ``pairwise_sum`` on the leaf, and ``_merged`` adds the leaf sums back up
+    the same tree (its M2 part, over leaves of M2 0, is not read). Any leaf
+    of at least numpy's 128-value pairwise block gives numpy's own tree, so
+    the sum is numpy's to the last bit.
+    ``test_moments_equal_numpy_bit_for_bit`` pins this on the installed
+    numpy, for sizes around the leaf and numpy's block and up to 5,000,000
+    values.
 
     This needs the values held; ``pair_moments`` gives the same summary of
     a dataset's sampled pairs without holding them, its variance within a
     few ulps of this one.
     """
-    values = _sample_values(sample)
+    values = np.asarray(values, dtype=np.float64)
     if values.size < 2:
         raise InvalidInputError("moments need at least 2 distance values")
     # A sum or square beyond the doubles reads inf, which cnbym_dimension
@@ -409,19 +386,14 @@ def moments(sample) -> MomentSummary:
     with np.errstate(over="ignore"):
         mean = values.mean()
         buffer = np.empty(min(values.size, _SCAN_BYTES // 8))
-        variance = _squared_deviations(values, mean, buffer) / (values.size - 1)
-    return MomentSummary(float(mean), float(variance), int(values.size))
-
-
-def _squared_deviations(values: np.ndarray, mean, buffer: np.ndarray):
-    """The sum of ``(values - mean) ** 2`` in numpy's pairwise order (see
-    ``moments``), with ``buffer`` as the only scratch array."""
-    n = values.size
-    if n <= buffer.size:
-        leaf = np.subtract(values, mean, out=buffer[:n])
-        return np.add.reduce(np.multiply(leaf, leaf, out=leaf))
-    half = _pairwise_half(n)
-    return _squared_deviations(values[:half], mean, buffer) + _squared_deviations(values[half:], mean, buffer)
+        # Python floats: _merged's unread M2 part may meet inf - inf, which
+        # numpy scalars would warn of.
+        sums = {}
+        for start, stop in _pairwise_leaves(0, values.size, buffer.size):
+            leaf = np.subtract(values[start:stop], mean, out=buffer[: stop - start])
+            sums[start, stop] = float(np.add.reduce(np.multiply(leaf, leaf, out=leaf))), 0.0
+    variance = _merged(0, values.size, sums)[0] / (values.size - 1)
+    return MomentSummary(float(mean), variance, int(values.size))
 
 
 def cnbym_dimension(summary: MomentSummary):
@@ -499,7 +471,7 @@ def nn_statistics(
     if characteristic is None:
         characteristic = 0.0
         if ds.n == 2:
-            characteristic = float(pairwise_distances(ds).values[0])
+            characteristic = float(pairwise_distances(ds)[0])
         elif ds.n > 2:
             characteristic = pair_moments(ds)[0].mean
     ratio = DEGENERATE if characteristic == 0.0 else mean_eps_nn / characteristic

@@ -37,6 +37,7 @@ from .core import (
     Dataset,
     InvalidInputError,
     _BallScreen,
+    _check_indices,
     _distinct_rows,
     diameter_upper_bound,
 )
@@ -89,15 +90,7 @@ def greedy_cover(ds: Dataset, subset, radius: float) -> CoverResult:
     Centers ascend, so a point's owner is its lowest-index center in reach.
     The cover is built in blocks (``_cover``).
     """
-    idx = np.asarray(subset)
-    if idx.ndim != 1:
-        raise InvalidInputError(f"subset must be a 1-d index sequence, got shape {idx.shape}")
-    if idx.size == 0:
-        raise InvalidInputError("cannot cover an empty subset")
-    if idx.dtype.kind not in "iu":
-        raise InvalidInputError(f"subset indices must be integers, got dtype {idx.dtype}")
-    if idx.min() < 0 or idx.max() >= ds.n:
-        raise InvalidInputError(f"subset indices must lie in [0, {ds.n})")
+    idx = _check_indices(subset, ds.n, "the subset")
     if not radius > 0:
         raise InvalidInputError("cover radius must be positive")
     subset = idx if (idx[1:] > idx[:-1]).all() else np.unique(idx)

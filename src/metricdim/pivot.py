@@ -52,7 +52,6 @@ PivotPolicy = Union[RandomPivots, FarthestFirst]
 class PivotIndex:
     pivots: np.ndarray  # (k,) point indices
     table: np.ndarray  # (n, k), table[i, j] = d(point i, pivot j); column-major
-    policy: PivotPolicy
 
     @property
     def k(self) -> int:
@@ -104,7 +103,7 @@ def build_pivot_index(ds: Dataset, k: int, policy: PivotPolicy, oracle: Counting
         pivots = _select_farthest_first(ds, table, policy.seed)
     if oracle is not None:
         oracle.add(ds.n * k)
-    return PivotIndex(pivots, table, policy)
+    return PivotIndex(pivots, table)
 
 
 def _check_eps(eps: float) -> None:

@@ -548,6 +548,16 @@ def run_module(args, stdin=None, **env):
     return done.returncode, done.stdout, done.stderr
 
 
+def test_output_is_independent_of_the_blas_thread_count():
+    # fig-a at d = 2,000 measures its pairs by Gram products. One product
+    # over all columns changed last digits of its d = 2,000 row between one
+    # and two OpenBLAS threads (numpy 2.4.6, OpenBLAS 0.3.31); the products
+    # of core._chunked_matmul do not.
+    args = ["fig-a", "--d", "200,2000"]
+    one, two = (run_module(args, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
+    assert one[0] == 0 and one == two
+
+
 def test_a_stdout_closed_early_exits_zero_with_nothing_on_stderr():
     # As ``generate ... | head -2`` closes it. Once "error: [Errno 32]
     # Broken pipe" and status 1, as for bad input.

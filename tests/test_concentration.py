@@ -15,7 +15,6 @@ from metricdim.concentration import (
     two_sided_alpha,
     union_bound_slack,
     witness_curve,
-    WitnessFamily,
 )
 from metricdim.core import DEGENERATE, Dataset, InvalidInputError, MetricKind, diameter_upper_bound
 from metricdim.generate import Family, GeneratorSpec, generate
@@ -36,7 +35,7 @@ class TestEmpiricalCurve:
         # anchor values {0, 1}, interpolated median 0.5; both deviations are
         # exactly 0.5, so alpha is 1 below 0.5 and 0 above it
         ds = line_dataset([0.0, 1.0])
-        curve = witness_curve(ds, WitnessFamily(np.array([0])), 11)
+        curve = witness_curve(ds, np.array([0]), 11)
         assert curve.alpha[6] == 0.0  # eps ~ 0.6
         assert curve.alpha[4] == 1.0  # eps ~ 0.4
         assert curve.alpha[5] == 0.0  # eps = 0.5 exactly; deviation test is strict
@@ -50,6 +49,16 @@ class TestEmpiricalCurve:
         with pytest.raises(InvalidInputError):
             empirical_concentration(ds, k=3, grid_size=11)
 
+    @pytest.mark.parametrize(
+        "anchors",
+        [[], [[0, 1]], [-1], [3], [1.5], [True], np.array([0, 2**63], dtype=np.uint64)],
+        ids=["empty", "2-d", "negative", "past-the-end", "fraction", "bool", "huge"],
+    )
+    def test_bad_anchors_rejected(self, anchors):
+        # Once -1 read row n - 1, 3 raised IndexError and 1.5 read row 1.
+        with pytest.raises(InvalidInputError, match="witness anchors"):
+            witness_curve(line_dataset([0.0, 0.5, 1.0]), anchors, 11)
+
     def test_nonincreasing(self):
         ds = generate(GeneratorSpec(Family.HAMMING_UNIFORM, 32, 500, seed=3))
         curve = empirical_concentration(ds, k=8, grid_size=51, seed=1)
@@ -59,7 +68,7 @@ class TestEmpiricalCurve:
         ds = generate(GeneratorSpec(Family.HAMMING_UNIFORM, 16, 400, seed=7))
         small = select_witnesses(ds, 4, seed=5)
         large = select_witnesses(ds, 12, seed=5)  # prefix-extending anchor draw
-        assert set(small.anchors.tolist()) <= set(large.anchors.tolist())
+        assert set(small.tolist()) <= set(large.tolist())
         a = witness_curve(ds, small, 41).alpha
         b = witness_curve(ds, large, 41).alpha
         assert (b >= a).all()

@@ -19,7 +19,6 @@ from metricdim.core import (
 )
 from metricdim.diststats import (
     ALL_PAIRS,
-    DistanceSample,
     MomentSummary,
     SampledPairs,
     boxplot_summary,
@@ -43,14 +42,14 @@ def line_dataset(xs, seed=None):
 
 class TestPairwise:
     def test_three_points_three_values(self):
-        sample = pairwise_distances(line_dataset([0.0, 1.0, 3.0]))
-        assert sample.values.size == 3
-        assert sorted(sample.values.tolist()) == [1.0, 2.0, 3.0]
+        values = pairwise_distances(line_dataset([0.0, 1.0, 3.0]))
+        assert values.size == 3
+        assert sorted(values.tolist()) == [1.0, 2.0, 3.0]
 
     def test_all_pairs_order_is_lexicographic(self):
         ds = line_dataset([0.0, 1.0, 3.0])
         # pairs (0,1), (0,2), (1,2)
-        np.testing.assert_array_equal(pairwise_distances(ds).values, [1.0, 3.0, 2.0])
+        np.testing.assert_array_equal(pairwise_distances(ds), [1.0, 3.0, 2.0])
 
     def test_single_point_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -58,7 +57,7 @@ class TestPairwise:
 
     def test_sampled_mean_close_to_full_mean(self):
         ds = generate(GeneratorSpec(Family.UNIFORM_CUBE, 2, 1000, seed=5))
-        full = pairwise_distances(ds).values.mean()
+        full = pairwise_distances(ds).mean()
         sampled = pair_moments(ds, SampledPairs(5000, seed=9))[0].mean
         assert abs(sampled - full) / full < 0.02
 
@@ -72,7 +71,7 @@ class TestPairwise:
 
     def test_gram_path_matches_direct_rows(self):
         ds = generate(GeneratorSpec(Family.UNIFORM_CUBE, 4, 60, seed=2))
-        gram = pairwise_distances(ds).values
+        gram = pairwise_distances(ds)
         direct = np.concatenate(
             [np.linalg.norm(ds.points[i + 1 :] - ds.points[i], axis=1) for i in range(ds.n - 1)]
         )
@@ -80,7 +79,7 @@ class TestPairwise:
 
     def test_hamming_gram_path_exact(self):
         ds = generate(GeneratorSpec(Family.HAMMING_UNIFORM, 33, 80, seed=2))
-        gram = pairwise_distances(ds).values
+        gram = pairwise_distances(ds)
         direct = np.concatenate(
             [(ds.points[i + 1 :] != ds.points[i]).sum(axis=1) / 33 for i in range(ds.n - 1)]
         )
@@ -95,7 +94,7 @@ class TestPairwise:
         rng_np = np.random.default_rng(0)
         pts = rng_np.uniform(size=(30, 3))
         ds = Dataset(pts, kind)
-        values = pairwise_distances(ds).values
+        values = pairwise_distances(ds)
         from metricdim.core import distance
 
         brute = [distance(ds.metric, pts[i], pts[j]) for i in range(30) for j in range(i + 1, 30)]
@@ -183,7 +182,7 @@ def test_pairwise_matches_distance_on_the_same_pairs(metric, data, m, seed):
 
     iu, ju = np.triu_indices(ds.n, k=1)
     exact = np.array([distance(metric, ds.points[i], ds.points[j]) for i, j in zip(iu, ju)])
-    enumerated = pairwise_distances(ds).values
+    enumerated = pairwise_distances(ds)
     if metric is MetricKind.EUCLIDEAN:
         # Centred Gram values are within 1e-9 relative of the kernel's; the
         # kernel measures the pairs too close for that.
@@ -259,19 +258,19 @@ def test_sample_is_independent_of_the_worker_count(metric, monkeypatch):
     ids=["negative", "nan", "nan-and-negative", "negative-zero", "empty"],
 )
 def test_sign_check_agrees_with_the_elementwise_comparison(values, rejected):
+    # _leaf_row's lowest column is the sign check pair_moments reads; a
+    # leaf is never empty, and fmin's initial 0 gives the empty case.
     arr = np.array(values, dtype=np.float64)
     assert (arr < 0).any() == rejected
-    n = 3 if arr.size else 1  # n(n-1)/2 values
-    if rejected:
-        with pytest.raises(InvalidInputError, match="negative"):
-            DistanceSample(arr, n)
-    else:
-        assert DistanceSample(arr, n).values.tobytes() == arr.tobytes()
+    assert (np.fmin.reduce(arr, initial=0.0) < 0) == rejected
+    if arr.size:
+        assert (diststats._leaf_row(arr.copy())[3] < 0) == rejected
 
 
-def test_distance_sample_holds_every_pair():
-    with pytest.raises(InvalidInputError, match="exactly n\\(n-1\\)/2 values"):
-        DistanceSample(np.ones(2), 3)
+@pytest.mark.parametrize("n", [2, 3, 4, 129])
+def test_pairwise_distances_hold_every_pair(n):
+    values = pairwise_distances(line_dataset(np.arange(n, dtype=np.float64)))
+    assert values.dtype == np.float64 and values.shape == (n * (n - 1) // 2,)
 
 
 class TestBoxplot:
@@ -459,7 +458,7 @@ def test_tiles_change_no_value(metric, size, monkeypatch):
 @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.value)
 def test_pair_moments_of_all_pairs_are_the_vector_moments(metric):
     ds = fold_dataset(metric)
-    values = pairwise_distances(ds).values
+    values = pairwise_distances(ds)
     summary, largest = pair_moments(ds, ALL_PAIRS)
     assert summary == moments(values)
     assert largest == float(values.max())
