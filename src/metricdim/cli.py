@@ -62,11 +62,11 @@ from .pivot import (
     DEFAULT_LADDER,
     FarthestFirst,
     RandomPivots,
-    calibrate_eps,
+    build_pivot_index,
     degradation_sweep,
     range_query,
+    search_workloads,
     sequential_scan,
-    build_pivot_index,
 )
 
 DEFAULT_SEED = 42
@@ -205,7 +205,13 @@ def _sweep(command, workloads, n, k, target, queries, seed, policy, self_test) -
             ]
         )
     if self_test:
-        _check_pivot_exactness(workloads, n=min(n, 500), k=min(k, 8), seed=seed)
+        # One query of every workload, at most 500 points and 8 pivots,
+        # against the scan under the sweep's own policy.
+        check_n = min(n, 500)
+        for _, _, ds, ranges, build_seed in search_workloads(workloads, check_n, 1, min(target, check_n), seed):
+            q, eps = ranges[0]
+            index = build_pivot_index(ds, min(k, 8), policy_kind(build_seed))
+            _check_exact(range_query(index, ds, q, eps)[0], ds, q, eps, "pivot")
     config = [
         ("seed", seed),
         ("n", n),
@@ -232,20 +238,17 @@ def run_nettree_stats(
     n=2000, queries=50, probes=64, target=10, seed=DEFAULT_SEED, self_test=False
 ) -> str:
     rows = []
-    for w_idx, (family, d) in enumerate(workloads):
-        ds = generate(GeneratorSpec(family, d, n, rng.derive_seed(seed, 1, w_idx)))
-        qs = generate(GeneratorSpec(family, d, queries, rng.derive_seed(seed, 2, w_idx)))
-        rho = doubling_estimate(ds, probes, seed=rng.derive_seed(seed, 3, w_idx))
+    for family, d, ds, ranges, build_seed in search_workloads(workloads, n, queries, target, seed):
+        rho = doubling_estimate(ds, probes, seed=build_seed)
         tree, stats = build_net_tree(ds)
         if self_test and n <= 5000:
             verify_net_invariants(tree, ds)
         cost = []
-        for q_idx, q in enumerate(qs.points):
-            eps = calibrate_eps(ds, q, target)
+        for q_idx, (q, eps) in enumerate(ranges):
             result, qstats = net_range_query(tree, ds, q, eps)
             cost.append(qstats.distance_computations)
-            if self_test and q_idx == 0 and result != sequential_scan(ds, q, eps):
-                raise InvariantViolation("net tree result differs from sequential scan")
+            if self_test and q_idx == 0:
+                _check_exact(result, ds, q, eps, "net tree")
         rows.append([family, d, rho.rho_hat, stats.max_degree, stats.depth, float(np.mean(cost))])
     config = [
         ("seed", seed),
@@ -378,17 +381,9 @@ def _check_boxplot(box, values) -> None:
         raise InvariantViolation("fence partition does not cover the sample")
 
 
-def _check_pivot_exactness(workloads, n, k, seed) -> None:
-    # One small matched workload per family; full equality against the scan.
-    for w_idx, (family, d) in enumerate(workloads[:2]):
-        ds = generate(GeneratorSpec(family, d, n, rng.derive_seed(seed, 91, w_idx)))
-        qs = generate(GeneratorSpec(family, d, 5, rng.derive_seed(seed, 92, w_idx)))
-        index = build_pivot_index(ds, k, RandomPivots(rng.derive_seed(seed, 93, w_idx)))
-        for q in qs.points:
-            eps = calibrate_eps(ds, q, 5)
-            result, _ = range_query(index, ds, q, eps)
-            if result != sequential_scan(ds, q, eps):
-                raise InvariantViolation("pivot result differs from sequential scan")
+def _check_exact(result, ds, q, eps, index_name) -> None:
+    if result != sequential_scan(ds, q, eps):
+        raise InvariantViolation(f"{index_name} result differs from sequential scan")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,10 @@ could skip pivot evaluations, but it cannot shrink the surviving candidate
 set, which is the quantity studied here. Pruning keeps candidates with
 slack PRUNE_WIDENING so floating-point rounding can only make pruning
 conservative, never incorrect.
+
+``search_workloads`` defines the exact-search workloads in one place: the
+degradation sweep, ``nettree-stats`` and the sweeps' ``--self-test`` all
+read their data, queries and calibrated ranges from it.
 """
 
 from __future__ import annotations
@@ -215,6 +219,23 @@ DEFAULT_LADDER = (
 )
 
 
+def search_workloads(workloads, n: int, queries: int, target_result_size: int, seed: int):
+    """The exact-search workloads of ``fig-d``, ``pivot-sweep`` and
+    ``nettree-stats``, one per (family, dim) of ``workloads``.
+
+    For the workload at position w this yields ``(family, dim, data,
+    ranges, build_seed)``: n data points seeded by ``derive_seed(seed, 1,
+    w)``, the list of ``queries`` query points (``derive_seed(seed, 2, w)``)
+    each paired with its ``calibrate_eps`` range for ``target_result_size``,
+    and ``derive_seed(seed, 3, w)`` for the structure built on the data.
+    """
+    for w_idx, (family, dim) in enumerate(workloads):
+        ds = generate(GeneratorSpec(family, dim, n, rng.derive_seed(seed, 1, w_idx)))
+        qs = generate(GeneratorSpec(family, dim, queries, rng.derive_seed(seed, 2, w_idx)))
+        ranges = [(q, calibrate_eps(ds, q, target_result_size)) for q in qs.points]
+        yield family, dim, ds, ranges, rng.derive_seed(seed, 3, w_idx)
+
+
 def degradation_sweep(
     workloads,
     n: int,
@@ -226,33 +247,25 @@ def degradation_sweep(
 ) -> list[SweepRow]:
     """Measure pruning effectiveness per (family, dim) at matched result sizes.
 
-    For each workload: generate n data points and ``queries`` query points,
-    build a k-pivot index, calibrate eps per query so the true result size
-    approximates the target, and average the query statistics.
+    For each of the ``search_workloads``: build a k-pivot index under
+    ``policy_kind`` seeded by the workload's build seed, run every query
+    at its calibrated range, and average the query statistics.
     """
     if target_result_size < 1:
         raise InvalidInputError("target result size must be >= 1")
     rows = []
-    for w_idx, (family, dim) in enumerate(workloads):
-        ds = generate(GeneratorSpec(family, dim, n, rng.derive_seed(seed, 1, w_idx)))
-        qs = generate(GeneratorSpec(family, dim, queries, rng.derive_seed(seed, 2, w_idx)))
-        index = build_pivot_index(ds, k, policy_kind(rng.derive_seed(seed, 3, w_idx)))
-        discarded, computations, sizes = [], [], []
-        for q in qs.points:
-            eps = calibrate_eps(ds, q, target_result_size)
-            _, stats = range_query(index, ds, q, eps)
-            discarded.append(stats.discarded_fraction)
-            computations.append(stats.distance_computations)
-            sizes.append(stats.result_size)
+    for family, dim, ds, ranges, build_seed in search_workloads(workloads, n, queries, target_result_size, seed):
+        index = build_pivot_index(ds, k, policy_kind(build_seed))
+        stats = [range_query(index, ds, q, eps)[1] for q, eps in ranges]
         rows.append(
             SweepRow(
                 family=family,
                 dim=dim,
                 n=n,
                 k=k,
-                mean_discarded_fraction=float(np.mean(discarded)),
-                mean_distance_computations=float(np.mean(computations)),
-                mean_result_size=float(np.mean(sizes)),
+                mean_discarded_fraction=float(np.mean([s.discarded_fraction for s in stats])),
+                mean_distance_computations=float(np.mean([s.distance_computations for s in stats])),
+                mean_result_size=float(np.mean([s.result_size for s in stats])),
                 scan_cost=n,
             )
         )

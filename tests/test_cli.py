@@ -15,6 +15,7 @@ from metricdim.core import EXACT_DIAMETER_LIMIT, InvariantViolation, MetricKind,
 from metricdim.core import Dataset
 from metricdim.doubling import probe_rows
 from metricdim.generate import Family, GeneratorSpec, generate
+from metricdim.pivot import FarthestFirst, PivotIndex, build_pivot_index, range_query
 
 
 def run_cli(args, capsys):
@@ -691,10 +692,14 @@ class TestDefaults:
 
 
 class TestSelfTestChecks:
-    """estimate's and fig-c's --self-test checks: each exits 2 when made to
-    fail, and passing they leave stdout as it is without the flag."""
+    """estimate's, fig-c's and the pivot sweeps' --self-test checks: each
+    exits 2 when made to fail, and passing they leave stdout as it is
+    without the flag."""
 
     FIG_C = ["fig-c", "--d", "16,64", "--n", "2000", "--k", "8", "--grid", "41"]
+    FIG_D = ["fig-d", "--n", "600", "--queries", "3"]
+    BIT_SWEEP = ["pivot-sweep", "--family", "hamming", "--d", "32,128", "--n", "600", "--k", "8", "--queries", "3"]
+    COMMANDS = {"fig-c": FIG_C, "fig-d": FIG_D, "farthest-first": BIT_SWEEP + ["--policy", "farthest-first"]}
     FILES = {
         "gaussian": ("euclidean", ["generate", "--family", "gaussian", "--d", "5", "--n", "300"]),
         "bits": ("hamming", ["generate", "--family", "hamming", "--d", "70", "--n", "300"]),
@@ -711,9 +716,9 @@ class TestSelfTestChecks:
             assert run_cli(source + ["--out", str(path)], capsys)[0] == 0
         return ["estimate", "--in", str(path), "--metric", metric, "--probes", "8"]
 
-    @pytest.mark.parametrize("name", ["fig-c", *FILES])
+    @pytest.mark.parametrize("name", [*COMMANDS, *FILES])
     def test_passing_checks_leave_stdout_unchanged(self, name, tmp_path, capsys):
-        args = self.FIG_C if name == "fig-c" else self.estimate_args(name, tmp_path, capsys)
+        args = self.COMMANDS[name] if name in self.COMMANDS else self.estimate_args(name, tmp_path, capsys)
         plain = run_cli(args, capsys)
         checked = run_cli(args + ["--self-test"], capsys)
         assert plain[0] == checked[0] == 0
@@ -742,6 +747,32 @@ class TestSelfTestChecks:
 
         monkeypatch.setattr(cli, "empirical_concentration", raised)
         assert run_cli(["fig-c", "--d", "1,9", "--n", "200", "--self-test"], capsys)[0] == code
+
+    def test_fig_d_checks_its_bit_rungs(self, capsys, monkeypatch):
+        # The check's pivot queries drop one result on bit datasets only;
+        # the ladder's first two rungs are cubes.
+        def dropping(index, ds, q, eps):
+            result, stats = range_query(index, ds, q, eps)
+            return (result - {min(result)} if ds.metric.uses_bits else result), stats
+
+        monkeypatch.setattr(cli, "range_query", dropping)
+        assert run_cli(self.FIG_D, capsys)[0] == 0
+        code, out, err = run_cli(self.FIG_D + ["--self-test"], capsys)
+        assert (code, out) == (2, "")
+        assert "pivot result differs from sequential scan" in err
+
+    @pytest.mark.parametrize("policy, code", [("random", 0), ("farthest-first", 2)])
+    def test_pivot_sweep_checks_under_its_own_policy(self, policy, code, capsys, monkeypatch):
+        # Only farthest-first tables answer wrongly: shifted past every
+        # distance, they prune every point.
+        def shifted(ds, k, policy, oracle=None):
+            index = build_pivot_index(ds, k, policy, oracle)
+            return PivotIndex(index.pivots, index.table + 10.0) if isinstance(policy, FarthestFirst) else index
+
+        monkeypatch.setattr(cli, "build_pivot_index", shifted)
+        args = self.BIT_SWEEP + ["--policy", policy]
+        assert run_cli(args, capsys)[0] == 0
+        assert run_cli(args + ["--self-test"], capsys)[0] == code
 
     @pytest.mark.parametrize(
         "name, patch, message",

@@ -570,6 +570,41 @@ def test_cached_bound_and_nearest_distances_equal_a_fresh_scan(kind, limit, data
         assert core._extremes(ds)[1].tolist() == per_row_minimum(ds)
 
 
+def numpy_first_occurrences(points):
+    return np.sort(np.unique(points, axis=0, return_index=True)[1]).tolist()
+
+
+# Each bit row is one drawn row with at most one bit flipped, so rows that
+# differ in one bit and exact duplicates are common; the last bit, in the
+# last word (ragged unless 64 divides the width), is flipped most often.
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 130])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_distinct_bit_rows_are_numpys_unique_rows(width, data):
+    base = np.array(data.draw(st.lists(st.integers(0, 1), min_size=width, max_size=width)), dtype=np.uint8)
+    flips = data.draw(st.lists(st.integers(-1, width - 1) | st.just(width - 1), min_size=1, max_size=30))
+    pts = np.repeat(base[None, :], len(flips), axis=0)
+    for row, bit in enumerate(flips):
+        if bit >= 0:
+            pts[row, bit] ^= 1
+    assert core._distinct_rows(Dataset(pts, HAMMING)).tolist() == numpy_first_occurrences(pts)
+
+
+# -0.0 and 0.0 are one value to numpy's row comparison but differ in their
+# bytes; subnormals differ from 0.0 and from each other.
+SIGNED_AND_SUBNORMAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, -1.0]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_distinct_real_rows_are_numpys_unique_rows(data):
+    width = data.draw(st.integers(1, 4))
+    row = st.lists(st.sampled_from(SIGNED_AND_SUBNORMAL), min_size=width, max_size=width)
+    pool = data.draw(st.lists(row, min_size=1, max_size=5))
+    pts = np.array([pool[i] for i in data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))])
+    assert core._distinct_rows(Dataset(pts, EUCLID)).tolist() == numpy_first_occurrences(pts)
+
+
 # fig-a's reading: all pairs divided by the diameter bound. Rows scaled by
 # 2**-k give the bound and every distance scaled by 2**-k exactly, so the
 # quotients keep their bits (the Gram products and the band scale too).
